@@ -94,9 +94,23 @@ void BM_ModelTreeFit(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelTreeFit)->Arg(1000)->Arg(10000);
 
+// Arg 0: the world's own map (disjoint /20 blocks). Arg 1: the same blocks
+// nested under one covering 10.0.0.0/8, the shape that used to make a
+// lookup scan the whole table.
 void BM_LpmLookup(benchmark::State& state) {
   const trace::World& world = shared_world();
-  stats::Rng rng(13);
+  net::IpToAsnMap nested;
+  if (state.range(0) == 1) {
+    std::vector<std::pair<net::Prefix, net::Asn>> entries{
+        {net::parse_prefix("10.0.0.0/8"), 1}};
+    for (const net::Asn asn : world.topology.graph.ases()) {
+      for (const net::Prefix& prefix : world.ip_map.prefixes_of(asn)) {
+        entries.emplace_back(prefix, asn);
+      }
+    }
+    nested = net::IpToAsnMap(std::move(entries));
+  }
+  const net::IpToAsnMap& map = state.range(0) == 1 ? nested : world.ip_map;
   std::vector<net::Ipv4> probes;
   for (const auto& attack : world.dataset.attacks()) {
     for (const net::Ipv4& bot : attack.bots) {
@@ -107,11 +121,11 @@ void BM_LpmLookup(benchmark::State& state) {
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(world.ip_map.lookup(probes[i++ % probes.size()]));
+    benchmark::DoNotOptimize(map.lookup(probes[i++ % probes.size()]));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_LpmLookup);
+BENCHMARK(BM_LpmLookup)->Arg(0)->Arg(1);
 
 void BM_ValleyFreeDistanceCold(benchmark::State& state) {
   const trace::World& world = shared_world();

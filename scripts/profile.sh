@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Profiles the quickstart fit with the observability layer on: builds the
-# CLI, generates a small simulated world, and runs `acbm fit` with --trace,
-# --metrics, and --profile. Artifacts land under results/:
-#   results/PROFILE_fit.trace.json   Chrome trace (chrome://tracing, Perfetto)
-#   results/PROFILE_fit.metrics.prom Prometheus-style metrics dump
-#   results/PROFILE_fit.profile.txt  merged span tree (the --profile output)
+# Profiles the quickstart build with the observability layer on: builds the
+# CLI, generates a small simulated world, and runs `acbm fit` and then
+# `acbm pack` with --trace, --metrics, and --profile. Artifacts land under
+# results/, one set per command (<cmd> = fit, pack):
+#   results/PROFILE_<cmd>.trace.json   Chrome trace (chrome://tracing, Perfetto)
+#   results/PROFILE_<cmd>.metrics.prom Prometheus-style metrics dump
+#   results/PROFILE_<cmd>.profile.txt  merged span tree (the --profile output)
 # See OBSERVABILITY.md for how to read each sink.
 #
 # Usage: scripts/profile.sh [build-dir]   (default: build)
@@ -33,8 +34,18 @@ mkdir -p "$repo_root/results"
   --metrics "$repo_root/results/PROFILE_fit.metrics.prom" \
   --profile 2> "$repo_root/results/PROFILE_fit.profile.txt"
 
-cat "$repo_root/results/PROFILE_fit.profile.txt"
-echo
-echo "wrote results/PROFILE_fit.trace.json"
-echo "      results/PROFILE_fit.metrics.prom"
-echo "      results/PROFILE_fit.profile.txt"
+"$acbm" pack \
+  --model "$work/model.acbm" --out "$work/model.armm" \
+  --trace "$repo_root/results/PROFILE_pack.trace.json" \
+  --metrics "$repo_root/results/PROFILE_pack.metrics.prom" \
+  --profile 2> "$repo_root/results/PROFILE_pack.profile.txt"
+
+for cmd in fit pack; do
+  cat "$repo_root/results/PROFILE_$cmd.profile.txt"
+  echo
+done
+for cmd in fit pack; do
+  echo "wrote results/PROFILE_$cmd.trace.json"
+  echo "      results/PROFILE_$cmd.metrics.prom"
+  echo "      results/PROFILE_$cmd.profile.txt"
+done

@@ -11,6 +11,7 @@
 #include "core/durable.h"
 #include "core/features.h"
 #include "core/inference.h"
+#include "core/observe.h"
 #include "stats/serialize.h"
 
 namespace acbm::core {
@@ -48,6 +49,7 @@ void AdversaryModel::fit(const trace::Dataset& dataset,
 }
 
 void AdversaryModel::compute_drift_baselines() {
+  ACBM_SPAN("fit.drift_baselines");
   drift_baselines_.clear();
   // Fit-window length in whole hours (rate channel denominator): enough
   // hours to cover the latest attack start.

@@ -6,8 +6,10 @@
 #include <span>
 #include <stdexcept>
 #include <streambuf>
+#include <string>
 #include <unordered_map>
 
+#include "core/observe.h"
 #include "core/spatiotemporal_model.h"
 #include "stats/kernels.h"
 #include "trace/dataset.h"
@@ -511,12 +513,20 @@ ServingModel ServingModel::load_any(const std::filesystem::path& path) {
   }
   // Framed model.art fallback: validate the frame against the mapping
   // without copying, deserialize, re-pack in memory.
-  durable::FramedView framed =
-      durable::load_framed_view(path, "adversary_model", 3, 4);
-  SpanBuf buf(framed.payload);
-  std::istream body(&buf);
-  const AdversaryModel model = AdversaryModel::load(body);
-  return from_image(armm::pack_model(model));
+  const AdversaryModel model = [&path] {
+    ACBM_SPAN("pack.load");
+    durable::FramedView framed =
+        durable::load_framed_view(path, "adversary_model", 3, 4);
+    SpanBuf buf(framed.payload);
+    std::istream body(&buf);
+    return AdversaryModel::load(body);
+  }();
+  std::string image;
+  {
+    ACBM_SPAN("pack.image");
+    image = armm::pack_model(model);
+  }
+  return from_image(image);
 }
 
 std::vector<net::Asn> ServingModel::targets() const {

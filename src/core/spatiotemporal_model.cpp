@@ -162,10 +162,13 @@ std::vector<StRow> assemble_rows(
   // attack, so the temporal model must forecast across every other family
   // attack launched in between (this is what the paper's per-target
   // experiment demands — a one-step family forecast would leak near-future
-  // information from parallel campaigns).
+  // information from parallel campaigns). Each family's hour and interval
+  // series are filtered once; every row then reads its forecast from the
+  // prefix ending at its cutoff.
   struct FamilyData {
     std::shared_ptr<const FamilySeries> series;
-    const TemporalModel* model = nullptr;
+    std::optional<TemporalModel::Forecaster> hour;
+    std::optional<TemporalModel::Forecaster> interval;
     std::unordered_map<std::size_t, std::size_t> position_of;
   };
   std::unordered_map<std::uint32_t, FamilyData> family_data;
@@ -174,7 +177,9 @@ std::vector<StRow> assemble_rows(
     fd.series = cache->family(family);
     const std::size_t n = fd.series->attack_indices.size();
     if (n < 2) continue;
-    fd.model = &model;
+    fd.hour = model.forecaster(TemporalSeries::kHour, fd.series->hour);
+    fd.interval =
+        model.forecaster(TemporalSeries::kInterval, fd.series->interval_s);
     for (std::size_t pos = 0; pos < n; ++pos) {
       fd.position_of[fd.series->attack_indices[pos]] = pos;
     }
@@ -222,9 +227,6 @@ std::vector<StRow> assemble_rows(
       if (cut == fidx.begin()) continue;
       const auto q = static_cast<std::size_t>(cut - fidx.begin() - 1);
       const std::size_t horizon = fpos > q ? fpos - q : 1;
-      const std::span<const double> hour_prefix(fd.series->hour.data(), q + 1);
-      const std::span<const double> interval_prefix(
-          fd.series->interval_s.data(), q + 1);
 
       StRow row;
       row.attack_index = attack_idx;
@@ -232,10 +234,9 @@ std::vector<StRow> assemble_rows(
       row.target_asn = asn;
       row.truth_hour = target.hour[k];
       row.truth_day = target.day[k];
-      row.features.tmp_hour =
-          fd.model->forecast_horizon(TemporalSeries::kHour, hour_prefix, horizon);
-      row.features.tmp_interval_s = fd.model->forecast_horizon(
-          TemporalSeries::kInterval, interval_prefix, horizon);
+      row.features.tmp_hour = fd.hour->forecast_horizon(q + 1, horizon);
+      row.features.tmp_interval_s =
+          fd.interval->forecast_horizon(q + 1, horizon);
       row.features.spa_hour = spa_hour[k - warmup];
       row.features.spa_interval_s = spa_interval[k - warmup];
       row.features.prev_hour = target.hour[k - 1];

@@ -1,5 +1,6 @@
 #include "core/temporal_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -193,44 +194,54 @@ std::vector<double> TemporalModel::one_step_predictions(
 
 double TemporalModel::forecast_next(TemporalSeries which,
                                     std::span<const double> history) const {
-  if (!fitted_) throw std::logic_error("TemporalModel: not fitted");
-  const SeriesModel& slot = series_model(which);
-  std::vector<double> storage;
-  const std::span<const double> series =
-      repair_history(history, slot.fallback_mean, storage);
-  if (slot.arima && series.size() > slot.arima->order().d) {
-    return slot.arima->forecast_one(series);
-  }
-  if (slot.seasonal_period > 0 && series.size() >= slot.seasonal_period) {
-    return series[series.size() - slot.seasonal_period];
-  }
-  return slot.fallback_mean;
+  return forecast_horizon(which, history, 1);
 }
 
 double TemporalModel::forecast_horizon(TemporalSeries which,
                                        std::span<const double> history,
                                        std::size_t horizon,
                                        std::size_t max_horizon) const {
+  return forecaster(which, history)
+      .forecast_horizon(history.size(), horizon, max_horizon);
+}
+
+TemporalModel::Forecaster TemporalModel::forecaster(
+    TemporalSeries which, std::span<const double> series) const {
   if (!fitted_) throw std::logic_error("TemporalModel: not fitted");
+  return Forecaster(series_model(which), series);
+}
+
+TemporalModel::Forecaster::Forecaster(const SeriesModel& slot,
+                                      std::span<const double> series)
+    : slot_(&slot), series_(series.begin(), series.end()) {
+  for (double& x : series_) {
+    if (!std::isfinite(x)) x = slot.fallback_mean;
+  }
+  if (slot.arima && series_.size() > slot.arima->order().d) {
+    arima_.emplace(*slot.arima, series_);
+  }
+}
+
+double TemporalModel::Forecaster::forecast_horizon(
+    std::size_t len, std::size_t horizon, std::size_t max_horizon) const {
   if (horizon == 0) {
     throw std::invalid_argument("TemporalModel::forecast_horizon: horizon 0");
   }
-  const SeriesModel& slot = series_model(which);
-  std::vector<double> storage;
-  const std::span<const double> series =
-      repair_history(history, slot.fallback_mean, storage);
-  const std::size_t h = std::min(horizon, std::max<std::size_t>(max_horizon, 1));
-  if (slot.arima && series.size() > slot.arima->order().d) {
-    return slot.arima->forecast(series, h).back();
+  if (len > series_.size()) {
+    throw std::invalid_argument(
+        "TemporalModel::forecast_horizon: prefix beyond series");
   }
-  if (slot.seasonal_period > 0 && series.size() >= slot.seasonal_period) {
+  const std::size_t h = std::min(horizon, std::max<std::size_t>(max_horizon, 1));
+  if (arima_ && len > slot_->arima->order().d) {
+    return arima_->forecast(len, h).back();
+  }
+  const std::size_t period = slot_->seasonal_period;
+  if (period > 0 && len >= period) {
     // Seasonal naive: repeat the value one whole period back from the
     // forecast position.
-    const std::size_t idx =
-        series.size() - slot.seasonal_period + ((h - 1) % slot.seasonal_period);
-    return series[idx];
+    return series_[len - period + ((h - 1) % period)];
   }
-  return slot.fallback_mean;
+  return slot_->fallback_mean;
 }
 
 const std::optional<ts::ArimaModel>& TemporalModel::model(

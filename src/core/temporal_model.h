@@ -63,11 +63,21 @@ class TemporalModel {
   /// h-step-ahead forecast: the value at position history.size() + h - 1,
   /// conditioning only on `history`. Horizons beyond `max_horizon` (where
   /// an ARMA forecast has converged to the unconditional mean anyway)
-  /// return the converged long-run forecast.
+  /// return the converged long-run forecast. Equivalent to
+  /// forecaster(which, history).forecast_horizon(history.size(), ...).
   [[nodiscard]] double forecast_horizon(TemporalSeries which,
                                         std::span<const double> history,
                                         std::size_t horizon,
                                         std::size_t max_horizon = 64) const;
+
+  class Forecaster;
+
+  /// A forecaster over every prefix of `series`: repairs, differences and
+  /// filters it once, so that each prefix's forecast_horizon costs
+  /// O(min(h, max_horizon) (p + q)) instead of a pass over the prefix.
+  /// Keeps a pointer into this model, which must outlive it.
+  [[nodiscard]] Forecaster forecaster(TemporalSeries which,
+                                      std::span<const double> series) const;
 
   /// The fitted ARIMA for a series, if the series was long enough.
   [[nodiscard]] const std::optional<ts::ArimaModel>& model(
@@ -115,6 +125,26 @@ class TemporalModel {
   std::vector<SeriesModel> models_{kTemporalSeriesCount};
   FitReport report_;
   bool fitted_ = false;
+};
+
+/// Forecasts from every prefix of one series with one temporal slot (see
+/// TemporalModel::forecaster). Differencing, the predict-time repair and
+/// the innovations filter are all causal, so forecast_horizon(len, ...)
+/// equals TemporalModel::forecast_horizon(which, series.first(len), ...)
+/// bit for bit.
+class TemporalModel::Forecaster {
+ public:
+  /// Requires horizon >= 1 and len <= series.size().
+  [[nodiscard]] double forecast_horizon(std::size_t len, std::size_t horizon,
+                                        std::size_t max_horizon = 64) const;
+
+ private:
+  friend class TemporalModel;
+  Forecaster(const SeriesModel& slot, std::span<const double> series);
+
+  const SeriesModel* slot_;
+  std::vector<double> series_;  ///< Repaired: non-finite -> fallback mean.
+  std::optional<ts::ArimaPrefixForecaster> arima_;
 };
 
 }  // namespace acbm::core

@@ -29,34 +29,60 @@ IpToAsnMap::IpToAsnMap(std::vector<std::pair<Prefix, Asn>> entries) {
           "IpToAsnMap: identical prefix mapped to different ASNs");
     }
   }
+
+  // Flatten into disjoint ranges, each carrying the ASN of its longest
+  // matching prefix. CIDR prefixes are either nested or disjoint, so after
+  // sorting outermost-first a stack of the prefixes enclosing the sweep
+  // position decides every address: the innermost open prefix owns it.
+  // Adjacent ranges of one ASN are merged.
+  std::vector<const Entry*> order;
+  order.reserve(entries_.size());
+  for (const Entry& entry : entries_) order.push_back(&entry);
+  std::sort(order.begin(), order.end(), [](const Entry* a, const Entry* b) {
+    if (a->prefix.network.value != b->prefix.network.value) {
+      return a->prefix.network.value < b->prefix.network.value;
+    }
+    return a->prefix.length < b->prefix.length;
+  });
+  // 64-bit so the sweep can step past 255.255.255.255.
+  std::uint64_t cursor = 0;
+  const auto emit = [this, &cursor](std::uint64_t last, Asn asn) {
+    if (cursor > last) return;
+    if (!ranges_.empty() && ranges_.back().asn == asn &&
+        std::uint64_t{ranges_.back().last} + 1 == cursor) {
+      ranges_.back().last = static_cast<std::uint32_t>(last);
+    } else {
+      ranges_.push_back({static_cast<std::uint32_t>(cursor),
+                         static_cast<std::uint32_t>(last), asn});
+    }
+    cursor = last + 1;
+  };
+  std::vector<const Entry*> open;
+  for (const Entry* entry : order) {
+    const std::uint64_t first = entry->prefix.first().value;
+    while (!open.empty() && open.back()->prefix.last().value < first) {
+      emit(open.back()->prefix.last().value, open.back()->asn);
+      open.pop_back();
+    }
+    if (!open.empty() && first > 0) emit(first - 1, open.back()->asn);
+    cursor = std::max(cursor, first);
+    open.push_back(entry);
+  }
+  while (!open.empty()) {
+    emit(open.back()->prefix.last().value, open.back()->asn);
+    open.pop_back();
+  }
 }
 
 std::optional<Asn> IpToAsnMap::lookup(Ipv4 addr) const {
-  if (entries_.empty()) return std::nullopt;
-  // Find the first entry with network > addr, then scan backwards for the
-  // longest (most specific) containing prefix.
+  // The last range starting at or before addr is the only candidate.
   auto it = std::upper_bound(
-      entries_.begin(), entries_.end(), addr,
-      [](Ipv4 a, const Entry& e) { return a.value < e.prefix.network.value; });
-  std::optional<Asn> best;
-  std::uint8_t best_len = 0;
-  while (it != entries_.begin()) {
-    --it;
-    if (it->prefix.contains(addr)) {
-      if (!best || it->prefix.length > best_len) {
-        best = it->asn;
-        best_len = it->prefix.length;
-      }
-    }
-    // Any prefix containing addr must start at or before addr and cover it;
-    // once networks drop below addr - max block size we can stop. Blocks are
-    // at most /0 in theory, so use the conservative check: stop when even a
-    // /8 starting here could not reach addr.
-    if (addr.value - it->prefix.network.value > (std::uint32_t{1} << 24)) {
-      break;
-    }
-  }
-  return best;
+      ranges_.begin(), ranges_.end(), addr.value,
+      [](std::uint32_t a, const Range& r) { return a < r.first; });
+  if (it == ranges_.begin()) return std::nullopt;
+  --it;
+  if (addr.value > it->last) return std::nullopt;
+  return it->asn;
 }
 
 std::vector<Prefix> IpToAsnMap::prefixes_of(Asn asn) const {

@@ -25,7 +25,8 @@ class IpToAsnMap {
   /// different ASNs.
   explicit IpToAsnMap(std::vector<std::pair<Prefix, Asn>> entries);
 
-  /// Resolves an address; nullopt when no prefix covers it.
+  /// Resolves an address; nullopt when no prefix covers it. One binary
+  /// search over the flattened range table.
   [[nodiscard]] std::optional<Asn> lookup(Ipv4 addr) const;
 
   [[nodiscard]] std::size_t prefix_count() const noexcept {
@@ -48,9 +49,18 @@ class IpToAsnMap {
     Prefix prefix;
     Asn asn = 0;
   };
-  // Sorted by (network, -length) so lower_bound + backward scan finds the
-  // longest match.
+  /// A run of addresses whose longest matching prefix maps to `asn`.
+  struct Range {
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+    Asn asn = 0;
+  };
+  // The prefixes as given, sorted by (network, -length); kept for save()
+  // and prefixes_of() only.
   std::vector<Entry> entries_;
+  // Disjoint ranges sorted by `first`, flattened from entries_ once at
+  // construction with longest-match semantics; lookup() searches these.
+  std::vector<Range> ranges_;
   std::unordered_map<Asn, std::uint64_t> sizes_;
 };
 

@@ -18,13 +18,34 @@ void ArimaModel::fit(std::span<const double> series) {
 
 std::vector<double> ArimaModel::forecast(std::span<const double> history,
                                          std::size_t h) const {
-  if (!fitted()) throw std::logic_error("ArimaModel::forecast: not fitted");
-  if (history.size() <= order_.d) {
+  return ArimaPrefixForecaster(*this, history).forecast(history.size(), h);
+}
+
+ArimaPrefixForecaster::ArimaPrefixForecaster(const ArimaModel& model,
+                                             std::span<const double> series)
+    : model_(&model) {
+  if (!model.fitted()) {
+    throw std::logic_error("ArimaModel::forecast: not fitted");
+  }
+  if (series.size() <= model.order().d) {
     throw std::invalid_argument("ArimaModel::forecast: history too short");
   }
-  const std::vector<double> diffed = difference(history, order_.d);
-  const std::vector<double> f = arma_.forecast(diffed, h);
-  return integrate_forecast(f, history, order_.d);
+  series_.assign(series.begin(), series.end());
+  diffed_ = difference(series_, model.order().d);
+  innov_ = model.arma().innovations(diffed_);
+}
+
+std::vector<double> ArimaPrefixForecaster::forecast(std::size_t len,
+                                                    std::size_t h) const {
+  const std::size_t d = model_->order().d;
+  if (len <= d || len > series_.size()) {
+    throw std::invalid_argument("ArimaPrefixForecaster: bad prefix length");
+  }
+  const std::size_t m = len - d;
+  const std::vector<double> f =
+      model_->arma().roll(std::span<const double>(diffed_).first(m),
+                          std::span<const double>(innov_).first(m), h);
+  return integrate_forecast(f, std::span<const double>(series_).first(len), d);
 }
 
 double ArimaModel::forecast_one(std::span<const double> history) const {

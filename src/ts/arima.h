@@ -28,6 +28,8 @@ class ArimaModel {
   void fit(std::span<const double> series);
 
   /// h-step forecast on the original scale following `history`.
+  /// Equivalent to ArimaPrefixForecaster(*this, history)
+  /// .forecast(history.size(), h).
   [[nodiscard]] std::vector<double> forecast(std::span<const double> history,
                                              std::size_t h) const;
 
@@ -56,6 +58,31 @@ class ArimaModel {
  private:
   ArimaOrder order_;
   ArmaModel arma_;
+};
+
+/// Forecasts from every prefix of one series. The constructor differences
+/// the series and filters its innovations once; forecast(len, h) then equals
+/// model.forecast(series.first(len), h) bit for bit in O(h (p + q)), because
+/// differencing and the innovations filter are causal: their outputs over a
+/// prefix are the prefix of their outputs over the whole series. Keeps a
+/// pointer to `model`, which must outlive the forecaster.
+class ArimaPrefixForecaster {
+ public:
+  /// Throws std::logic_error when the model is unfitted and
+  /// std::invalid_argument when series.size() <= d.
+  ArimaPrefixForecaster(const ArimaModel& model,
+                        std::span<const double> series);
+
+  /// h-step forecast after series.first(len); requires
+  /// d < len <= series.size().
+  [[nodiscard]] std::vector<double> forecast(std::size_t len,
+                                             std::size_t h) const;
+
+ private:
+  const ArimaModel* model_;
+  std::vector<double> series_;
+  std::vector<double> diffed_;
+  std::vector<double> innov_;
 };
 
 }  // namespace acbm::ts

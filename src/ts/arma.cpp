@@ -135,22 +135,40 @@ std::vector<double> ArmaModel::forecast(std::span<const double> history,
                                         std::size_t h) const {
   if (!fitted_) throw std::logic_error("ArmaModel::forecast: not fitted");
   if (h == 0) return {};
-  // Filter innovations over the history, then roll forward with future
-  // innovations set to their conditional mean (zero).
-  std::vector<double> e = innovations(history);
-  std::vector<double> x(history.begin(), history.end());
-  e.resize(history.size() + h, 0.0);
+  return roll(history, innovations(history), h);
+}
+
+std::vector<double> ArmaModel::roll(std::span<const double> history,
+                                    std::span<const double> innov,
+                                    std::size_t h) const {
+  if (!fitted_) throw std::logic_error("ArmaModel::roll: not fitted");
+  if (innov.size() != history.size()) {
+    throw std::invalid_argument("ArmaModel::roll: innovations length");
+  }
+  if (h == 0) return {};
+  // Windows over the last p values and q innovations, extended by the
+  // forecasts and by zero future innovations; index t of the full series
+  // sits at t - (n - window) in each.
+  const std::size_t n = history.size();
+  const std::size_t xw = std::min(n, phi_.size());
+  const std::size_t ew = std::min(n, theta_.size());
+  std::vector<double> x(history.end() - static_cast<std::ptrdiff_t>(xw),
+                        history.end());
+  std::vector<double> e(innov.end() - static_cast<std::ptrdiff_t>(ew),
+                        innov.end());
+  x.reserve(xw + h);
+  e.resize(ew + h, 0.0);
 
   std::vector<double> out;
   out.reserve(h);
   for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t t = history.size() + k;
+    const std::size_t t = n + k;
     double pred = intercept_;
     for (std::size_t i = 0; i < phi_.size(); ++i) {
-      if (t > i) pred += phi_[i] * x[t - 1 - i];
+      if (t > i) pred += phi_[i] * x[t - 1 - i - (n - xw)];
     }
     for (std::size_t j = 0; j < theta_.size(); ++j) {
-      if (t > j) pred += theta_[j] * e[t - 1 - j];
+      if (t > j) pred += theta_[j] * e[t - 1 - j - (n - ew)];
     }
     x.push_back(pred);
     out.push_back(pred);

@@ -37,8 +37,18 @@ class ArmaModel {
   [[nodiscard]] double forecast_one(std::span<const double> history) const;
 
   /// h-step forecast after `history`; future innovations are set to zero.
+  /// Filters innovations(history), then roll()s.
   [[nodiscard]] std::vector<double> forecast(std::span<const double> history,
                                              std::size_t h) const;
+
+  /// Rolls the recursion h steps past `history`, given its innovations
+  /// `innov` (same length), with future innovations set to zero. Reads only
+  /// the last p values and q innovations. Because the filter is causal,
+  /// `innov` may be the matching prefix of one innovations() pass over a
+  /// longer series.
+  [[nodiscard]] std::vector<double> roll(std::span<const double> history,
+                                         std::span<const double> innov,
+                                         std::size_t h) const;
 
   /// Walk-forward one-step predictions for series[start..], each using only
   /// data strictly before the predicted point. Useful for test-set

@@ -182,5 +182,14 @@ TEST(ArtifactMap, PackIsDeterministic) {
   EXPECT_EQ(pack_model(fx().model), fx().image);
 }
 
+// Pins the packed bytes of the fixture world across commits, so a change
+// meant to be byte-neutral (a performance change) that alters model bytes
+// fails here instead of passing on self-consistency. A change that alters
+// model outputs on purpose re-pins this value and says so.
+TEST(ArtifactMap, PackedBytesArePinned) {
+  EXPECT_EQ(fx().image.size(), 3960064u);
+  EXPECT_EQ(durable::fnv1a64(fx().image), 0x21672a3b80b3ae36ULL);
+}
+
 }  // namespace
 }  // namespace acbm::core::armm

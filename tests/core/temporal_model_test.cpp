@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/baselines.h"
@@ -168,6 +172,132 @@ TEST(TemporalModel, BadStartThrows) {
   EXPECT_THROW((void)model.one_step_predictions(TemporalSeries::kMagnitude,
                                                 fx.series.magnitude, 0),
                std::invalid_argument);
+}
+
+// --- Prefix forecaster -------------------------------------------------------
+
+FamilySeries same_series_everywhere(const std::vector<double>& xs) {
+  FamilySeries fs;
+  fs.magnitude = xs;
+  fs.activity = xs;
+  fs.norm_magnitude = xs;
+  fs.source_coeff = xs;
+  fs.interval_s = xs;
+  fs.hour = xs;
+  fs.day = xs;
+  fs.duration_s = xs;
+  return fs;
+}
+
+std::vector<double> wavy_series(std::size_t n) {
+  std::vector<double> xs;
+  for (std::size_t t = 0; t < n; ++t) {
+    const auto x = static_cast<double>(t);
+    xs.push_back(10.0 + std::sin(0.4 * x) + 0.3 * std::cos(1.9 * x));
+  }
+  return xs;
+}
+
+/// A forecaster built on series.first(len) and one built on the whole
+/// series must give the same double, bit for bit, for every prefix length
+/// and horizon, including horizons past the default 64-step cap.
+void expect_prefix_forecasts_match(const TemporalModel& model,
+                                   TemporalSeries which,
+                                   const std::vector<double>& series) {
+  const std::span<const double> all(series);
+  const TemporalModel::Forecaster full = model.forecaster(which, all);
+  for (std::size_t len = 0; len <= series.size(); ++len) {
+    const TemporalModel::Forecaster prefix =
+        model.forecaster(which, all.first(len));
+    for (const std::size_t h : {1u, 2u, 63u, 64u, 65u, 1000u}) {
+      const double expected = prefix.forecast_horizon(len, h);
+      const double got = full.forecast_horizon(len, h);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(expected))
+          << "len " << len << " h " << h << ": " << got << " vs "
+          << expected;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                    model.forecast_horizon(which, all.first(len), h)),
+                std::bit_cast<std::uint64_t>(expected));
+    }
+  }
+}
+
+TEST(TemporalForecaster, ArimaWithoutDifferencingMatchesEveryPrefix) {
+  const std::vector<double> xs = wavy_series(150);
+  TemporalModel model;  // Default order (2, 0, 1).
+  model.fit(same_series_everywhere(xs));
+  ASSERT_EQ(model.rung(TemporalSeries::kHour), FitRung::kArima);
+  ASSERT_EQ(model.model(TemporalSeries::kHour)->order().d, 0u);
+  expect_prefix_forecasts_match(model, TemporalSeries::kHour, xs);
+}
+
+TEST(TemporalForecaster, ArimaWithDifferencingMatchesEveryPrefix) {
+  std::vector<double> xs;
+  double level = 0.0;
+  for (std::size_t t = 0; t < 150; ++t) {
+    level += 0.5 + std::sin(0.7 * static_cast<double>(t));
+    xs.push_back(level);
+  }
+  TemporalModelOptions opts;
+  opts.order = {1, 1, 1};
+  TemporalModel model(opts);
+  model.fit(same_series_everywhere(xs));
+  ASSERT_EQ(model.rung(TemporalSeries::kInterval), FitRung::kArima);
+  ASSERT_EQ(model.model(TemporalSeries::kInterval)->order().d, 1u);
+  expect_prefix_forecasts_match(model, TemporalSeries::kInterval, xs);
+}
+
+TEST(TemporalForecaster, SeasonalNaiveMatchesEveryPrefix) {
+  // No cheap series falls through both the ARIMA and AR(1) rungs, so the
+  // seasonal-naive slot state is loaded directly.
+  std::ostringstream text;
+  text << "acbm:temporal:v2\nfitted 1\nseries_count " << kTemporalSeriesCount
+       << "\n";
+  for (std::size_t s = 0; s < kTemporalSeriesCount; ++s) {
+    text << "fallback_mean 3.25\nrung "
+         << static_cast<int>(FitRung::kSeasonalNaive)
+         << "\nseasonal_period 5\nhas_arima 0\n";
+  }
+  std::istringstream in(text.str());
+  const TemporalModel model = TemporalModel::load(in);
+  ASSERT_EQ(model.rung(TemporalSeries::kHour), FitRung::kSeasonalNaive);
+  std::vector<double> xs = wavy_series(40);
+  xs[12] = std::numeric_limits<double>::quiet_NaN();  // Repaired to the mean.
+  expect_prefix_forecasts_match(model, TemporalSeries::kHour, xs);
+}
+
+TEST(TemporalForecaster, MeanRungMatchesEveryPrefix) {
+  const std::vector<double> short_series = wavy_series(12);
+  TemporalModel model;
+  model.fit(same_series_everywhere(short_series));
+  ASSERT_EQ(model.rung(TemporalSeries::kHour), FitRung::kMean);
+  expect_prefix_forecasts_match(model, TemporalSeries::kHour, wavy_series(50));
+}
+
+TEST(TemporalForecaster, NanPoisonedSeriesMatchesEveryPrefix) {
+  // The temporal.nonfinite fault path: every 7th value NaN. The fit lands
+  // on the AR rung and every forecast goes through the predict-time repair.
+  std::vector<double> xs = wavy_series(120);
+  for (std::size_t i = 0; i < xs.size(); i += 7) {
+    xs[i] = std::numeric_limits<double>::quiet_NaN();
+  }
+  TemporalModel model;
+  model.fit(same_series_everywhere(xs));
+  ASSERT_EQ(model.rung(TemporalSeries::kInterval), FitRung::kAr);
+  expect_prefix_forecasts_match(model, TemporalSeries::kInterval, xs);
+}
+
+TEST(TemporalForecaster, PrefixBeyondSeriesAndHorizonZeroThrow) {
+  const std::vector<double> xs = wavy_series(60);
+  TemporalModel model;
+  model.fit(same_series_everywhere(xs));
+  const TemporalModel::Forecaster f = model.forecaster(TemporalSeries::kHour, xs);
+  EXPECT_THROW((void)f.forecast_horizon(xs.size() + 1, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)f.forecast_horizon(10, 0), std::invalid_argument);
+  EXPECT_THROW((void)TemporalModel().forecaster(TemporalSeries::kHour, xs),
+               std::logic_error);
 }
 
 }  // namespace

@@ -37,6 +37,29 @@ TEST(IpToAsnMap, LongestPrefixWins) {
   EXPECT_EQ(map.lookup(Ipv4(10, 64, 33, 9)), 200u);
 }
 
+TEST(IpToAsnMap, PrefixShorterThanSlash8StillMatches) {
+  // Regression: a lookup once stopped scanning 2^24 addresses below the
+  // address, so a /1 two hundred million addresses back was never reached.
+  const IpToAsnMap map({{parse_prefix("0.0.0.0/1"), 1},
+                        {parse_prefix("10.0.0.0/8"), 2}});
+  EXPECT_EQ(map.lookup(Ipv4(100, 0, 0, 1)), 1u);
+  EXPECT_EQ(map.lookup(Ipv4(10, 200, 0, 1)), 2u);
+  EXPECT_EQ(map.lookup(Ipv4(11, 0, 0, 0)), 1u);
+  EXPECT_FALSE(map.lookup(Ipv4(128, 0, 0, 0)).has_value());
+}
+
+TEST(IpToAsnMap, WholeSpaceAndHostRoutes) {
+  const IpToAsnMap map({{parse_prefix("0.0.0.0/0"), 1},
+                        {parse_prefix("0.0.0.0/32"), 2},
+                        {parse_prefix("255.255.255.255/32"), 3},
+                        {parse_prefix("255.255.255.0/24"), 4}});
+  EXPECT_EQ(map.lookup(Ipv4(0, 0, 0, 0)), 2u);
+  EXPECT_EQ(map.lookup(Ipv4(0, 0, 0, 1)), 1u);
+  EXPECT_EQ(map.lookup(Ipv4(255, 255, 255, 254)), 4u);
+  EXPECT_EQ(map.lookup(Ipv4(255, 255, 255, 255)), 3u);
+  EXPECT_EQ(map.lookup(Ipv4(255, 255, 254, 255)), 1u);
+}
+
 TEST(IpToAsnMap, BoundaryAddresses) {
   const IpToAsnMap map({{parse_prefix("192.168.0.0/24"), 7}});
   EXPECT_EQ(map.lookup(Ipv4(192, 168, 0, 0)), 7u);
@@ -183,6 +206,87 @@ TEST_P(LpmReferenceProperty, MatchesBruteForceScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpmReferenceProperty,
                          ::testing::Values(1u, 2u, 3u, 4u));
+
+std::optional<Asn> brute_force_lookup(
+    const std::vector<std::pair<Prefix, Asn>>& entries, Ipv4 addr) {
+  std::optional<Asn> best;
+  int best_len = -1;
+  for (const auto& [prefix, asn] : entries) {
+    if (prefix.contains(addr) && static_cast<int>(prefix.length) > best_len) {
+      best_len = prefix.length;
+      best = asn;
+    }
+  }
+  return best;
+}
+
+// Differential test against brute-force longest-prefix match on prefix sets
+// built to stress the flattened range table: nested chains, adjacent
+// siblings, /0, /32 and both ends of the address space, probed at the first
+// and last address of every prefix and one address either side.
+class LpmDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LpmDifferential, MatchesBruteForceOnNestedAndAdjacentPrefixes) {
+  acbm::stats::Rng rng(GetParam());
+  const auto random_addr = [&rng] {
+    return static_cast<std::uint32_t>(rng.uniform_int(0, 0xFFFFFFFFLL));
+  };
+  std::vector<std::pair<Prefix, Asn>> entries;
+  const auto add = [&entries](Prefix prefix) {
+    for (const auto& [existing, asn] : entries) {
+      if (existing == prefix) return;  // Identical prefixes must agree.
+    }
+    entries.emplace_back(prefix, static_cast<Asn>(entries.size() + 1));
+  };
+  if (rng.uniform_int(0, 1) == 1) add(Prefix(Ipv4(0u), 0));
+  add(Prefix(Ipv4(0u), 32));
+  add(Prefix(Ipv4(0xFFFFFFFFu), 32));
+  add(Prefix(Ipv4(0xFFFFFFFFu),
+             static_cast<std::uint8_t>(rng.uniform_int(1, 31))));
+  add(Prefix(Ipv4(0u), static_cast<std::uint8_t>(rng.uniform_int(1, 31))));
+  for (int i = 0; i < 80; ++i) {
+    const auto kind = rng.uniform_int(0, 2);
+    if (kind == 0 || entries.empty()) {
+      add(Prefix(Ipv4(random_addr()),
+                 static_cast<std::uint8_t>(rng.uniform_int(1, 32))));
+      continue;
+    }
+    const Prefix& base = entries[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(entries.size()) - 1))].first;
+    if (kind == 1 && base.length < 32) {
+      // Nested: a longer prefix inside an existing one.
+      const auto len = static_cast<std::uint8_t>(
+          rng.uniform_int(base.length + 1, 32));
+      const std::uint64_t offset = static_cast<std::uint64_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(base.size()) - 1));
+      add(Prefix(Ipv4(static_cast<std::uint32_t>(base.network.value + offset)),
+                 len));
+    } else if (base.length > 0) {
+      // Adjacent: the sibling block of the same length.
+      const std::uint32_t flip = std::uint32_t{1} << (32 - base.length);
+      add(Prefix(Ipv4(base.network.value ^ flip), base.length));
+    }
+  }
+  const IpToAsnMap map(entries);
+
+  std::vector<std::uint32_t> probes = {0u, 1u, 0x7FFFFFFFu, 0x80000000u,
+                                       0xFFFFFFFEu, 0xFFFFFFFFu};
+  for (const auto& [prefix, asn] : entries) {
+    for (const std::uint32_t edge : {prefix.first().value, prefix.last().value}) {
+      probes.push_back(edge);
+      probes.push_back(edge - 1);  // Wraps at 0 to the top of the space.
+      probes.push_back(edge + 1);
+    }
+  }
+  for (int i = 0; i < 500; ++i) probes.push_back(random_addr());
+  for (const std::uint32_t probe : probes) {
+    EXPECT_EQ(map.lookup(Ipv4(probe)), brute_force_lookup(entries, Ipv4(probe)))
+        << "address " << Ipv4(probe).to_string();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LpmDifferential,
+                         ::testing::Range<std::uint64_t>(1, 21));
 
 TEST(AllocateAddressSpace, RejectsBadOptions) {
   acbm::stats::Rng rng(9);

@@ -1,8 +1,11 @@
 // Performance microbenchmarks (google-benchmark): fitting and prediction
 // throughput of every model in the stack, plus the substrate hot paths
 // (LPM lookup, valley-free distance, A^s feature, Gao inference, trace
-// generation).
+// generation, dataset CSV parsing).
 #include <benchmark/benchmark.h>
+
+#include <sstream>
+#include <string>
 
 #include "core/features.h"
 #include "core/parallel.h"
@@ -126,6 +129,20 @@ void BM_LpmLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LpmLookup)->Arg(0)->Arg(1);
+
+// The dataset CSV reader on the shared world's trace, in bytes per second:
+// what `acbm fit`, the model loader and every ingest hour parse with.
+void BM_DatasetLoadCsv(benchmark::State& state) {
+  std::ostringstream os;
+  shared_world().dataset.save_csv(os);
+  const std::string csv = os.str();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trace::Dataset::load_csv(csv));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(csv.size()));
+}
+BENCHMARK(BM_DatasetLoadCsv)->Unit(benchmark::kMillisecond);
 
 void BM_ValleyFreeDistanceCold(benchmark::State& state) {
   const trace::World& world = shared_world();

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Profiles the quickstart build with the observability layer on: builds the
-# CLI, generates a small simulated world, and runs `acbm fit` and then
-# `acbm pack` with --trace, --metrics, and --profile. Artifacts land under
-# results/, one set per command (<cmd> = fit, pack):
+# CLI, generates a small simulated world, and runs `acbm fit`, then
+# `acbm pack`, then one hourly `acbm ingest --snapshot` on an ingest
+# directory initialised on that world, each with --trace, --metrics, and
+# --profile. Artifacts land under results/, one set per command
+# (<cmd> = fit, pack, ingest):
 #   results/PROFILE_<cmd>.trace.json   Chrome trace (chrome://tracing, Perfetto)
 #   results/PROFILE_<cmd>.metrics.prom Prometheus-style metrics dump
 #   results/PROFILE_<cmd>.profile.txt  merged span tree (the --profile output)
@@ -40,11 +42,29 @@ mkdir -p "$repo_root/results"
   --metrics "$repo_root/results/PROFILE_pack.metrics.prom" \
   --profile 2> "$repo_root/results/PROFILE_pack.profile.txt"
 
-for cmd in fit pack; do
+# One ingest hour: a one-attack family-0 snapshot just past the 30-day
+# window, appended to a directory initialised (unprofiled) on the world.
+ws="$(grep -m1 '^#window_start=' "$work/trace.csv" | cut -d= -f2)"
+fams="$(grep -m1 '^#families=' "$work/trace.csv" | cut -d= -f2)"
+hour=721
+{
+  echo "#window_start=$ws"
+  echo "#families=$fams"
+  echo "id,family,target_ip,target_asn,start,duration_s,bots"
+  echo "990$hour,0,10.0.0.1,3,$((ws + hour * 3600 + 60)),600,10.9.0.1;10.9.0.2;10.9.0.3"
+} > "$work/snap.csv"
+"$acbm" ingest --dir "$work/ingest" --init \
+  --dataset "$work/trace.csv" --ipmap "$work/ipmap.txt" >/dev/null
+"$acbm" ingest --dir "$work/ingest" --snapshot "$work/snap.csv" --hour "$hour" \
+  --trace "$repo_root/results/PROFILE_ingest.trace.json" \
+  --metrics "$repo_root/results/PROFILE_ingest.metrics.prom" \
+  --profile 2> "$repo_root/results/PROFILE_ingest.profile.txt"
+
+for cmd in fit pack ingest; do
   cat "$repo_root/results/PROFILE_$cmd.profile.txt"
   echo
 done
-for cmd in fit pack; do
+for cmd in fit pack ingest; do
   echo "wrote results/PROFILE_$cmd.trace.json"
   echo "      results/PROFILE_$cmd.metrics.prom"
   echo "      results/PROFILE_$cmd.profile.txt"

@@ -220,12 +220,13 @@ std::string read_input(const std::string& path, const char* what) {
 /// Framed ("dataset" v1) or legacy bare-CSV dataset bytes -> Dataset.
 trace::Dataset parse_dataset(const std::string& bytes, const std::string& path,
                              std::ostream& info) {
-  std::istringstream in(durable::looks_framed(bytes)
-                            ? durable::unwrap(bytes, "dataset", 1, 1)
-                            : bytes);
+  const std::string_view csv =
+      durable::looks_framed(bytes)
+          ? durable::unwrap_view(bytes, "dataset", 1, 1).payload
+          : std::string_view(bytes);
   trace::Dataset dataset;
   try {
-    dataset = trace::Dataset::load_csv(in);
+    dataset = trace::Dataset::load_csv(csv);
   } catch (const std::exception& e) {
     throw durable::LoadFailure(durable::LoadError::kParse,
                                "dataset " + path + ": " + e.what());
@@ -586,9 +587,10 @@ int cmd_ingest(const ArgMap& args, std::ostream& out, std::ostream& err) {
       throw std::invalid_argument("--snapshot requires --hour");
     }
     const std::string bytes = read_input(*snapshot_path, "snapshot");
-    const std::string csv = durable::looks_framed(bytes)
-                                ? durable::unwrap(bytes, "dataset", 1, 1)
-                                : bytes;
+    const std::string_view csv =
+        durable::looks_framed(bytes)
+            ? durable::unwrap_view(bytes, "dataset", 1, 1).payload
+            : std::string_view(bytes);
     const ingest::AppendOutcome outcome = ingestor.append(hour, csv);
     out << "snapshot hour " << hour << ": " << ingest::to_string(outcome.status)
         << "\n";

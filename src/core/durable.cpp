@@ -214,7 +214,12 @@ FrameView parse_frame_view(std::string_view data) {
 
 std::string unwrap(std::string_view data, std::string_view kind,
                    int min_version, int max_version) {
-  Frame frame = parse_frame(data);
+  return std::string(unwrap_view(data, kind, min_version, max_version).payload);
+}
+
+FrameView unwrap_view(std::string_view data, std::string_view kind,
+                      int min_version, int max_version) {
+  FrameView frame = parse_frame_view(data);
   if (frame.kind != kind) {
     throw LoadFailure(LoadError::kParse, "durable: expected kind '" +
                                              std::string(kind) + "', got '" +
@@ -228,7 +233,7 @@ std::string unwrap(std::string_view data, std::string_view kind,
                           std::to_string(min_version) + ", v" +
                           std::to_string(max_version) + "]");
   }
-  return std::move(frame.payload);
+  return frame;
 }
 
 MappedFile::MappedFile(const std::filesystem::path& path) {
@@ -302,20 +307,8 @@ FramedView load_framed_view(const std::filesystem::path& path,
                             int max_version) {
   FramedView out;
   out.file = MappedFile(path);
-  FrameView frame = parse_frame_view(out.file.view());
-  if (frame.kind != kind) {
-    throw LoadFailure(LoadError::kParse, "durable: expected kind '" +
-                                             std::string(kind) + "', got '" +
-                                             frame.kind + "'");
-  }
-  if (frame.version < min_version || frame.version > max_version) {
-    throw LoadFailure(LoadError::kVersionUnsupported,
-                      "durable: " + frame.kind + " v" +
-                          std::to_string(frame.version) +
-                          " is outside the supported range [v" +
-                          std::to_string(min_version) + ", v" +
-                          std::to_string(max_version) + "]");
-  }
+  FrameView frame =
+      unwrap_view(out.file.view(), kind, min_version, max_version);
   out.kind = std::move(frame.kind);
   out.version = frame.version;
   out.payload = frame.payload;
@@ -328,13 +321,25 @@ std::string read_file(const std::filesystem::path& path) {
     throw LoadFailure(LoadError::kIo,
                       "durable: cannot open " + path.string());
   }
-  std::ostringstream contents;
-  contents << in.rdbuf();
+  // One spare byte, so the read that takes in the whole file also hits EOF;
+  // a file that grew since file_size (or one with no size, like a pipe)
+  // doubles the buffer.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string out(ec ? 1 : static_cast<std::size_t>(size) + 1, '\0');
+  std::size_t got = 0;
+  for (;;) {
+    in.read(out.data() + got, static_cast<std::streamsize>(out.size() - got));
+    got += static_cast<std::size_t>(in.gcount());
+    if (!in) break;
+    out.resize(2 * out.size());
+  }
   if (in.bad()) {
     throw LoadFailure(LoadError::kIo, "durable: read error on " +
                                           path.string());
   }
-  return contents.str();
+  out.resize(got);
+  return out;
 }
 
 std::string read_stream(std::istream& is) {

@@ -29,6 +29,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -132,6 +133,22 @@ struct FrameView {
 [[nodiscard]] std::string unwrap(std::string_view data, std::string_view kind,
                                  int min_version, int max_version);
 
+/// unwrap without copying: the returned frame's payload aliases `data`.
+[[nodiscard]] FrameView unwrap_view(std::string_view data,
+                                    std::string_view kind, int min_version,
+                                    int max_version);
+
+/// Zero-copy istream buffer over a view (no <spanstream> in C++20): a
+/// plain get area, enough for the text loaders. The viewed bytes must
+/// outlive every stream reading through it.
+class SpanBuf : public std::streambuf {
+ public:
+  explicit SpanBuf(std::string_view data) {
+    char* p = const_cast<char*>(data.data());
+    setg(p, p, p + data.size());
+  }
+};
+
 // --- Durable file I/O -------------------------------------------------------
 
 /// Read-only memory mapping of a whole file (RAII: unmapped on
@@ -185,8 +202,8 @@ struct FramedView {
                                           std::string_view kind,
                                           int min_version, int max_version);
 
-/// Whole-file read; throws LoadFailure(kIo) when the file cannot be opened
-/// or read.
+/// Whole-file read into a buffer sized to the file; throws LoadFailure(kIo)
+/// when the file cannot be opened or read.
 [[nodiscard]] std::string read_file(const std::filesystem::path& path);
 
 /// Drains a stream to a string (for the framed stream-based loaders).
@@ -246,9 +263,10 @@ auto load_framed_stream(std::istream& is, std::string_view kind,
                         int min_version, int max_version, Parse&& parse) {
   const std::string data = read_stream(is);
   const bool legacy = !looks_framed(data);
-  std::istringstream body(legacy ? data
-                                 : unwrap(data, kind, min_version,
-                                          max_version));
+  SpanBuf buf(legacy ? std::string_view(data)
+                     : unwrap_view(data, kind, min_version, max_version)
+                           .payload);
+  std::istream body(&buf);
   try {
     return parse(body);
   } catch (const LoadFailure&) {

@@ -30,19 +30,10 @@ namespace {
 constexpr std::string_view kSegmentKind = "ingest_segment";
 constexpr int kSegmentVersion = 1;
 
-/// Extracts the integer value of a `#window_start=` header line from a
-/// canonical snapshot CSV (the first line Dataset::save_csv writes).
-std::optional<trace::EpochSeconds> csv_window_start(std::string_view csv) {
-  constexpr std::string_view tag = "#window_start=";
-  const auto pos = csv.find(tag);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const auto end = csv.find('\n', pos);
-  const std::string value(
-      csv.substr(pos + tag.size(), end == std::string_view::npos
-                                       ? std::string_view::npos
-                                       : end - pos - tag.size()));
+/// The header of a stored segment's CSV; nullopt when it does not parse.
+std::optional<trace::CsvHeader> segment_header(std::string_view csv) {
   try {
-    return static_cast<trace::EpochSeconds>(std::stoll(value));
+    return trace::Dataset::load_csv_header(csv);
   } catch (const std::exception&) {
     return std::nullopt;
   }
@@ -304,17 +295,17 @@ AppendOutcome SnapshotLog::append(std::size_t hour,
   // classifies the snapshot (see the policy in ingest.h).
   trace::Dataset snapshot;
   try {
-    std::istringstream is{std::string(snapshot_csv)};
-    snapshot = trace::Dataset::load_csv(is);
+    snapshot = trace::Dataset::load_csv(snapshot_csv);
   } catch (const std::exception& e) {
     return reject(std::string("unparseable snapshot: ") + e.what());
   }
   if (!segments_.empty()) {
-    const auto base_ws = csv_window_start(segments_.front().csv);
-    if (base_ws && snapshot.window_start() != *base_ws) {
+    const auto base = segment_header(segments_.front().csv);
+    if (base && snapshot.window_start() != base->window_start) {
       return reject("window_start " +
                     std::to_string(snapshot.window_start()) +
-                    " differs from the log's " + std::to_string(*base_ws));
+                    " differs from the log's " +
+                    std::to_string(base->window_start));
     }
     if (!families_consistent(cumulative_families(), snapshot.family_names())) {
       return reject("family list contradicts the log's (indices would remap)");
@@ -326,9 +317,10 @@ AppendOutcome SnapshotLog::append(std::size_t hour,
 
   // Store the canonical (repaired, sorted) form, not the raw bytes, so
   // cumulative() replay and a cold fit on the exported dataset agree.
-  std::ostringstream canonical;
-  snapshot.save_csv(canonical);
-  const std::string record = encode_segment(hour, canonical.str());
+  std::ostringstream canonical_os;
+  snapshot.save_csv(canonical_os);
+  std::string canonical = std::move(canonical_os).str();
+  const std::string record = encode_segment(hour, canonical);
 
   FaultInjector& injector = FaultInjector::instance();
   const std::string key = "hour=" + std::to_string(hour);
@@ -339,7 +331,7 @@ AppendOutcome SnapshotLog::append(std::size_t hour,
   const bool torn = injector.enabled() && injector.fires("ingest.torn_tail", key);
   durable_append(log_path_, record, torn);
 
-  segments_.push_back({hour, canonical.str()});
+  segments_.push_back({hour, std::move(canonical)});
   ACBM_COUNT(outcome.status == AppendStatus::kAccepted
                  ? "ingest.snapshots.accepted"
                  : "ingest.snapshots.repaired",
@@ -348,25 +340,21 @@ AppendOutcome SnapshotLog::append(std::size_t hour,
 }
 
 std::vector<std::string> SnapshotLog::cumulative_families() const {
-  // Family lists only ever extend (enforced by append), so the last
-  // segment's list is the cumulative one.
+  // append accepts a family list that is a prefix of the log's as well as
+  // one that extends it, so the last segment's list need not be the
+  // cumulative one: take the longest. Only the header lines are read.
   std::vector<std::string> families;
   for (const Segment& s : segments_) {
-    try {
-      std::istringstream is(s.csv);
-      const trace::Dataset d = trace::Dataset::load_csv(is);
-      if (d.family_names().size() > families.size()) {
-        families = d.family_names();
-      }
-    } catch (const std::exception&) {
-      // CRC-verified segments parse; a failure here would mean a schema
-      // bug, and cumulative() surfaces it.
+    auto header = segment_header(s.csv);
+    if (header && header->families.size() > families.size()) {
+      families = std::move(header->families);
     }
   }
   return families;
 }
 
 trace::Dataset SnapshotLog::cumulative() const {
+  ACBM_SPAN("ingest.cumulative");
   if (segments_.empty()) {
     throw std::logic_error("ingest: cumulative() on an empty snapshot log");
   }
@@ -374,8 +362,7 @@ trace::Dataset SnapshotLog::cumulative() const {
   std::vector<trace::Attack> attacks;
   trace::EpochSeconds window_start = 0;
   for (std::size_t i = 0; i < segments_.size(); ++i) {
-    std::istringstream is(segments_[i].csv);
-    const trace::Dataset d = trace::Dataset::load_csv(is);
+    const trace::Dataset d = trace::Dataset::load_csv(segments_[i].csv);
     if (i == 0) window_start = d.window_start();
     if (d.family_names().size() > families.size()) {
       families = d.family_names();
@@ -551,9 +538,8 @@ RefitResult Ingestor::check_and_refit(bool force) {
   }
   std::vector<FamilyDriftBaseline> baselines;
   {
-    std::ifstream is(model_path(), std::ios::binary);
-    const AdversaryModel model = AdversaryModel::load_framed(is);
-    baselines = model.drift_baselines();
+    ACBM_SPAN("ingest.baselines");
+    baselines = AdversaryModel::load_drift_baselines(model_path());
   }
   const trace::Dataset cumulative = log_.cumulative();
   std::vector<DriftTrip> trips =

@@ -134,10 +134,18 @@ void AdversaryModel::save(std::ostream& os) const {
   os << ipmap_str;
 }
 
-AdversaryModel AdversaryModel::load(std::istream& is) {
+namespace {
+
+/// The body fields ahead of the sub-models. Body v2 adds the drift-baseline
+/// block; v1 bodies (pre-drift artifacts) have none.
+struct BodyHead {
+  bool fitted = false;
+  std::size_t magnitude_window = 0;
+  std::vector<FamilyDriftBaseline> drift_baselines;
+};
+
+BodyHead read_body_head(std::istream& is) {
   namespace io = acbm::stats::io;
-  // Body v2 adds the drift-baseline block; v1 bodies (pre-drift artifacts)
-  // still load with empty baselines.
   std::string header;
   if (!std::getline(is, header)) {
     throw std::invalid_argument("AdversaryModel::load: missing header");
@@ -149,13 +157,12 @@ AdversaryModel AdversaryModel::load(std::istream& is) {
     throw std::invalid_argument("AdversaryModel::load: unexpected header '" +
                                 header + "'");
   }
-  AdversaryModel model;
-  model.fitted_ = io::read_scalar<int>(is, "fitted") != 0;
-  model.opts_.magnitude_window =
-      io::read_scalar<std::size_t>(is, "magnitude_window");
+  BodyHead head;
+  head.fitted = io::read_scalar<int>(is, "fitted") != 0;
+  head.magnitude_window = io::read_scalar<std::size_t>(is, "magnitude_window");
   if (body_version >= 2) {
     const auto count = io::read_scalar<std::size_t>(is, "drift_families");
-    model.drift_baselines_.reserve(count);
+    head.drift_baselines.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       auto ss = io::expect_tag(is, "drift");
       FamilyDriftBaseline base;
@@ -165,25 +172,37 @@ AdversaryModel AdversaryModel::load(std::istream& is) {
         throw std::invalid_argument(
             "AdversaryModel::load: bad drift baseline");
       }
-      model.drift_baselines_.push_back(base);
+      head.drift_baselines.push_back(base);
     }
   }
+  return head;
+}
+
+}  // namespace
+
+AdversaryModel AdversaryModel::load(std::istream& is) {
+  namespace io = acbm::stats::io;
+  BodyHead head = read_body_head(is);
+  AdversaryModel model;
+  model.fitted_ = head.fitted;
+  model.opts_.magnitude_window = head.magnitude_window;
+  model.drift_baselines_ = std::move(head.drift_baselines);
   model.st_ = SpatiotemporalModel::load(is);
 
   const auto read_block = [&is](std::size_t lines) {
-    std::ostringstream block;
+    std::string block;
     std::string line;
     for (std::size_t i = 0; i < lines; ++i) {
       if (!std::getline(is, line)) {
         throw std::invalid_argument("AdversaryModel::load: truncated block");
       }
-      block << line << '\n';
+      block += line;
+      block += '\n';
     }
-    return block.str();
+    return block;
   };
   const auto dataset_lines = io::read_scalar<std::size_t>(is, "dataset_lines");
-  std::istringstream dataset_text(read_block(dataset_lines));
-  model.dataset_ = trace::Dataset::load_csv(dataset_text);
+  model.dataset_ = trace::Dataset::load_csv(read_block(dataset_lines));
   const auto ipmap_lines = io::read_scalar<std::size_t>(is, "ipmap_lines");
   std::istringstream ipmap_text(read_block(ipmap_lines));
   model.ip_map_ = net::IpToAsnMap::load(ipmap_text);
@@ -202,6 +221,20 @@ AdversaryModel AdversaryModel::load_framed(std::istream& is) {
   return durable::load_framed_stream(
       is, "adversary_model", 3, 4,
       [](std::istream& body) { return load(body); });
+}
+
+std::vector<FamilyDriftBaseline> AdversaryModel::load_drift_baselines(
+    const std::filesystem::path& path) {
+  const durable::FramedView framed =
+      durable::load_framed_view(path, "adversary_model", 3, 4);
+  durable::SpanBuf buf(framed.payload);
+  std::istream body(&buf);
+  try {
+    return read_body_head(body).drift_baselines;
+  } catch (const std::exception& e) {
+    throw durable::LoadFailure(durable::LoadError::kParse,
+                               path.string() + ": " + e.what());
+  }
 }
 
 InferenceView AdversaryModel::make_inference_view() const {

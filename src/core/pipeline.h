@@ -5,8 +5,10 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "core/spatiotemporal_model.h"
 #include "net/ip_space.h"
@@ -131,6 +133,14 @@ class AdversaryModel {
   /// durable::LoadFailure.
   void save_framed(std::ostream& os) const;
   [[nodiscard]] static AdversaryModel load_framed(std::istream& is);
+
+  /// drift_baselines() of the framed artifact at `path` without loading
+  /// the model: the CRC is checked over the whole mapped payload, then only
+  /// the body head up to the drift block is parsed (empty for a framed v3,
+  /// v1-body artifact). Throws durable::LoadFailure; unlike load_framed it
+  /// takes no legacy unframed body (kBadMagic).
+  [[nodiscard]] static std::vector<FamilyDriftBaseline> load_drift_baselines(
+      const std::filesystem::path& path);
 
   /// Stage checkpointing for fit() (see SpatiotemporalOptions::checkpoint).
   void set_checkpoint(StageStore* store) { opts_.checkpoint = store; }

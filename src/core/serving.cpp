@@ -5,7 +5,6 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
-#include <streambuf>
 #include <string>
 #include <unordered_map>
 
@@ -464,16 +463,6 @@ std::unordered_map<net::Asn, double> stored_distribution(
   return out;
 }
 
-/// Zero-copy istream over a mapped framed payload (no <spanstream> in
-/// C++20): a plain get-area over the mapping, enough for the text loaders.
-class SpanBuf : public std::streambuf {
- public:
-  explicit SpanBuf(std::string_view data) {
-    char* p = const_cast<char*>(data.data());
-    setg(p, p, p + data.size());
-  }
-};
-
 }  // namespace
 
 ServingModel ServingModel::map_file(const std::filesystem::path& path,
@@ -517,7 +506,7 @@ ServingModel ServingModel::load_any(const std::filesystem::path& path) {
     ACBM_SPAN("pack.load");
     durable::FramedView framed =
         durable::load_framed_view(path, "adversary_model", 3, 4);
-    SpanBuf buf(framed.payload);
+    durable::SpanBuf buf(framed.payload);
     std::istream body(&buf);
     return AdversaryModel::load(body);
   }();

@@ -15,27 +15,39 @@ std::string Ipv4::to_string() const {
   return out;
 }
 
-Ipv4 parse_ipv4(std::string_view text) {
+std::size_t parse_ipv4_prefix(std::string_view text, Ipv4& out) noexcept {
+  // The dataset reader parses every bot address through here, and this
+  // digit loop is faster than one from_chars per octet. Grammar: 1+
+  // decimal digits per octet (leading zeros allowed), each at most 255.
   std::uint32_t value = 0;
   const char* ptr = text.data();
-  const char* end = text.data() + text.size();
+  const char* const end = text.data() + text.size();
   for (int octet = 0; octet < 4; ++octet) {
-    unsigned int part = 0;
-    const auto [next, ec] = std::from_chars(ptr, end, part);
-    if (ec != std::errc{} || part > 255 || next == ptr) {
-      throw std::invalid_argument("parse_ipv4: malformed address");
-    }
-    value = (value << 8) | part;
-    ptr = next;
-    if (octet < 3) {
-      if (ptr == end || *ptr != '.') {
-        throw std::invalid_argument("parse_ipv4: malformed address");
-      }
+    if (octet > 0) {
+      if (ptr == end || *ptr != '.') return 0;
       ++ptr;
     }
+    const char* const first = ptr;
+    std::uint32_t part = 0;
+    for (; ptr != end && *ptr >= '0' && *ptr <= '9'; ++ptr) {
+      part = part * 10 + static_cast<std::uint32_t>(*ptr - '0');
+      if (part > 255) return 0;
+    }
+    if (ptr == first) return 0;
+    value = (value << 8) | part;
   }
-  if (ptr != end) throw std::invalid_argument("parse_ipv4: trailing characters");
-  return Ipv4(value);
+  out = Ipv4(value);
+  return static_cast<std::size_t>(ptr - text.data());
+}
+
+Ipv4 parse_ipv4(std::string_view text) {
+  Ipv4 out;
+  const std::size_t used = parse_ipv4_prefix(text, out);
+  if (used == 0) throw std::invalid_argument("parse_ipv4: malformed address");
+  if (used != text.size()) {
+    throw std::invalid_argument("parse_ipv4: trailing characters");
+  }
+  return out;
 }
 
 Prefix::Prefix(Ipv4 net, std::uint8_t len) : length(len) {

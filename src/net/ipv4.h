@@ -3,6 +3,7 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -27,6 +28,12 @@ struct Ipv4 {
 /// Parses dotted-quad notation ("192.0.2.1").
 /// Throws std::invalid_argument on malformed input.
 [[nodiscard]] Ipv4 parse_ipv4(std::string_view text);
+
+/// The dotted quad that starts `text`, for readers that scan a delimited
+/// list in place: stores it in `out` and returns the number of characters
+/// consumed, or 0 (leaving `out` alone) when `text` does not start with
+/// one. parse_ipv4 is this plus a check that all of `text` was consumed.
+std::size_t parse_ipv4_prefix(std::string_view text, Ipv4& out) noexcept;
 
 /// A CIDR prefix (network address + length). The network address is
 /// canonicalized (host bits zeroed) on construction.

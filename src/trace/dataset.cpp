@@ -1,6 +1,8 @@
 #include "trace/dataset.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <iomanip>
 #include <istream>
@@ -184,56 +186,141 @@ void Dataset::save_csv(std::ostream& os) const {
   }
 }
 
-Dataset Dataset::load_csv(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line) || line.rfind("#window_start=", 0) != 0) {
-    throw std::invalid_argument("Dataset::load_csv: missing window_start header");
-  }
-  const EpochSeconds window_start = std::stoll(line.substr(14));
+namespace {
 
-  if (!std::getline(is, line) || line.rfind("#families=", 0) != 0) {
+[[noreturn]] void csv_error(std::size_t line_no, const std::string& what) {
+  throw std::invalid_argument("Dataset::load_csv: line " +
+                              std::to_string(line_no) + ": " + what);
+}
+
+/// Splits off the next line of `text` (the last one may lack its '\n').
+std::string_view next_line(std::string_view& text) {
+  const std::size_t eol = text.find('\n');
+  const std::string_view line = text.substr(0, eol);
+  text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+  return line;
+}
+
+/// Parses all of `field` as a number: from_chars rejects a sign on an
+/// unsigned type, and the end check rejects trailing characters.
+template <typename T>
+T parse_number(std::string_view field, std::size_t line_no, const char* what) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    csv_error(line_no, std::string("bad ") + what + " '" + std::string(field) +
+                           "'");
+  }
+  return value;
+}
+
+net::Ipv4 parse_address(std::string_view field, std::size_t line_no) {
+  try {
+    return net::parse_ipv4(field);
+  } catch (const std::invalid_argument&) {
+    csv_error(line_no, "bad address '" + std::string(field) + "'");
+  }
+}
+
+/// Consumes the two '#' header lines save_csv writes.
+CsvHeader parse_header(std::string_view& text) {
+  constexpr std::string_view kWindowTag = "#window_start=";
+  constexpr std::string_view kFamiliesTag = "#families=";
+  CsvHeader header;
+  if (text.empty() || !text.starts_with(kWindowTag)) {
+    throw std::invalid_argument(
+        "Dataset::load_csv: missing window_start header");
+  }
+  header.window_start = parse_number<EpochSeconds>(
+      next_line(text).substr(kWindowTag.size()), 1, "window_start");
+  if (text.empty() || !text.starts_with(kFamiliesTag)) {
     throw std::invalid_argument("Dataset::load_csv: missing families header");
   }
-  std::vector<std::string> families;
-  {
-    std::stringstream ss(line.substr(10));
-    std::string name;
-    while (std::getline(ss, name, ';')) {
-      if (!name.empty()) families.push_back(name);
-    }
+  std::string_view names = next_line(text).substr(kFamiliesTag.size());
+  while (!names.empty()) {
+    const std::size_t sep = names.find(';');
+    const std::string_view name = names.substr(0, sep);
+    if (!name.empty()) header.families.emplace_back(name);
+    names.remove_prefix(sep == std::string_view::npos ? names.size()
+                                                      : sep + 1);
   }
-  if (!std::getline(is, line)) {
+  return header;
+}
+
+/// One attack row: six comma-terminated fields, then the ';'-separated bots
+/// (possibly none). A row cut anywhere inside its first six fields lacks a
+/// comma and is rejected.
+Attack parse_row(std::string_view line, std::size_t line_no) {
+  std::array<std::string_view, 6> fields;
+  for (std::string_view& field : fields) {
+    const std::size_t comma = line.find(',');
+    if (comma == std::string_view::npos) {
+      csv_error(line_no, "truncated row (fewer than 7 fields)");
+    }
+    field = line.substr(0, comma);
+    line.remove_prefix(comma + 1);
+  }
+  Attack attack;
+  attack.id = parse_number<std::uint64_t>(fields[0], line_no, "id");
+  attack.family = parse_number<std::uint32_t>(fields[1], line_no, "family");
+  attack.target_ip = parse_address(fields[2], line_no);
+  attack.target_asn = parse_number<net::Asn>(fields[3], line_no, "target_asn");
+  attack.start = parse_number<EpochSeconds>(fields[4], line_no, "start");
+  attack.duration_s = parse_number<double>(fields[5], line_no, "duration_s");
+  attack.bots.reserve(
+      static_cast<std::size_t>(std::count(line.begin(), line.end(), ';')) + 1);
+  // Each address is parsed in place and must end at a ';' or the line's
+  // end; empty entries are skipped.
+  while (!line.empty()) {
+    if (line.front() != ';') {
+      net::Ipv4 bot;
+      const std::size_t used = net::parse_ipv4_prefix(line, bot);
+      if (used == 0 || (used < line.size() && line[used] != ';')) {
+        csv_error(line_no, "bad address '" +
+                               std::string(line.substr(0, line.find(';'))) +
+                               "'");
+      }
+      attack.bots.push_back(bot);
+      line.remove_prefix(used);
+    }
+    if (!line.empty()) line.remove_prefix(1);
+  }
+  return attack;
+}
+
+}  // namespace
+
+CsvHeader Dataset::load_csv_header(std::string_view csv) {
+  return parse_header(csv);
+}
+
+Dataset Dataset::load_csv(std::string_view csv) {
+  CsvHeader header = parse_header(csv);
+  if (csv.empty()) {
     throw std::invalid_argument("Dataset::load_csv: missing column header");
   }
-
-  std::vector<Attack> attacks;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::stringstream ss(line);
-    std::string field;
-    Attack attack;
-    std::getline(ss, field, ',');
-    attack.id = std::stoull(field);
-    std::getline(ss, field, ',');
-    attack.family = static_cast<std::uint32_t>(std::stoul(field));
-    std::getline(ss, field, ',');
-    attack.target_ip = net::parse_ipv4(field);
-    std::getline(ss, field, ',');
-    attack.target_asn = static_cast<net::Asn>(std::stoul(field));
-    std::getline(ss, field, ',');
-    attack.start = std::stoll(field);
-    std::getline(ss, field, ',');
-    attack.duration_s = std::stod(field);
-    if (std::getline(ss, field)) {
-      std::stringstream bots(field);
-      std::string ip;
-      while (std::getline(bots, ip, ';')) {
-        if (!ip.empty()) attack.bots.push_back(net::parse_ipv4(ip));
-      }
-    }
-    attacks.push_back(std::move(attack));
+  // save_csv ends every line in '\n'. Text that does not was cut short,
+  // maybe inside a row's bots, where a cut can still leave valid addresses
+  // ("10.9.0.12" -> "10.9.0.1").
+  if (csv.back() != '\n') {
+    throw std::invalid_argument(
+        "Dataset::load_csv: truncated (last line has no newline)");
   }
-  return Dataset(std::move(families), std::move(attacks), {}, window_start);
+  (void)next_line(csv);
+  std::vector<Attack> attacks;
+  for (std::size_t line_no = 4; !csv.empty(); ++line_no) {
+    const std::string_view line = next_line(csv);
+    if (!line.empty()) attacks.push_back(parse_row(line, line_no));
+  }
+  return Dataset(std::move(header.families), std::move(attacks), {},
+                 header.window_start);
+}
+
+Dataset Dataset::load_csv(std::istream& is) {
+  std::ostringstream text;
+  text << is.rdbuf();
+  return load_csv(text.view());
 }
 
 }  // namespace acbm::trace

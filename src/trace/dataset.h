@@ -8,6 +8,7 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -70,6 +71,12 @@ struct ValidationReport {
   void write(std::ostream& os) const;
 };
 
+/// The two '#' header lines of a dataset CSV.
+struct CsvHeader {
+  EpochSeconds window_start = 0;
+  std::vector<std::string> families;  ///< Empty names dropped.
+};
+
 /// The full trace: chronologically sorted attacks plus snapshots.
 class Dataset {
  public:
@@ -114,9 +121,19 @@ class Dataset {
     return validation_;
   }
 
-  /// CSV serialization (attacks only; snapshots are derivable).
+  /// CSV serialization (attacks only; snapshots are derivable). load_csv
+  /// scans the text once and throws std::invalid_argument on a malformed
+  /// header or row: a row with fewer than the six comma-terminated fields
+  /// before its bots, a numeric field with trailing characters, a negative
+  /// value in an unsigned field, a malformed address, or a last line with
+  /// no '\n' (save_csv ends every line in one, so such text was cut
+  /// short). The stream overload reads the stream to its end, then parses
+  /// that text.
   void save_csv(std::ostream& os) const;
+  [[nodiscard]] static Dataset load_csv(std::string_view csv);
   [[nodiscard]] static Dataset load_csv(std::istream& is);
+  /// Parses only the header lines (no row), with load_csv's checks.
+  [[nodiscard]] static CsvHeader load_csv_header(std::string_view csv);
 
  private:
   void reindex();

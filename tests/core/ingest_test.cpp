@@ -220,6 +220,42 @@ TEST(SnapshotLog, UnparseableSnapshotIsRejected) {
   EXPECT_TRUE(log.empty());
 }
 
+TEST(SnapshotLog, SnapshotTruncatedMidRowIsRejectedAndQuarantined) {
+  TempDir tmp;
+  SnapshotLog log(tmp.path);
+  const std::vector<std::string> families = {"BotA"};
+  ASSERT_EQ(log.append(1, snapshot_csv(families, 0, 0, 1, 1, 10)).status,
+            AppendStatus::kAccepted);
+
+  // Cuts in the last row: one byte into its duration field ("600" -> "6"),
+  // right after a ';' in the bots, and inside the last bot's last octet
+  // ("10.1.0.12" -> "10.1.0.1"). Each leaves a prefix of valid fields.
+  std::vector<trace::Attack> attacks = {
+      make_attack(20, 0, kWs + 2 * 3600),
+      make_attack(21, 0, kWs + 3 * 3600, 600.0, /*bots=*/12)};
+  const std::string full =
+      csv_of(trace::Dataset(families, std::move(attacks), {}, kWs));
+  const std::size_t last_row = full.rfind('\n', full.size() - 2) + 1;
+  std::size_t duration = last_row;
+  for (int comma = 0; comma < 5; ++comma) duration = full.find(',', duration) + 1;
+  ASSERT_EQ(full.substr(full.size() - 11), ";10.1.0.12\n");
+  const std::vector<std::size_t> cuts = {duration + 1, full.size() - 10,
+                                         full.size() - 2};
+
+  std::size_t hour = 2;
+  for (const std::size_t cut : cuts) {
+    const std::string truncated = full.substr(0, cut);
+    const AppendOutcome out = log.append(hour++, truncated);
+    EXPECT_EQ(out.status, AppendStatus::kRejected) << "cut at " << cut;
+    EXPECT_NE(out.detail.find("unparseable"), std::string::npos);
+    EXPECT_FALSE(out.quarantined_to.empty());
+    if (!out.quarantined_to.empty()) {
+      EXPECT_EQ(durable::read_file(out.quarantined_to), truncated);
+    }
+  }
+  EXPECT_EQ(log.segments().size(), 1u);
+}
+
 TEST(SnapshotLog, DuplicateHourIsIdempotent) {
   TempDir tmp;
   SnapshotLog log(tmp.path);
@@ -583,6 +619,40 @@ TEST(Ingestor, PublicationKeepsAPreviousGenerationOnDisk) {
   // The previous generation still loads as a complete model.
   std::ifstream is(g1, std::ios::binary);
   EXPECT_NO_THROW((void)AdversaryModel::load_framed(is));
+}
+
+TEST(Ingestor, CorruptDatasetBlockFailsTheDriftCheckAfterADurableAppend) {
+  TempDir tmp;
+  Ingestor ingestor(options_for(tmp.path));
+  ingestor.init(ingest_world().world.dataset, ingest_world().world.ip_map);
+
+  // Flip one digit inside the dataset block near the end of model.art. The
+  // drift check parses only the body head, so only the CRC over the whole
+  // payload can notice.
+  std::string model = durable::read_file(ingestor.model_path());
+  const std::size_t block = model.find("\ndataset_lines ");
+  const std::size_t block_end = model.find("\nipmap_lines ");
+  ASSERT_NE(block, std::string::npos);
+  ASSERT_NE(block_end, std::string::npos);
+  std::size_t pos = model.find_first_of("0123456789", (block + block_end) / 2);
+  ASSERT_LT(pos, block_end);
+  model[pos] = static_cast<char>(model[pos] ^ 0x01);
+  std::ofstream(ingestor.model_path(), std::ios::binary | std::ios::trunc)
+      << model;
+
+  const std::size_t hour = 8 * 24 + 1;
+  ASSERT_EQ(ingestor.append(hour, world_spike_csv(8 * 24, hour, 2, 920000))
+                .status,
+            AppendStatus::kAccepted);
+  try {
+    (void)ingestor.check_and_refit(/*force=*/false);
+    ADD_FAILURE() << "check_and_refit accepted a corrupt model";
+  } catch (const durable::LoadFailure& e) {
+    EXPECT_EQ(e.code(), durable::LoadError::kBadChecksum) << e.what();
+  }
+  // The append before the failed check is durable: a fresh reader sees it.
+  const SnapshotLog reopened(tmp.path);
+  EXPECT_EQ(reopened.last_hour(), hour);
 }
 
 TEST(Ingestor, CorruptInputsStateForcesAFullButConvergentRefit) {

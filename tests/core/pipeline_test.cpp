@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/durable.h"
 #include "trace/world.h"
 
 namespace acbm::core {
@@ -22,6 +30,89 @@ struct Fixture {
 
   Fixture() { model.fit(world.dataset, world.ip_map); }
 };
+
+/// A scratch file removed on scope exit.
+struct TempFile {
+  std::filesystem::path path;
+  explicit TempFile(const std::string& name)
+      : path(std::filesystem::temp_directory_path() /
+             ("acbm_pipeline_test_" + std::to_string(::getpid()) + "_" +
+              name)) {}
+  ~TempFile() {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+  }
+};
+
+void expect_same_baselines(const std::vector<FamilyDriftBaseline>& a,
+                           const std::vector<FamilyDriftBaseline>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].family, b[i].family);
+    EXPECT_EQ(a[i].hours, b[i].hours);
+    EXPECT_EQ(a[i].rate_mean, b[i].rate_mean);
+    EXPECT_EQ(a[i].rate_std, b[i].rate_std);
+    EXPECT_EQ(a[i].magnitude_mean, b[i].magnitude_mean);
+    EXPECT_EQ(a[i].magnitude_std, b[i].magnitude_std);
+    EXPECT_EQ(a[i].interval_mean, b[i].interval_mean);
+    EXPECT_EQ(a[i].interval_residual_std, b[i].interval_residual_std);
+  }
+}
+
+TEST(AdversaryModel, DriftBaselinesLoadWithoutTheModel) {
+  Fixture fx;
+  TempFile file("v4.art");
+  {
+    std::ostringstream os;
+    fx.model.save_framed(os);
+    std::ofstream(file.path, std::ios::binary) << os.str();
+  }
+  std::ifstream in(file.path, std::ios::binary);
+  const AdversaryModel loaded = AdversaryModel::load_framed(in);
+  const std::vector<FamilyDriftBaseline> baselines =
+      AdversaryModel::load_drift_baselines(file.path);
+  EXPECT_FALSE(baselines.empty());
+  expect_same_baselines(baselines, loaded.drift_baselines());
+  expect_same_baselines(baselines, fx.model.drift_baselines());
+}
+
+TEST(AdversaryModel, DriftBaselinesOfAV1BodyAreEmpty) {
+  Fixture fx;
+  // Rewrite the v2 body as a v1 body (no drift block) framed as v3.
+  std::ostringstream os;
+  fx.model.save(os);
+  std::istringstream v2(os.str());
+  std::string v1;
+  std::string line;
+  while (std::getline(v2, line)) {
+    if (line == "acbm:adversary_model:v2") line = "acbm:adversary_model:v1";
+    if (line.rfind("drift", 0) == 0) continue;
+    v1 += line + "\n";
+  }
+  TempFile file("v3.art");
+  std::ofstream(file.path, std::ios::binary)
+      << durable::frame_payload("adversary_model", 3, v1);
+
+  EXPECT_TRUE(AdversaryModel::load_drift_baselines(file.path).empty());
+  std::ifstream in(file.path, std::ios::binary);
+  EXPECT_TRUE(AdversaryModel::load_framed(in).drift_baselines().empty());
+}
+
+TEST(AdversaryModel, DriftBaselinesOfAnUnframedFileAreALoadFailure) {
+  Fixture fx;
+  TempFile file("bare.art");
+  {
+    std::ostringstream os;
+    fx.model.save(os);
+    std::ofstream(file.path, std::ios::binary) << os.str();
+  }
+  try {
+    (void)AdversaryModel::load_drift_baselines(file.path);
+    ADD_FAILURE() << "an unframed body loaded";
+  } catch (const durable::LoadFailure& e) {
+    EXPECT_EQ(e.code(), durable::LoadError::kBadMagic);
+  }
+}
 
 TEST(AdversaryModel, UnfittedUseThrows) {
   AdversaryModel model;

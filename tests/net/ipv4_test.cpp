@@ -29,6 +29,27 @@ TEST(Ipv4, ParseRejectsMalformed) {
   EXPECT_THROW((void)parse_ipv4("1..2.3"), std::invalid_argument);
 }
 
+TEST(Ipv4, ParseKeepsLeadingZerosAndRejectsSigns) {
+  EXPECT_EQ(parse_ipv4("010.0.0.0001"), Ipv4(10, 0, 0, 1));
+  EXPECT_THROW((void)parse_ipv4("0000256.0.0.1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_ipv4("+1.2.3.4"), std::invalid_argument);
+  EXPECT_THROW((void)parse_ipv4("1.2.3.-4"), std::invalid_argument);
+  EXPECT_THROW((void)parse_ipv4("1.2.3.4 "), std::invalid_argument);
+}
+
+TEST(Ipv4, ParsePrefixStopsAfterTheFourthOctet) {
+  Ipv4 out;
+  EXPECT_EQ(parse_ipv4_prefix("10.1.2.34;10.1.2.5", out), 9u);
+  EXPECT_EQ(out, Ipv4(10, 1, 2, 34));
+  EXPECT_EQ(parse_ipv4_prefix("1.2.3.4.5", out), 7u);
+  EXPECT_EQ(out, Ipv4(1, 2, 3, 4));
+  // No dotted quad at the start: 0, and `out` is left alone.
+  EXPECT_EQ(parse_ipv4_prefix(";1.2.3.4", out), 0u);
+  EXPECT_EQ(parse_ipv4_prefix("1.2.3", out), 0u);
+  EXPECT_EQ(parse_ipv4_prefix("1.2.3.256", out), 0u);
+  EXPECT_EQ(out, Ipv4(1, 2, 3, 4));
+}
+
 TEST(Ipv4, Ordering) {
   EXPECT_LT(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2));
   EXPECT_LT(Ipv4(9, 255, 255, 255), Ipv4(10, 0, 0, 0));

@@ -6,7 +6,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_set>
+#include <vector>
 
 namespace acbm::trace {
 namespace {
@@ -132,6 +134,138 @@ TEST(Dataset, CsvRoundTrip) {
 TEST(Dataset, LoadCsvRejectsGarbage) {
   std::stringstream ss("not a dataset\n");
   EXPECT_THROW((void)Dataset::load_csv(ss), std::invalid_argument);
+}
+
+constexpr std::string_view kCsvHead =
+    "#window_start=1343779200\n#families=FamA;FamB\n"
+    "id,family,target_ip,target_asn,start,duration_s,bots\n";
+
+/// kCsvHead plus one attack row.
+std::string csv_with_row(std::string_view row) {
+  return std::string(kCsvHead) + std::string(row) + "\n";
+}
+
+TEST(Dataset, LoadCsvStreamAndViewAgree) {
+  std::ostringstream os;
+  make_dataset().save_csv(os);
+  const std::string text = os.str();
+  std::istringstream is(text);
+  const Dataset from_stream = Dataset::load_csv(is);
+  const Dataset from_view = Dataset::load_csv(text);
+  std::ostringstream a;
+  std::ostringstream b;
+  from_stream.save_csv(a);
+  from_view.save_csv(b);
+  EXPECT_EQ(a.str(), text);
+  EXPECT_EQ(b.str(), text);
+}
+
+TEST(Dataset, LoadCsvAcceptsARowWithNoBots) {
+  const Dataset ds =
+      Dataset::load_csv(csv_with_row("7,1,10.0.0.7,300,1343779300,12.5,"));
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds.attacks()[0].id, 7u);
+  EXPECT_EQ(ds.attacks()[0].family, 1u);
+  EXPECT_DOUBLE_EQ(ds.attacks()[0].duration_s, 12.5);
+  EXPECT_TRUE(ds.attacks()[0].bots.empty());
+}
+
+TEST(Dataset, LoadCsvRejectsTruncatedRows) {
+  // A short row must not take the last field it has for the missing ones
+  // (start = duration = 5 here).
+  EXPECT_THROW((void)Dataset::load_csv(csv_with_row("1,0,10.0.0.1,5")),
+               std::invalid_argument);
+  // Six fields but no bots column.
+  EXPECT_THROW(
+      (void)Dataset::load_csv(csv_with_row("1,0,10.0.0.1,5,1343779300,600")),
+      std::invalid_argument);
+}
+
+TEST(Dataset, LoadCsvRejectsPartlyConsumedNumbers) {
+  EXPECT_THROW((void)Dataset::load_csv(
+                   csv_with_row("1,0,10.0.0.1,5,1343779300,12.5x,")),
+               std::invalid_argument);
+  EXPECT_THROW((void)Dataset::load_csv(
+                   csv_with_row("1,0,10.0.0.1,5 ,1343779300,600,")),
+               std::invalid_argument);
+  EXPECT_THROW((void)Dataset::load_csv(
+                   "#window_start=1343779200z\n#families=FamA\nheader\n"),
+               std::invalid_argument);
+}
+
+TEST(Dataset, LoadCsvRejectsNegativeAndOverflowingUnsignedFields) {
+  // An id of -1 used to wrap to 18446744073709551615.
+  EXPECT_THROW((void)Dataset::load_csv(
+                   csv_with_row("-1,0,10.0.0.1,5,1343779300,600,")),
+               std::invalid_argument);
+  EXPECT_THROW((void)Dataset::load_csv(
+                   csv_with_row("1,-1,10.0.0.1,5,1343779300,600,")),
+               std::invalid_argument);
+  EXPECT_THROW((void)Dataset::load_csv(
+                   csv_with_row("1,0,10.0.0.1,-5,1343779300,600,")),
+               std::invalid_argument);
+  EXPECT_THROW((void)Dataset::load_csv(
+                   csv_with_row("1,4294967296,10.0.0.1,5,1343779300,600,")),
+               std::invalid_argument);
+  // start is signed: a pre-window timestamp still parses.
+  EXPECT_EQ(Dataset::load_csv(csv_with_row("1,0,10.0.0.1,5,-60,600,"))
+                .attacks()[0]
+                .start,
+            -60);
+}
+
+TEST(Dataset, LoadCsvRejectsBadAddresses) {
+  EXPECT_THROW((void)Dataset::load_csv(
+                   csv_with_row("1,0,10.0.0,5,1343779300,600,")),
+               std::invalid_argument);
+  EXPECT_THROW((void)Dataset::load_csv(
+                   csv_with_row("1,0,10.0.0.1,5,1343779300,600,1.2.3.4;5.6.")),
+               std::invalid_argument);
+}
+
+TEST(Dataset, LoadCsvRejectsEveryPrefixEndingInsideARow) {
+  std::vector<Attack> attacks{
+      make_attack(1, 0, 100, kStart + 100, 12.25),
+      make_attack(2, 1, 200, kStart + 3600),
+      make_attack(3, 0, 100, kStart + 7200),
+  };
+  attacks[1].bots.clear();
+  // Cut inside its last octet, "172.16.0.12" leaves a valid "172.16.0.1".
+  attacks[2].bots.push_back(net::Ipv4(172, 16, 0, 12));
+  std::ostringstream os;
+  Dataset({"FamA", "FamB"}, std::move(attacks), {}, kStart).save_csv(os);
+  const std::string csv = os.str();
+
+  std::size_t row = csv.find('\n', csv.find('\n', csv.find('\n') + 1) + 1) + 1;
+  std::size_t in_bots = 0;
+  while (row < csv.size()) {
+    // A prefix that ends on a row boundary is itself a valid CSV.
+    EXPECT_NO_THROW((void)Dataset::load_csv(std::string_view(csv).substr(0, row)));
+    // One past the sixth comma: the bots field starts there.
+    std::size_t bots = row;
+    for (int comma = 0; comma < 6; ++comma) bots = csv.find(',', bots) + 1;
+    const std::size_t next = csv.find('\n', row) + 1;
+    // Every cut inside the row, the bots and the ';' after a bot included.
+    for (std::size_t end = row + 1; end < next; ++end) {
+      EXPECT_THROW((void)Dataset::load_csv(std::string_view(csv).substr(0, end)),
+                   std::invalid_argument)
+          << "prefix of " << end << " bytes: '" << csv.substr(row, end - row)
+          << "'";
+      if (end > bots) ++in_bots;
+    }
+    row = next;
+  }
+  EXPECT_GT(in_bots, 40u);
+  EXPECT_EQ(Dataset::load_csv(csv).size(), 3u);
+}
+
+TEST(Dataset, LoadCsvHeaderReadsOnlyTheHeaderLines) {
+  const CsvHeader header = Dataset::load_csv_header(
+      csv_with_row("this row is not parsed"));
+  EXPECT_EQ(header.window_start, 1343779200);
+  EXPECT_EQ(header.families, (std::vector<std::string>{"FamA", "FamB"}));
+  EXPECT_THROW((void)Dataset::load_csv_header("#families=FamA\n"),
+               std::invalid_argument);
 }
 
 TEST(DatasetValidation, CleanInputReportsClean) {

@@ -1,10 +1,9 @@
 // Performance microbenchmarks (google-benchmark): fitting and prediction
 // throughput of every model in the stack, plus the substrate hot paths
 // (LPM lookup, valley-free distance, A^s feature, Gao inference, trace
-// generation, dataset CSV parsing).
+// generation, dataset CSV writing and parsing).
 #include <benchmark/benchmark.h>
 
-#include <sstream>
 #include <string>
 
 #include "core/features.h"
@@ -133,9 +132,8 @@ BENCHMARK(BM_LpmLookup)->Arg(0)->Arg(1);
 // The dataset CSV reader on the shared world's trace, in bytes per second:
 // what `acbm fit`, the model loader and every ingest hour parse with.
 void BM_DatasetLoadCsv(benchmark::State& state) {
-  std::ostringstream os;
-  shared_world().dataset.save_csv(os);
-  const std::string csv = os.str();
+  std::string csv;
+  shared_world().dataset.append_csv(csv);
   for (auto _ : state) {
     benchmark::DoNotOptimize(trace::Dataset::load_csv(csv));
   }
@@ -143,6 +141,23 @@ void BM_DatasetLoadCsv(benchmark::State& state) {
                           static_cast<std::int64_t>(csv.size()));
 }
 BENCHMARK(BM_DatasetLoadCsv)->Unit(benchmark::kMillisecond);
+
+// The dataset CSV writer on the same trace, in bytes per second: what
+// `acbm generate` and every model save write the embedded trace with.
+void BM_DatasetSaveCsv(benchmark::State& state) {
+  const trace::Dataset& dataset = shared_world().dataset;
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::string csv;
+    dataset.append_csv(csv);
+    bytes = csv.size();
+    benchmark::DoNotOptimize(csv.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_DatasetSaveCsv)->Unit(benchmark::kMillisecond);
 
 void BM_ValleyFreeDistanceCold(benchmark::State& state) {
   const trace::World& world = shared_world();

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -224,13 +225,8 @@ trace::Dataset parse_dataset(const std::string& bytes, const std::string& path,
       durable::looks_framed(bytes)
           ? durable::unwrap_view(bytes, "dataset", 1, 1).payload
           : std::string_view(bytes);
-  trace::Dataset dataset;
-  try {
-    dataset = trace::Dataset::load_csv(csv);
-  } catch (const std::exception& e) {
-    throw durable::LoadFailure(durable::LoadError::kParse,
-                               "dataset " + path + ": " + e.what());
-  }
+  trace::Dataset dataset = durable::parse_payload(
+      "dataset " + path, [csv] { return trace::Dataset::load_csv(csv); });
   if (!dataset.validation().clean()) {
     info << "dataset " << path << " needed repair:\n";
     dataset.validation().write(info);
@@ -273,8 +269,9 @@ std::uint64_t run_config_hash(std::initializer_list<std::string_view> parts) {
 }
 
 /// Opens --checkpoint-dir/--resume when given; nullopt otherwise.
-std::optional<core::CheckpointDir> open_checkpoint(const ArgMap& args,
-                                                   std::uint64_t config_hash) {
+/// `config_hash` runs only then: it hashes every input byte.
+std::optional<core::CheckpointDir> open_checkpoint(
+    const ArgMap& args, const std::function<std::uint64_t()>& config_hash) {
   const auto dir = args.get("checkpoint-dir");
   if (!dir) {
     if (args.has("resume")) {
@@ -283,7 +280,7 @@ std::optional<core::CheckpointDir> open_checkpoint(const ArgMap& args,
     return std::nullopt;
   }
   core::CheckpointDir::Options opts;
-  opts.config_hash = config_hash;
+  opts.config_hash = config_hash();
   opts.resume = args.has("resume");
   return std::make_optional<core::CheckpointDir>(*dir, opts);
 }
@@ -308,9 +305,9 @@ int cmd_generate(const ArgMap& args, std::ostream& out, std::ostream&) {
   const std::string ipmap_path = args.require("ipmap");
 
   const trace::World world = trace::build_world(opts);
-  std::ostringstream dataset_text;
-  world.dataset.save_csv(dataset_text);
-  durable::save_artifact(dataset_path, "dataset", 1, dataset_text.str());
+  std::string dataset_text;
+  world.dataset.append_csv(dataset_text);
+  durable::save_artifact(dataset_path, "dataset", 1, dataset_text);
   std::ostringstream ipmap_text;
   world.ip_map.save(ipmap_text);
   durable::save_artifact(ipmap_path, "ipmap", 1, ipmap_text.str());
@@ -377,15 +374,23 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
   const std::string dataset_path = args.require("dataset");
   const std::string ipmap_path = args.require("ipmap");
   const std::string model_path = args.require("model");
-  const std::string dataset_bytes = read_input(dataset_path, "dataset");
-  const std::string ipmap_bytes = read_input(ipmap_path, "ipmap");
-  const trace::Dataset dataset =
-      parse_dataset(dataset_bytes, dataset_path, info);
-  const net::IpToAsnMap ip_map = parse_ipmap(ipmap_bytes, ipmap_path);
+  std::string dataset_bytes;
+  std::string ipmap_bytes;
+  trace::Dataset dataset;
+  net::IpToAsnMap ip_map;
+  {
+    ACBM_SPAN("fit.inputs");
+    dataset_bytes = read_input(dataset_path, "dataset");
+    ipmap_bytes = read_input(ipmap_path, "ipmap");
+    dataset = parse_dataset(dataset_bytes, dataset_path, info);
+    ip_map = parse_ipmap(ipmap_bytes, ipmap_path);
+  }
 
   core::SpatiotemporalOptions opts = core::default_cli_options();
-  const std::uint64_t config_hash =
-      run_config_hash({"fit", dataset_bytes, ipmap_bytes, "grid_search=0"});
+  const auto config_hash = [&dataset_bytes, &ipmap_bytes] {
+    return run_config_hash(
+        {"fit", dataset_bytes, ipmap_bytes, "grid_search=0"});
+  };
   const int workers =
       static_cast<int>(args.get_or<std::size_t>("workers", 0));
   std::optional<core::CheckpointDir> checkpoint;
@@ -402,7 +407,7 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
         static_cast<int>(args.get_or<std::size_t>("lease-ttl-ms", 2000));
     core::ShardCoordinatorOptions copts;
     copts.checkpoint_dir = *dir;
-    copts.config_hash = config_hash;
+    copts.config_hash = config_hash();
     copts.workers = workers;
     copts.worker_timeout_ms =
         static_cast<int>(args.get_or<std::size_t>("worker-timeout", 0));
@@ -436,7 +441,7 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
     }
     info << "workers: " << core::to_string(outcome) << "\n";
     core::CheckpointDir::Options ckpt_opts;
-    ckpt_opts.config_hash = config_hash;
+    ckpt_opts.config_hash = copts.config_hash;
     ckpt_opts.shared = true;
     checkpoint.emplace(*dir, ckpt_opts);
   } else {
@@ -446,9 +451,10 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
 
   core::AdversaryModel model(opts);
   model.fit(dataset, ip_map);
-  std::ostringstream body;
-  model.save(body);
-  durable::save_artifact(model_path, "adversary_model", 4, body.str());
+  {
+    ACBM_SPAN("fit.save");
+    durable::save_artifact(model_path, "adversary_model", 4, model.body());
+  }
   info << "fitted on " << dataset.size() << " attacks; model saved to "
        << model_path << "\n";
   if (checkpoint && !checkpoint->report().clean()) {
@@ -613,9 +619,9 @@ int cmd_ingest(const ArgMap& args, std::ostream& out, std::ostream& err) {
   }
 
   if (const auto export_path = args.get("export-dataset")) {
-    std::ostringstream csv;
-    ingestor.log().cumulative().save_csv(csv);
-    durable::save_artifact(*export_path, "dataset", 1, csv.str());
+    std::string csv;
+    ingestor.log().cumulative().append_csv(csv);
+    durable::save_artifact(*export_path, "dataset", 1, csv);
     out << "exported cumulative dataset ("
         << ingestor.log().segments().size() << " snapshot(s)) to "
         << *export_path << "\n";
@@ -1010,8 +1016,10 @@ int cmd_evaluate(const ArgMap& args, std::ostream& out, std::ostream& err) {
 
   const core::SpatiotemporalOptions opts = core::default_cli_options();
   std::optional<core::CheckpointDir> checkpoint =
-      open_checkpoint(args, run_config_hash({"evaluate", dataset_bytes,
-                                             ipmap_bytes, "grid_search=0"}));
+      open_checkpoint(args, [&dataset_bytes, &ipmap_bytes] {
+        return run_config_hash(
+            {"evaluate", dataset_bytes, ipmap_bytes, "grid_search=0"});
+      });
 
   std::string results;
   for (const std::string& token : horizons) {

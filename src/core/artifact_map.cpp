@@ -9,6 +9,7 @@
 
 #include "core/durable.h"
 #include "core/features.h"
+#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/spatial_model.h"
 #include "core/spatiotemporal_model.h"
@@ -278,8 +279,7 @@ std::string pack_model(const AdversaryModel& model) {
   const std::size_t family_count = dataset.family_names().size();
   for (std::size_t f = 0; f < family_count; ++f) {
     const auto family = static_cast<std::uint32_t>(f);
-    const FamilySeries series =
-        extract_family_series(dataset, family, ip_map, nullptr);
+    const FamilySeries series = extract_family_series(dataset, family);
     FamilyRec rec;
     rec.family = family;
     rec.name = b.put_chars(dataset.family_names()[f]);
@@ -301,49 +301,64 @@ std::string pack_model(const AdversaryModel& model) {
     b.families.push_back(rec);
   }
 
-  // Targets, sorted by ASN for binary search at serve time.
-  std::set<net::Asn> asns;
+  // Targets, sorted by ASN for binary search at serve time. Each target's
+  // series and per-attack metadata are built on the pool (resolving its
+  // bots is most of pack's work), then appended in ASN order, so the image
+  // is the same at any thread count.
+  std::set<net::Asn> asn_set;
   for (const trace::Attack& attack : dataset.attacks()) {
-    asns.insert(attack.target_asn);
+    asn_set.insert(attack.target_asn);
   }
-  for (net::Asn asn : asns) {
-    const TargetSeries series = extract_target_series(dataset, asn);
-    TargetRec rec;
-    rec.asn = asn;
-    rec.duration = b.put_f64(series.duration_s);
-    rec.interval = b.put_f64(series.interval_s);
-    rec.hour = b.put_f64(series.hour);
-    rec.day = b.put_f64(series.day);
-    rec.magnitude = b.put_f64(series.magnitude);
-
-    // Per-attack metadata in chronological order: family and start for the
-    // dominant-family vote and the future-timestamp guard, and the source
-    // distribution history the share predictor consumes.
+  const std::vector<net::Asn> asns(asn_set.begin(), asn_set.end());
+  struct TargetData {
+    TargetSeries series;
     std::vector<std::uint32_t> fams;
     std::vector<std::int64_t> starts;
     std::vector<std::uint32_t> dist_index{0};
     std::vector<std::uint32_t> dist_asn;
     std::vector<double> dist_share;
-    for (std::size_t idx : series.attack_indices) {
-      const trace::Attack& attack = dataset.attacks()[idx];
-      fams.push_back(attack.family);
-      starts.push_back(attack.start);
-      std::vector<std::pair<net::Asn, double>> dist;
-      for (const auto& [src, share] : source_asn_distribution(attack, ip_map)) {
-        dist.emplace_back(src, share);
-      }
-      std::sort(dist.begin(), dist.end());
-      for (const auto& [src, share] : dist) {
-        dist_asn.push_back(src);
-        dist_share.push_back(share);
-      }
-      dist_index.push_back(static_cast<std::uint32_t>(dist_asn.size()));
-    }
-    rec.attack_family = b.put_u32(fams);
-    rec.attack_start = b.put_i64(starts);
-    rec.dist_index = b.put_u32(dist_index);
-    rec.dist_asn = b.put_u32(dist_asn);
-    rec.dist_share = b.put_f64(dist_share);
+  };
+  const std::vector<TargetData> target_data =
+      parallel_map(asns.size(), [&](std::size_t t) {
+        TargetData data;
+        data.series = extract_target_series(dataset, asns[t]);
+        // Per-attack metadata in chronological order: family and start for
+        // the dominant-family vote and the future-timestamp guard, and the
+        // source distribution history the share predictor consumes.
+        for (std::size_t idx : data.series.attack_indices) {
+          const trace::Attack& attack = dataset.attacks()[idx];
+          data.fams.push_back(attack.family);
+          data.starts.push_back(attack.start);
+          std::vector<std::pair<net::Asn, double>> dist;
+          for (const auto& [src, share] :
+               source_asn_distribution(attack, ip_map)) {
+            dist.emplace_back(src, share);
+          }
+          std::sort(dist.begin(), dist.end());
+          for (const auto& [src, share] : dist) {
+            data.dist_asn.push_back(src);
+            data.dist_share.push_back(share);
+          }
+          data.dist_index.push_back(
+              static_cast<std::uint32_t>(data.dist_asn.size()));
+        }
+        return data;
+      });
+  for (std::size_t t = 0; t < asns.size(); ++t) {
+    const net::Asn asn = asns[t];
+    const TargetData& data = target_data[t];
+    TargetRec rec;
+    rec.asn = asn;
+    rec.duration = b.put_f64(data.series.duration_s);
+    rec.interval = b.put_f64(data.series.interval_s);
+    rec.hour = b.put_f64(data.series.hour);
+    rec.day = b.put_f64(data.series.day);
+    rec.magnitude = b.put_f64(data.series.magnitude);
+    rec.attack_family = b.put_u32(data.fams);
+    rec.attack_start = b.put_i64(data.starts);
+    rec.dist_index = b.put_u32(data.dist_index);
+    rec.dist_asn = b.put_u32(data.dist_asn);
+    rec.dist_share = b.put_f64(data.dist_share);
 
     const SpatialModel* sm = st.spatial(asn);
     rec.has_spatial = sm != nullptr ? 1 : 0;

@@ -147,6 +147,10 @@ class SpanBuf : public std::streambuf {
     char* p = const_cast<char*>(data.data());
     setg(p, p, p + data.size());
   }
+  /// Bytes read through the buffer so far: the offset of the next one.
+  [[nodiscard]] std::size_t consumed() const noexcept {
+    return static_cast<std::size_t>(gptr() - eback());
+  }
 };
 
 // --- Durable file I/O -------------------------------------------------------
@@ -252,30 +256,50 @@ struct LoadReport {
 /// failed (the caller still treats the artifact as unusable).
 std::filesystem::path quarantine(const std::filesystem::path& path);
 
-/// Shared framed-or-legacy stream loader used by every model's
-/// load_framed(): unwraps a framed stream (kind policing, supported
-/// [min_version, max_version]) or passes legacy unframed bytes straight
-/// through, then invokes `parse(std::istream&)` on the payload. Any parse
-/// exception surfaces as LoadFailure(kParse) — corruption or schema drift
-/// is always a typed error, never a crash.
+/// Runs `parse()`, rethrowing any failure but a LoadFailure as
+/// LoadFailure(kParse) with `context` in front of its message: every framed
+/// reader reports a malformed payload the same typed way.
 template <typename Parse>
-auto load_framed_stream(std::istream& is, std::string_view kind,
-                        int min_version, int max_version, Parse&& parse) {
-  const std::string data = read_stream(is);
-  const bool legacy = !looks_framed(data);
-  SpanBuf buf(legacy ? std::string_view(data)
-                     : unwrap_view(data, kind, min_version, max_version)
-                           .payload);
-  std::istream body(&buf);
+auto parse_payload(std::string_view context, Parse&& parse) {
   try {
-    return parse(body);
+    return parse();
   } catch (const LoadFailure&) {
     throw;
   } catch (const std::exception& e) {
     throw LoadFailure(LoadError::kParse,
-                      std::string(kind) + (legacy ? " (legacy format)" : "") +
-                          ": " + e.what());
+                      std::string(context) + ": " + e.what());
   }
+}
+
+/// Shared framed-or-legacy stream loader used by every model's
+/// load_framed(): unwraps a framed stream (kind policing, supported
+/// [min_version, max_version]) or passes legacy unframed bytes straight
+/// through, then invokes `parse(std::string_view)` on the payload. Any
+/// parse exception surfaces as LoadFailure(kParse) — corruption or schema
+/// drift is always a typed error, never a crash.
+template <typename Parse>
+auto load_framed_text(std::istream& is, std::string_view kind,
+                      int min_version, int max_version, Parse&& parse) {
+  const std::string data = read_stream(is);
+  const bool legacy = !looks_framed(data);
+  const std::string_view payload =
+      legacy ? std::string_view(data)
+             : unwrap_view(data, kind, min_version, max_version).payload;
+  return parse_payload(
+      std::string(kind) + (legacy ? " (legacy format)" : ""),
+      [&] { return parse(payload); });
+}
+
+/// load_framed_text for parsers that read a `std::istream&`.
+template <typename Parse>
+auto load_framed_stream(std::istream& is, std::string_view kind,
+                        int min_version, int max_version, Parse&& parse) {
+  return load_framed_text(is, kind, min_version, max_version,
+                          [&parse](std::string_view payload) {
+                            SpanBuf buf(payload);
+                            std::istream body(&buf);
+                            return parse(body);
+                          });
 }
 
 /// Reads and verifies a framed artifact file. On corruption the file is

@@ -71,16 +71,13 @@ double source_distribution_coefficient(const trace::Attack& attack,
 }
 
 FamilySeries extract_family_series(const trace::Dataset& dataset,
-                                   std::uint32_t family,
-                                   const net::IpToAsnMap& ip_map,
-                                   net::ValleyFreeDistance* distance) {
+                                   std::uint32_t family) {
   FamilySeries out;
   out.attack_indices = dataset.attacks_of_family(family);
   const std::size_t n = out.attack_indices.size();
   out.magnitude.reserve(n);
   out.activity.reserve(n);
   out.norm_magnitude.reserve(n);
-  out.source_coeff.reserve(n);
   out.interval_s.reserve(n);
   out.hour.reserve(n);
   out.day.reserve(n);
@@ -101,9 +98,6 @@ FamilySeries extract_family_series(const trace::Dataset& dataset,
     cumulative_bots += magnitude;
     out.norm_magnitude.push_back(magnitude / cumulative_bots);
 
-    out.source_coeff.push_back(
-        source_distribution_coefficient(attack, ip_map, distance));
-
     if (k == 0) {
       out.interval_s.push_back(0.0);
     } else {
@@ -118,6 +112,19 @@ FamilySeries extract_family_series(const trace::Dataset& dataset,
     out.hour.push_back(static_cast<double>(dh.hour));
     out.day.push_back(static_cast<double>(dh.day));
     out.duration_s.push_back(attack.duration_s);
+  }
+  return out;
+}
+
+FamilySeries extract_family_series(const trace::Dataset& dataset,
+                                   std::uint32_t family,
+                                   const net::IpToAsnMap& ip_map,
+                                   net::ValleyFreeDistance* distance) {
+  FamilySeries out = extract_family_series(dataset, family);
+  out.source_coeff.reserve(out.attack_indices.size());
+  for (std::size_t idx : out.attack_indices) {
+    out.source_coeff.push_back(source_distribution_coefficient(
+        dataset.attacks()[idx], ip_map, distance));
   }
   return out;
 }

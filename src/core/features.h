@@ -22,17 +22,25 @@ struct FamilySeries {
   std::vector<double> magnitude;        ///< Bots per attack (Fig. 1's y-axis).
   std::vector<double> activity;         ///< A^f, Eq. 1.
   std::vector<double> norm_magnitude;   ///< A^b, Eq. 2.
-  std::vector<double> source_coeff;     ///< A^s, Eq. 3 (needs distances).
+  /// A^s, Eq. 3: resolves every bot to its AS. Filled only by the overload
+  /// that takes the IP map; empty otherwise.
+  std::vector<double> source_coeff;
   std::vector<double> interval_s;       ///< Inter-launch times (first = 0).
   std::vector<double> hour;             ///< Launch hour of day.
   std::vector<double> day;              ///< Day index in the window.
   std::vector<double> duration_s;
 };
 
-/// Extracts the family series. `distance` may be null, in which case
-/// source_coeff is computed with unit inter-AS distance (intra-AS term
-/// only). All series are aligned: entry k describes the k-th attack of the
-/// family.
+/// Extracts the family series. All series are aligned: entry k describes
+/// the k-th attack of the family. This overload leaves source_coeff empty
+/// and resolves no bot, for readers of the other series only (drift
+/// baselines, packing, prediction).
+[[nodiscard]] FamilySeries extract_family_series(const trace::Dataset& dataset,
+                                                 std::uint32_t family);
+
+/// The series above plus source_coeff, for the temporal models fitted on
+/// it. `distance` may be null, in which case source_coeff is computed with
+/// unit inter-AS distance (intra-AS term only).
 [[nodiscard]] FamilySeries extract_family_series(
     const trace::Dataset& dataset, std::uint32_t family,
     const net::IpToAsnMap& ip_map, net::ValleyFreeDistance* distance);

@@ -317,9 +317,8 @@ AppendOutcome SnapshotLog::append(std::size_t hour,
 
   // Store the canonical (repaired, sorted) form, not the raw bytes, so
   // cumulative() replay and a cold fit on the exported dataset agree.
-  std::ostringstream canonical_os;
-  snapshot.save_csv(canonical_os);
-  std::string canonical = std::move(canonical_os).str();
+  std::string canonical;
+  snapshot.append_csv(canonical);
   const std::string record = encode_segment(hour, canonical);
 
   FaultInjector& injector = FaultInjector::instance();
@@ -502,8 +501,8 @@ void Ingestor::init(const trace::Dataset& base, const net::IpToAsnMap& ip_map) {
                            model_path().string() + " exists)");
   }
   if (log_.empty()) {
-    std::ostringstream csv;
-    base.save_csv(csv);
+    std::string csv;
+    base.append_csv(csv);
     const std::size_t base_hour =
         base.attacks().empty()
             ? 0
@@ -511,7 +510,7 @@ void Ingestor::init(const trace::Dataset& base, const net::IpToAsnMap& ip_map) {
                   std::max<trace::EpochSeconds>(
                       0, base.attacks().back().start - base.window_start()) /
                   3600);
-    const AppendOutcome out = log_.append(base_hour, csv.str());
+    const AppendOutcome out = log_.append(base_hour, csv);
     if (out.status == AppendStatus::kRejected) {
       throw std::invalid_argument("ingest: base dataset rejected: " +
                                   out.detail);
@@ -579,9 +578,9 @@ std::map<std::string, std::uint64_t> Ingestor::stage_input_hashes(
   // spatial and tree both consume the whole dataset (spatial fits every
   // target from all attacks; the trees combine everything), so any change
   // to the cumulative CSV invalidates both.
-  std::ostringstream full;
-  cumulative.save_csv(full);
-  const std::uint64_t full_hash = durable::fnv1a64(full.str());
+  std::string full;
+  cumulative.append_csv(full);
+  const std::uint64_t full_hash = durable::fnv1a64(full);
   hashes["spatial"] = full_hash;
   hashes["tree"] = full_hash;
   return hashes;
@@ -713,8 +712,7 @@ RefitResult Ingestor::refit(const trace::Dataset& cumulative,
 void Ingestor::publish(const AdversaryModel& model,
                        const std::map<std::string, std::uint64_t>& hashes,
                        std::size_t refit_hour) {
-  std::ostringstream body;
-  model.save(body);
+  const std::string body = model.body();
 
   // Generation rotation with a COPY (not a rename) of the live model, so
   // model.art stays loadable at every instant of publication:
@@ -731,7 +729,7 @@ void Ingestor::publish(const AdversaryModel& model,
     }
     fs::copy_file(live, g1, fs::copy_options::overwrite_existing, ec);
   }
-  durable::save_artifact(live, "adversary_model", 4, body.str());
+  durable::save_artifact(live, "adversary_model", 4, body);
 
   // inputs.state last: a crash between the model publish and this write
   // leaves stale hashes, which at worst re-invalidate already-fresh stages

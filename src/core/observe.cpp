@@ -153,6 +153,11 @@ std::vector<double> default_latency_bounds_ms() {
 
 // --- Metrics --------------------------------------------------------------
 
+std::size_t detail::next_counter_shard() noexcept {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kCounterShards;
+}
+
 Metrics& Metrics::instance() {
   // Leaked singleton: worker threads may still touch cached metric
   // references during static destruction, so the registry must outlive

@@ -14,9 +14,11 @@
 //     and drained by Tracer::collect() (consumer). A full ring drops the
 //     event and counts the drop; it never blocks the producer.
 //   - Counters and histograms use relaxed atomics and may be updated from
-//     any thread; Metrics::instance() registration takes a mutex but every
-//     macro caches the returned reference in a function-local static, so
-//     the registry lock is paid once per call site, not per update.
+//     any thread (a counter spreads its count over per-thread cache-line
+//     shards, so a hot counter does not bounce one line between cores);
+//     Metrics::instance() registration takes a mutex but every macro
+//     caches the returned reference in a function-local static, so the
+//     registry lock is paid once per call site, not per update.
 //   - Registered metrics are never erased, so references returned by
 //     counter()/gauge()/histogram() stay valid for the process lifetime.
 //   - Tracer::reset() / Metrics::reset() require quiescence: call them only
@@ -26,6 +28,7 @@
 // include any other acbm header.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -60,19 +63,47 @@ void set_enabled(bool on) noexcept;
 
 // --- Metrics registry -----------------------------------------------------
 
-/// Monotonic event count. add() is wait-free and may race freely.
+namespace detail {
+/// Number of shards a Counter splits its count over.
+inline constexpr std::size_t kCounterShards = 16;
+/// Shard index of a new thread: threads take the shards round-robin.
+std::size_t next_counter_shard() noexcept;
+/// The calling thread's shard index, fixed for the thread's lifetime.
+inline std::size_t counter_shard() noexcept {
+  thread_local const std::size_t shard = next_counter_shard();
+  return shard;
+}
+}  // namespace detail
+
+/// Monotonic event count. add() is wait-free and may race freely. Each
+/// thread adds into its own cache-line-sized shard (threads beyond
+/// kCounterShards share one), so a counter every pool worker bumps
+/// (gemv.calls on each kernel call) does not bounce one line between cores;
+/// value() and reset() cover every shard, so totals stay exact.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    shards_[detail::counter_shard()].value.fetch_add(
+        n, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const Shard& shard : shards_) {
+      total += shard.value.load(std::memory_order_relaxed);
+    }
+    return total;
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void reset() noexcept {
+    for (Shard& shard : shards_) {
+      shard.value.store(0, std::memory_order_relaxed);
+    }
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> value{0};
+  };
+  std::array<Shard, detail::kCounterShards> shards_;
 };
 
 /// Last-writer-wins instantaneous value (e.g. queue depth).

@@ -62,8 +62,7 @@ void AdversaryModel::compute_drift_baselines() {
   for (std::uint32_t family = 0;
        family < static_cast<std::uint32_t>(dataset_.family_names().size());
        ++family) {
-    const FamilySeries series =
-        extract_family_series(dataset_, family, ip_map_, nullptr);
+    const FamilySeries series = extract_family_series(dataset_, family);
     const std::size_t n = series.magnitude.size();
     if (n < 2) continue;  // One attack pins no spread on any channel.
     FamilyDriftBaseline base;
@@ -103,35 +102,43 @@ void AdversaryModel::observe(const trace::Attack& attack) {
   observed_.push_back(attack);
 }
 
-void AdversaryModel::save(std::ostream& os) const {
+std::string AdversaryModel::body() const {
   namespace io = acbm::stats::io;
-  io::write_header(os, "adversary_model", 2);
-  io::write_scalar(os, "fitted", fitted_ ? 1 : 0);
-  io::write_scalar(os, "magnitude_window", opts_.magnitude_window);
-  io::write_scalar(os, "drift_families", drift_baselines_.size());
+  std::ostringstream head;
+  io::write_header(head, "adversary_model", 2);
+  io::write_scalar(head, "fitted", fitted_ ? 1 : 0);
+  io::write_scalar(head, "magnitude_window", opts_.magnitude_window);
+  io::write_scalar(head, "drift_families", drift_baselines_.size());
   for (const FamilyDriftBaseline& base : drift_baselines_) {
-    os << "drift " << base.family << ' ' << base.hours << ' ' << base.rate_mean
-       << ' ' << base.rate_std << ' ' << base.magnitude_mean << ' '
-       << base.magnitude_std << ' ' << base.interval_mean << ' '
-       << base.interval_residual_std << '\n';
+    head << "drift " << base.family << ' ' << base.hours << ' '
+         << base.rate_mean << ' ' << base.rate_std << ' '
+         << base.magnitude_mean << ' ' << base.magnitude_std << ' '
+         << base.interval_mean << ' ' << base.interval_residual_std << '\n';
   }
-  st_.save(os);
+  st_.save(head);
+  std::string out = std::move(head).str();
 
   // Embed the dataset CSV and IP map with explicit line counts so the
-  // loader knows exactly where each block ends.
-  std::ostringstream dataset_text;
-  dataset_.save_csv(dataset_text);
-  const std::string dataset_str = dataset_text.str();
-  io::write_scalar(os, "dataset_lines",
-                   std::count(dataset_str.begin(), dataset_str.end(), '\n'));
-  os << dataset_str;
+  // loader knows exactly where each block ends. The CSV is written in
+  // place and its count line inserted ahead of it afterwards.
+  const std::size_t dataset_at = out.size();
+  const std::size_t dataset_lines = dataset_.append_csv(out);
+  out.insert(dataset_at,
+             "dataset_lines " + std::to_string(dataset_lines) + "\n");
 
   std::ostringstream ipmap_text;
   ip_map_.save(ipmap_text);
-  const std::string ipmap_str = ipmap_text.str();
-  io::write_scalar(os, "ipmap_lines",
-                   std::count(ipmap_str.begin(), ipmap_str.end(), '\n'));
-  os << ipmap_str;
+  const std::string_view ipmap = ipmap_text.view();
+  out += "ipmap_lines ";
+  out += std::to_string(std::count(ipmap.begin(), ipmap.end(), '\n'));
+  out += '\n';
+  out += ipmap;
+  return out;
+}
+
+void AdversaryModel::save(std::ostream& os) const {
+  const std::string text = body();
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 namespace {
@@ -178,10 +185,35 @@ BodyHead read_body_head(std::istream& is) {
   return head;
 }
 
+/// Splits the `<tag> <lines>` line and then the block of that many
+/// '\n'-terminated lines off the front of `rest`; the block is a view into
+/// it, not a copy.
+std::string_view take_block(std::string_view& rest, std::string_view tag) {
+  durable::SpanBuf buf(rest);
+  std::istream is(&buf);
+  const auto lines = acbm::stats::io::read_scalar<std::size_t>(is, tag);
+  rest.remove_prefix(buf.consumed());
+  std::size_t end = 0;
+  for (std::size_t i = 0; i < lines; ++i) {
+    const std::size_t eol = rest.find('\n', end);
+    if (eol == std::string_view::npos) {
+      throw std::invalid_argument("AdversaryModel::load: truncated " +
+                                  std::string(tag) + " block");
+    }
+    end = eol + 1;
+  }
+  const std::string_view block = rest.substr(0, end);
+  rest.remove_prefix(end);
+  return block;
+}
+
 }  // namespace
 
-AdversaryModel AdversaryModel::load(std::istream& is) {
-  namespace io = acbm::stats::io;
+AdversaryModel AdversaryModel::load_body(std::string_view body) {
+  // The head and sub-models (a small share of the body) go through their
+  // stream parsers; the dataset and IP-map blocks are parsed in place.
+  durable::SpanBuf buf(body);
+  std::istream is(&buf);
   BodyHead head = read_body_head(is);
   AdversaryModel model;
   model.fitted_ = head.fitted;
@@ -189,52 +221,38 @@ AdversaryModel AdversaryModel::load(std::istream& is) {
   model.drift_baselines_ = std::move(head.drift_baselines);
   model.st_ = SpatiotemporalModel::load(is);
 
-  const auto read_block = [&is](std::size_t lines) {
-    std::string block;
-    std::string line;
-    for (std::size_t i = 0; i < lines; ++i) {
-      if (!std::getline(is, line)) {
-        throw std::invalid_argument("AdversaryModel::load: truncated block");
-      }
-      block += line;
-      block += '\n';
-    }
-    return block;
-  };
-  const auto dataset_lines = io::read_scalar<std::size_t>(is, "dataset_lines");
-  model.dataset_ = trace::Dataset::load_csv(read_block(dataset_lines));
-  const auto ipmap_lines = io::read_scalar<std::size_t>(is, "ipmap_lines");
-  std::istringstream ipmap_text(read_block(ipmap_lines));
+  std::string_view rest = body.substr(buf.consumed());
+  model.dataset_ =
+      trace::Dataset::load_csv(take_block(rest, "dataset_lines"));
+  durable::SpanBuf ipmap_buf(take_block(rest, "ipmap_lines"));
+  std::istream ipmap_text(&ipmap_buf);
   model.ip_map_ = net::IpToAsnMap::load(ipmap_text);
   return model;
 }
 
+AdversaryModel AdversaryModel::load(std::istream& is) {
+  return load_body(durable::read_stream(is));
+}
+
 void AdversaryModel::save_framed(std::ostream& os) const {
-  std::ostringstream body;
-  save(body);
-  os << durable::frame_payload("adversary_model", 4, body.str());
+  os << durable::frame_payload("adversary_model", 4, body());
 }
 
 AdversaryModel AdversaryModel::load_framed(std::istream& is) {
   // Framed v3 wraps a v1 body (no drift block), v4 a v2 body; the body
   // loader branches on its own header, so both unwrap the same way.
-  return durable::load_framed_stream(
-      is, "adversary_model", 3, 4,
-      [](std::istream& body) { return load(body); });
+  return durable::load_framed_text(is, "adversary_model", 3, 4, load_body);
 }
 
 std::vector<FamilyDriftBaseline> AdversaryModel::load_drift_baselines(
     const std::filesystem::path& path) {
   const durable::FramedView framed =
       durable::load_framed_view(path, "adversary_model", 3, 4);
-  durable::SpanBuf buf(framed.payload);
-  std::istream body(&buf);
-  try {
+  return durable::parse_payload(path.string(), [&framed] {
+    durable::SpanBuf buf(framed.payload);
+    std::istream body(&buf);
     return read_body_head(body).drift_baselines;
-  } catch (const std::exception& e) {
-    throw durable::LoadFailure(durable::LoadError::kParse,
-                               path.string() + ": " + e.what());
-  }
+  });
 }
 
 InferenceView AdversaryModel::make_inference_view() const {
@@ -290,8 +308,7 @@ std::optional<AttackPrediction> AdversaryModel::predict_next_attack(
   pred.assumed_family = family;
 
   // Temporal component: the family's magnitude / hour / interval forecasts.
-  const FamilySeries family_series =
-      extract_family_series(dataset_, family, ip_map_, nullptr);
+  const FamilySeries family_series = extract_family_series(dataset_, family);
   const TemporalModel* temporal = st_.temporal(family);
   // The f32 view replaces the forecast arithmetic only; model presence,
   // magnitude_sd (forecast variance), and the source distribution stay on

@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -122,9 +124,14 @@ class AdversaryModel {
   /// Full-model serialization: fitted sub-models, the training dataset, the
   /// IP->ASN map, and the per-family drift baselines, so a loaded model
   /// predicts (and drift-monitors) standalone. Live observations
-  /// (observe()) are not persisted. Writes body v2; load accepts v1 bodies
-  /// (no drift block) as well.
+  /// (observe()) are not persisted. body() builds body v2 as one string;
+  /// save writes it to a stream. load_body is the one body parser: it
+  /// accepts v1 bodies (no drift block) as well, parses the dataset and
+  /// IP-map blocks in place in `body`, and throws on a malformed body.
+  /// load reads the stream to its end, then parses it.
+  [[nodiscard]] std::string body() const;
   void save(std::ostream& os) const;
+  [[nodiscard]] static AdversaryModel load_body(std::string_view body);
   [[nodiscard]] static AdversaryModel load(std::istream& is);
 
   /// Framed (v4) serialization: the v2 body wrapped in durable.h's

@@ -501,14 +501,14 @@ ServingModel ServingModel::load_any(const std::filesystem::path& path) {
     }
   }
   // Framed model.art fallback: validate the frame against the mapping
-  // without copying, deserialize, re-pack in memory.
+  // without copying, parse the body in place, re-pack in memory.
   const AdversaryModel model = [&path] {
     ACBM_SPAN("pack.load");
-    durable::FramedView framed =
+    const durable::FramedView framed =
         durable::load_framed_view(path, "adversary_model", 3, 4);
-    durable::SpanBuf buf(framed.payload);
-    std::istream body(&buf);
-    return AdversaryModel::load(body);
+    return durable::parse_payload(path.string(), [&framed] {
+      return AdversaryModel::load_body(framed.payload);
+    });
   }();
   std::string image;
   {

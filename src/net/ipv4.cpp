@@ -1,18 +1,55 @@
 #include "net/ipv4.h"
 
+#include <array>
 #include <charconv>
+#include <cstring>
 #include <stdexcept>
 
 namespace acbm::net {
 
-std::string Ipv4::to_string() const {
-  std::string out;
-  out.reserve(15);
+namespace {
+
+/// The decimal text of every octet, left-aligned in three characters.
+struct OctetText {
+  char digits[3];
+  std::uint8_t size;
+};
+
+constexpr std::array<OctetText, 256> make_octet_table() {
+  std::array<OctetText, 256> table{};
+  for (unsigned v = 0; v < 256; ++v) {
+    OctetText& t = table[v];
+    t.size = v >= 100 ? 3 : v >= 10 ? 2 : 1;
+    unsigned rest = v;
+    for (int i = t.size - 1; i >= 0; --i) {
+      t.digits[i] = static_cast<char>('0' + rest % 10);
+      rest /= 10;
+    }
+  }
+  return table;
+}
+
+constexpr std::array<OctetText, 256> kOctetText = make_octet_table();
+
+}  // namespace
+
+char* format_ipv4(char* out, Ipv4 addr) noexcept {
+  // Each octet copies all three table characters and advances by its
+  // length; the spare characters are overwritten by what follows, and the
+  // last octet starts at most 12 characters in, so nothing lands past
+  // kMaxIpv4Chars.
   for (int shift = 24; shift >= 0; shift -= 8) {
-    out += std::to_string((value >> shift) & 0xFF);
-    if (shift > 0) out += '.';
+    const OctetText& text = kOctetText[(addr.value >> shift) & 0xFF];
+    std::memcpy(out, text.digits, 3);
+    out += text.size;
+    if (shift > 0) *out++ = '.';
   }
   return out;
+}
+
+std::string Ipv4::to_string() const {
+  char buf[kMaxIpv4Chars];
+  return std::string(buf, format_ipv4(buf, *this));
 }
 
 std::size_t parse_ipv4_prefix(std::string_view text, Ipv4& out) noexcept {

@@ -25,6 +25,14 @@ struct Ipv4 {
   [[nodiscard]] std::string to_string() const;
 };
 
+/// Longest dotted quad: "255.255.255.255".
+inline constexpr std::size_t kMaxIpv4Chars = 15;
+
+/// Writes the dotted quad of `addr` at `out` (at most kMaxIpv4Chars
+/// characters, no terminator) and returns the end of what was written.
+/// Ipv4::to_string and the dataset CSV writer both format through here.
+char* format_ipv4(char* out, Ipv4 addr) noexcept;
+
 /// Parses dotted-quad notation ("192.0.2.1").
 /// Throws std::invalid_argument on malformed input.
 [[nodiscard]] Ipv4 parse_ipv4(std::string_view text);

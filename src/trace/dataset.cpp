@@ -4,7 +4,6 @@
 #include <array>
 #include <charconv>
 #include <cmath>
-#include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -165,28 +164,25 @@ std::pair<Dataset, Dataset> Dataset::split(double train_fraction) const {
                   std::move(test_snaps), window_start_)};
 }
 
-void Dataset::save_csv(std::ostream& os) const {
-  os << std::setprecision(17);  // Durations must round-trip exactly.
-  os << "#window_start=" << window_start_ << "\n";
-  os << "#families=";
-  for (std::size_t i = 0; i < family_names_.size(); ++i) {
-    os << family_names_[i] << (i + 1 < family_names_.size() ? ";" : "");
-  }
-  os << "\n";
-  os << "id,family,target_ip,target_asn,start,duration_s,bots\n";
-  for (const Attack& attack : attacks_) {
-    os << attack.id << ',' << attack.family << ','
-       << attack.target_ip.to_string() << ',' << attack.target_asn << ','
-       << attack.start << ',' << attack.duration_s << ',';
-    for (std::size_t i = 0; i < attack.bots.size(); ++i) {
-      os << attack.bots[i].to_string()
-         << (i + 1 < attack.bots.size() ? ";" : "");
-    }
-    os << '\n';
-  }
+namespace {
+
+/// Upper bound on the characters of one attack row: the widest rendering of
+/// each of the six fields plus its comma (a %.17g double takes at most 24),
+/// the newline, and one address plus separator per bot.
+std::size_t row_bound(const Attack& attack) {
+  constexpr std::size_t kFields = 20 + 10 + net::kMaxIpv4Chars + 10 + 20 + 24;
+  return kFields + 7 + attack.bots.size() * (net::kMaxIpv4Chars + 1);
 }
 
-namespace {
+template <typename T>
+char* put_number(char* out, char* end, T value) {
+  return std::to_chars(out, end, value).ptr;
+}
+
+char* put_duration(char* out, char* end, double value) {
+  // %.17g, exactly what an ostream at setprecision(17) writes.
+  return std::to_chars(out, end, value, std::chars_format::general, 17).ptr;
+}
 
 [[noreturn]] void csv_error(std::size_t line_no, const std::string& what) {
   throw std::invalid_argument("Dataset::load_csv: line " +
@@ -290,6 +286,55 @@ Attack parse_row(std::string_view line, std::size_t line_no) {
 }
 
 }  // namespace
+
+std::size_t Dataset::append_csv(std::string& out) const {
+  const std::size_t head_at = out.size();
+  out += "#window_start=";
+  out += std::to_string(window_start_);
+  out += "\n#families=";
+  for (std::size_t i = 0; i < family_names_.size(); ++i) {
+    if (i > 0) out += ';';
+    out += family_names_[i];
+  }
+  out += "\nid,family,target_ip,target_asn,start,duration_s,bots\n";
+  const auto head_lines = static_cast<std::size_t>(std::count(
+      out.begin() + static_cast<std::ptrdiff_t>(head_at), out.end(), '\n'));
+
+  std::size_t bound = 0;
+  for (const Attack& attack : attacks_) bound += row_bound(attack);
+  out.reserve(out.size() + bound);
+  for (const Attack& attack : attacks_) {
+    const std::size_t at = out.size();
+    out.resize(at + row_bound(attack));
+    char* p = out.data() + at;
+    char* const end = out.data() + out.size();
+    p = put_number(p, end, attack.id);
+    *p++ = ',';
+    p = put_number(p, end, attack.family);
+    *p++ = ',';
+    p = net::format_ipv4(p, attack.target_ip);
+    *p++ = ',';
+    p = put_number(p, end, attack.target_asn);
+    *p++ = ',';
+    p = put_number(p, end, attack.start);
+    *p++ = ',';
+    p = put_duration(p, end, attack.duration_s);
+    *p++ = ',';
+    for (std::size_t i = 0; i < attack.bots.size(); ++i) {
+      if (i > 0) *p++ = ';';
+      p = net::format_ipv4(p, attack.bots[i]);
+    }
+    *p++ = '\n';
+    out.resize(static_cast<std::size_t>(p - out.data()));
+  }
+  return head_lines + attacks_.size();
+}
+
+void Dataset::save_csv(std::ostream& os) const {
+  std::string text;
+  append_csv(text);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
 
 CsvHeader Dataset::load_csv_header(std::string_view csv) {
   return parse_header(csv);

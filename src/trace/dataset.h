@@ -121,14 +121,17 @@ class Dataset {
     return validation_;
   }
 
-  /// CSV serialization (attacks only; snapshots are derivable). load_csv
-  /// scans the text once and throws std::invalid_argument on a malformed
-  /// header or row: a row with fewer than the six comma-terminated fields
-  /// before its bots, a numeric field with trailing characters, a negative
-  /// value in an unsigned field, a malformed address, or a last line with
-  /// no '\n' (save_csv ends every line in one, so such text was cut
-  /// short). The stream overload reads the stream to its end, then parses
-  /// that text.
+  /// CSV serialization (attacks only; snapshots are derivable). append_csv
+  /// appends the text to `out` and returns the number of lines it wrote;
+  /// durations are written as %.17g, so they round-trip exactly. save_csv
+  /// writes the same bytes to a stream. load_csv scans the text once and
+  /// throws std::invalid_argument on a malformed header or row: a row with
+  /// fewer than the six comma-terminated fields before its bots, a numeric
+  /// field with trailing characters, a negative value in an unsigned field,
+  /// a malformed address, or a last line with no '\n' (the writer ends
+  /// every line in one, so such text was cut short). The stream overload
+  /// reads the stream to its end, then parses that text.
+  std::size_t append_csv(std::string& out) const;
   void save_csv(std::ostream& os) const;
   [[nodiscard]] static Dataset load_csv(std::string_view csv);
   [[nodiscard]] static Dataset load_csv(std::istream& is);

@@ -11,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "core/artifact_map.h"
 #include "core/features.h"
+#include "core/pipeline.h"
 #include "core/spatial_model.h"
 #include "nn/grid_search.h"
 #include "stats/rng.h"
@@ -187,6 +189,25 @@ TEST(ParallelDeterminism, SpatialFitBitIdentical) {
   }
   EXPECT_EQ(saved[1], saved[0]);
   EXPECT_EQ(saved[2], saved[0]);
+}
+
+TEST(ParallelDeterminism, PackModelImageBitIdentical) {
+  ThreadCountGuard guard;
+  const trace::World world = trace::build_world(trace::small_world_options(23));
+  SpatiotemporalOptions opts;
+  opts.spatial.grid_search = false;
+  opts.spatial.fixed.mlp.max_epochs = 60;
+  AdversaryModel model(opts);
+  model.fit(world.dataset, world.ip_map);
+
+  // pack_model builds the per-target records on the pool.
+  std::vector<std::string> images;
+  for (std::size_t threads : {1u, 3u, 8u}) {
+    set_num_threads(threads);
+    images.push_back(armm::pack_model(model));
+  }
+  EXPECT_EQ(images[1], images[0]);
+  EXPECT_EQ(images[2], images[0]);
 }
 
 TEST(ParallelDeterminism, FaultedSpatialFitBitIdentical) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/cli.h"
 #include "core/durable.h"
 #include "trace/world.h"
 
@@ -112,6 +113,62 @@ TEST(AdversaryModel, DriftBaselinesOfAnUnframedFileAreALoadFailure) {
   } catch (const durable::LoadFailure& e) {
     EXPECT_EQ(e.code(), durable::LoadError::kBadMagic);
   }
+}
+
+TEST(AdversaryModel, BodyRoundTripsByteForByte) {
+  Fixture fx;
+  const std::string body = fx.model.body();
+  std::ostringstream os;
+  fx.model.save(os);
+  EXPECT_EQ(os.str(), body);
+  EXPECT_EQ(AdversaryModel::load_body(body).body(), body);
+}
+
+/// Frames `body` with a valid CRC, then checks that the framed loader and
+/// `acbm pack` both reject it as a typed parse failure.
+void expect_body_parse_failure(const std::string& body,
+                               const std::string& name) {
+  TempFile file(name + ".art");
+  std::ofstream(file.path, std::ios::binary)
+      << durable::frame_payload("adversary_model", 4, body);
+  std::ifstream in(file.path, std::ios::binary);
+  try {
+    (void)AdversaryModel::load_framed(in);
+    ADD_FAILURE() << name << ": a malformed body loaded";
+  } catch (const durable::LoadFailure& e) {
+    EXPECT_EQ(e.code(), durable::LoadError::kParse) << name;
+  }
+  TempFile packed(name + ".armm");
+  const std::vector<std::string> argv = {"pack", "--model", file.path.string(),
+                                         "--out", packed.path.string()};
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(cli::run(argv, out, err), 3) << name << ": " << err.str();
+  EXPECT_NE(err.str().find("error (parse)"), std::string::npos) << err.str();
+  EXPECT_FALSE(std::filesystem::exists(packed.path)) << name;
+}
+
+TEST(AdversaryModel, MalformedBodyBlocksAreTypedParseErrors) {
+  Fixture fx;
+  const std::string body = fx.model.body();
+  const std::size_t count_at = body.find("\ndataset_lines ") + 1;
+  const std::size_t block_at = body.find('\n', count_at) + 1;
+  const std::size_t ipmap_at = body.find("\nipmap_lines ") + 1;
+  ASSERT_LT(count_at, block_at);
+  ASSERT_LT(block_at, ipmap_at);
+
+  // The payload ends halfway through the dataset block.
+  expect_body_parse_failure(
+      body.substr(0, block_at + (ipmap_at - block_at) / 2), "cut_dataset");
+  // dataset_lines counts more lines than the whole payload holds.
+  expect_body_parse_failure(body.substr(0, count_at) +
+                                "dataset_lines 1000000000" +
+                                body.substr(block_at - 1),
+                            "long_dataset");
+  // The ipmap_lines line is gone; its block follows the dataset directly.
+  const std::size_t ipmap_block_at = body.find('\n', ipmap_at) + 1;
+  expect_body_parse_failure(
+      body.substr(0, ipmap_at) + body.substr(ipmap_block_at), "no_ipmap_lines");
 }
 
 TEST(AdversaryModel, UnfittedUseThrows) {

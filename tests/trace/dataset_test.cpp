@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <iomanip>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -354,6 +360,107 @@ TEST(DatasetValidation, CorruptCsvRoundTripsThroughRepair) {
   // The repair happened at construction, so the round trip is clean.
   EXPECT_TRUE(back.validation().clean());
   EXPECT_DOUBLE_EQ(back.attacks()[0].duration_s, 0.0);
+}
+
+/// The stream writer the to_chars one replaced (durations through an
+/// ostream at setprecision(17), octets through operator<<): the bytes
+/// append_csv and save_csv must reproduce.
+std::string reference_csv(const Dataset& ds) {
+  const auto put_address = [](std::ostream& os, net::Ipv4 addr) {
+    os << ((addr.value >> 24) & 0xFF) << '.' << ((addr.value >> 16) & 0xFF)
+       << '.' << ((addr.value >> 8) & 0xFF) << '.' << (addr.value & 0xFF);
+  };
+  std::ostringstream os;
+  os << std::setprecision(17);
+  os << "#window_start=" << ds.window_start() << "\n#families=";
+  for (std::size_t i = 0; i < ds.family_names().size(); ++i) {
+    os << ds.family_names()[i] << (i + 1 < ds.family_names().size() ? ";" : "");
+  }
+  os << "\nid,family,target_ip,target_asn,start,duration_s,bots\n";
+  for (const Attack& attack : ds.attacks()) {
+    os << attack.id << ',' << attack.family << ',';
+    put_address(os, attack.target_ip);
+    os << ',' << attack.target_asn << ',' << attack.start << ','
+       << attack.duration_s << ',';
+    for (std::size_t i = 0; i < attack.bots.size(); ++i) {
+      if (i > 0) os << ';';
+      put_address(os, attack.bots[i]);
+    }
+    os << '\n';
+  }
+  return os.str();
+}
+
+TEST(DatasetCsvWriter, MatchesTheStreamReferenceByteForByte) {
+  std::mt19937_64 rng(20170605);
+  std::vector<double> durations = {
+      0.0,     5e-324, 1e-300, 1e21,   1.0,     600.0, 86400.0,
+      0.1,     1.0 / 3.0,      9007199254740992.0,     123456789012.0,
+      1e-5,    2.5e15, std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min()};
+  while (durations.size() < 400) {
+    // Random bit patterns cover every exponent; half are then rounded to
+    // exact integers, the common case in a trace.
+    double d = std::bit_cast<double>(rng());
+    if (!std::isfinite(d)) continue;
+    d = std::fabs(d);
+    if (rng() % 2 == 0) d = std::round(std::fmod(d, 1e7));
+    durations.push_back(d);
+  }
+  constexpr std::array<std::uint8_t, 6> kOctets = {0, 9, 10, 99, 100, 255};
+  const auto octet = [&] {
+    return rng() % 3 == 0 ? static_cast<std::uint8_t>(rng())
+                          : kOctets[rng() % kOctets.size()];
+  };
+  const auto address = [&] {
+    return net::Ipv4(octet(), octet(), octet(), octet());
+  };
+  std::vector<Attack> attacks;
+  for (std::size_t i = 0; i < durations.size(); ++i) {
+    Attack a;
+    a.id = i % 7 == 0 ? rng() : i;
+    a.family = static_cast<std::uint32_t>(rng() % 3);
+    a.target_ip = address();
+    a.target_asn = static_cast<net::Asn>(rng());
+    // Chronological, from negative timestamps through kStart and past it.
+    a.start = -kStart + static_cast<EpochSeconds>(i) * 2 * kStart /
+                            static_cast<EpochSeconds>(durations.size()) +
+              static_cast<EpochSeconds>(rng() % 1000);
+    a.duration_s = durations[i];
+    const std::size_t bots = i % 5 == 0 ? 0 : rng() % 9;
+    for (std::size_t b = 0; b < bots; ++b) a.bots.push_back(address());
+    attacks.push_back(std::move(a));
+  }
+  const Dataset ds({"FamA", "FamB", "FamC"}, std::move(attacks), {}, kStart);
+  ASSERT_TRUE(ds.validation().clean());
+  const std::string expected = reference_csv(ds);
+
+  std::string text = "prefix";
+  const std::size_t lines = ds.append_csv(text);
+  ASSERT_EQ(text.substr(0, 6), "prefix");
+  EXPECT_EQ(text.substr(6), expected);
+  EXPECT_EQ(lines, static_cast<std::size_t>(
+                       std::count(expected.begin(), expected.end(), '\n')));
+  std::ostringstream os;
+  ds.save_csv(os);
+  EXPECT_EQ(os.str(), expected);
+
+  // The text loads back to the same attacks, durations bit for bit.
+  const Dataset back = Dataset::load_csv(expected);
+  ASSERT_EQ(back.size(), ds.size());
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    const Attack& a = ds.attacks()[i];
+    const Attack& b = back.attacks()[i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.target_ip, b.target_ip);
+    EXPECT_EQ(a.start, b.start);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.duration_s),
+              std::bit_cast<std::uint64_t>(b.duration_s));
+    EXPECT_EQ(a.bots, b.bots);
+  }
+  std::string again;
+  back.append_csv(again);
+  EXPECT_EQ(again, expected);
 }
 
 TEST(Attack, EndAndMagnitude) {

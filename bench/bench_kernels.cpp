@@ -20,11 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "core/inference.h"
 #include "core/parallel.h"
 #include "core/spatiotemporal_model.h"
 #include "nn/grid_search.h"
-#include "nn/inference_f32.h"
 #include "nn/nar.h"
 #include "stats/kernels.h"
 #include "stats/matrix.h"
@@ -250,35 +248,31 @@ BenchResult bench_gemm_isa(const BenchConfig& config,
   return result;
 }
 
-/// Walk-forward ARIMA forecast throughput: f64 model vs f32 view.
-BenchResult bench_predict_arima(const BenchConfig& config, bool f32) {
+/// Walk-forward ARIMA forecast throughput (the f32 serving path is timed
+/// end to end by bench_serve's serving_predict_f32).
+BenchResult bench_predict_arima(const BenchConfig& config) {
   const std::size_t n = config.tiny ? 80 : 400;
   const std::size_t start = config.tiny ? 20 : 50;
   const std::size_t reps = config.tiny ? 2 : 20;
   const std::vector<double> series = synthetic_series(n, 2024);
   acbm::ts::ArimaModel model({2, 1, 1});
   model.fit(series);
-  const acbm::core::ArimaF32 view(model);
   const std::size_t forecasts = (n - start) * reps;
-  BenchResult result = run_bench(
-      f32 ? "predict_arima_f32" : "predict_arima_f64", config, [&]() {
-        double acc = 0.0;
-        for (std::size_t r = 0; r < reps; ++r) {
-          for (std::size_t t = start; t < n; ++t) {
-            const std::span<const double> history(series.data(), t);
-            acc += f32 ? view.forecast_one(history)
-                       : model.forecast_one(history);
-          }
-        }
-        return acc;
-      });
+  BenchResult result = run_bench("predict_arima_f64", config, [&]() {
+    double acc = 0.0;
+    for (std::size_t r = 0; r < reps; ++r) {
+      for (std::size_t t = start; t < n; ++t) {
+        acc += model.forecast_one(std::span<const double>(series.data(), t));
+      }
+    }
+    return acc;
+  });
   result.ops = static_cast<double>(forecasts);
   return result;
 }
 
-/// Walk-forward NAR forecast throughput: f64 network vs f32 view (the f32
-/// path runs the transposed-weight gemv kernels on contiguous scratch).
-BenchResult bench_predict_nar(const BenchConfig& config, bool f32) {
+/// Walk-forward NAR forecast throughput.
+BenchResult bench_predict_nar(const BenchConfig& config) {
   const std::size_t n = config.tiny ? 60 : 300;
   const std::size_t start = config.tiny ? 12 : 10;
   const std::size_t reps = config.tiny ? 2 : 50;
@@ -289,26 +283,22 @@ BenchResult bench_predict_nar(const BenchConfig& config, bool f32) {
   opts.mlp.max_epochs = config.tiny ? 6 : 60;
   acbm::nn::NarModel model(opts);
   model.fit(series);
-  const acbm::nn::NarF32View view(model);
   const std::size_t forecasts = (n - start) * reps;
-  BenchResult result = run_bench(
-      f32 ? "predict_nar_f32" : "predict_nar_f64", config, [&]() {
-        double acc = 0.0;
-        for (std::size_t r = 0; r < reps; ++r) {
-          for (std::size_t t = start; t < n; ++t) {
-            const std::span<const double> history(series.data(), t);
-            acc += f32 ? view.forecast_one(history)
-                       : model.forecast_one(history);
-          }
-        }
-        return acc;
-      });
+  BenchResult result = run_bench("predict_nar_f64", config, [&]() {
+    double acc = 0.0;
+    for (std::size_t r = 0; r < reps; ++r) {
+      for (std::size_t t = start; t < n; ++t) {
+        acc += model.forecast_one(std::span<const double>(series.data(), t));
+      }
+    }
+    return acc;
+  });
   result.ops = static_cast<double>(forecasts);
   return result;
 }
 
-/// Model-tree prediction throughput: f64 tree vs f32 leaf models.
-BenchResult bench_predict_tree(const BenchConfig& config, bool f32) {
+/// Model-tree prediction throughput.
+BenchResult bench_predict_tree(const BenchConfig& config) {
   const std::size_t n = config.tiny ? 200 : 2000;
   const std::size_t dim = 8;
   const std::size_t reps = config.tiny ? 2 : 50;
@@ -327,19 +317,14 @@ BenchResult bench_predict_tree(const BenchConfig& config, bool f32) {
   opts.cart.max_depth = 6;
   acbm::tree::ModelTree model(opts);
   model.fit(x, y);
-  const std::optional<acbm::core::TreeF32> view =
-      acbm::core::TreeF32::from(model);
   const std::size_t predicts = n * reps;
-  BenchResult result = run_bench(
-      f32 ? "predict_tree_f32" : "predict_tree_f64", config, [&]() {
-        double acc = 0.0;
-        for (std::size_t r = 0; r < reps; ++r) {
-          for (std::size_t i = 0; i < n; ++i) {
-            acc += f32 ? view->predict(x.row(i)) : model.predict(x.row(i));
-          }
-        }
-        return acc;
-      });
+  BenchResult result = run_bench("predict_tree_f64", config, [&]() {
+    double acc = 0.0;
+    for (std::size_t r = 0; r < reps; ++r) {
+      for (std::size_t i = 0; i < n; ++i) acc += model.predict(x.row(i));
+    }
+    return acc;
+  });
   result.ops = static_cast<double>(predicts);
   return result;
 }
@@ -442,12 +427,9 @@ int main(int argc, char** argv) {
   results.push_back(bench_ols(config));
   results.push_back(bench_mlp_fit(config));
   results.push_back(bench_nar_grid(config));
-  results.push_back(bench_predict_arima(config, /*f32=*/false));
-  results.push_back(bench_predict_arima(config, /*f32=*/true));
-  results.push_back(bench_predict_nar(config, /*f32=*/false));
-  results.push_back(bench_predict_nar(config, /*f32=*/true));
-  results.push_back(bench_predict_tree(config, /*f32=*/false));
-  results.push_back(bench_predict_tree(config, /*f32=*/true));
+  results.push_back(bench_predict_arima(config));
+  results.push_back(bench_predict_nar(config));
+  results.push_back(bench_predict_tree(config));
   results.push_back(bench_st_fit(config));
   print_json(config, results);
   return 0;

@@ -1,5 +1,6 @@
 // Serving perf harness: cold-start cost of the zero-copy .armm mmap path
-// vs the framed model.art load, and daemon round-trip throughput/latency
+// vs the framed model.art load, in-process ServingModel::predict
+// throughput at f64 and f32, and daemon round-trip throughput/latency
 // (qps, p50/p99) at 1/4/16 concurrent connections, batched and unbatched —
 // emitted as a machine-readable JSON report on stdout (scripts/bench.sh
 // captures it into results/BENCH_serve.json).
@@ -175,6 +176,30 @@ BenchResult bench_cold_framed(const Workload& w, const BenchConfig& config) {
   return result;
 }
 
+/// In-process forecast throughput: ServingModel::predict over every target
+/// of the mapped artifact at one precision — the predictor `acbm predict`,
+/// `evaluate --precision f32` and the daemon share, without the socket.
+/// ops = forecasts.
+BenchResult bench_serving_predict(const Workload& w, const BenchConfig& config,
+                                  Precision precision) {
+  const ServingModel model = ServingModel::map_file(w.armm_path);
+  const std::size_t reps = config.tiny ? 2 : 50;
+  BenchResult result = run_bench(
+      "serving_predict_" +
+          std::string(acbm::core::precision_name(precision)),
+      config, [&]() {
+        double acc = 0.0;
+        for (std::size_t r = 0; r < reps; ++r) {
+          for (const acbm::net::Asn asn : w.targets) {
+            acc += model.predict(asn, precision)->magnitude;
+          }
+        }
+        return acc;
+      });
+  result.ops = static_cast<double>(reps * w.targets.size());
+  return result;
+}
+
 /// Daemon round-trip load: `connections` client threads each replay a
 /// seeded LCG mix of `per_conn` predicts (same generator as
 /// scripts/loadgen.sh). Per-request latencies accumulate across repeats
@@ -319,6 +344,8 @@ int main(int argc, char** argv) {
   std::vector<BenchResult> results;
   results.push_back(bench_cold_mmap(workload, config));
   results.push_back(bench_cold_framed(workload, config));
+  results.push_back(bench_serving_predict(workload, config, Precision::kF64));
+  results.push_back(bench_serving_predict(workload, config, Precision::kF32));
   for (const std::size_t connections : {1u, 4u, 16u}) {
     results.push_back(
         bench_daemon(workload, config, connections, /*batching=*/true));

@@ -21,7 +21,8 @@
 # threads (including generation swap under concurrent clients) are
 # exercised under the race detector. A third build with
 # -DACBM_DISABLE_SIMD=ON reruns the kernel and smoke suites on the scalar
-# reference path, keeping that configuration honest.
+# reference path, plus the `serve` suites that hold the f32 serving path
+# to its documented bound of f64, keeping that configuration honest.
 #
 # Usage: scripts/sanitize.sh [build-dir]   (default: build-asan-ubsan; the
 #        TSan tree lands next to it with a -tsan suffix and the scalar-only
@@ -60,5 +61,5 @@ cmake -S "$repo_root" -B "$nosimd_dir" \
   -DACBM_BUILD_BENCH=ON \
   -DACBM_BUILD_EXAMPLES=OFF
 cmake --build "$nosimd_dir" -j"$(nproc)"
-ctest --test-dir "$nosimd_dir" -L 'simd|perf-smoke|parallel' \
+ctest --test-dir "$nosimd_dir" -L 'simd|perf-smoke|parallel|serve' \
   --output-on-failure -j"$(nproc)"

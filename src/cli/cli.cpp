@@ -18,10 +18,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/artifact_map.h"
 #include "core/checkpoint.h"
 #include "core/durable.h"
 #include "core/evaluation.h"
-#include "core/inference.h"
 #include "core/ingest.h"
 #include "core/observe.h"
 #include "core/pipeline.h"
@@ -707,14 +707,16 @@ int cmd_predict(const ArgMap& args, std::ostream& out, std::ostream& err) {
                                          args.get_or<std::size_t>("top", 5)));
   }
 
-  std::optional<core::InferenceView> view;
-  if (precision == core::Precision::kF32) view = model.make_inference_view();
+  // Both precisions answer from one in-memory .armm image, the same
+  // predictor `serve`/`query` run (at f64 bit-identical to
+  // predict_next_attack).
+  const core::ServingModel served =
+      core::ServingModel::from_image(core::armm::pack_model(model));
 
   std::ostream& table = report_dest == "-" ? err : out;
   table << kPredictionHeader;
   for (net::Asn asn : targets) {
-    const auto pred =
-        model.predict_next_attack(asn, view ? &*view : nullptr);
+    const auto pred = served.predict(asn, precision);
     if (!pred) {
       table << "AS" << asn << "  (no history)\n";
       continue;

@@ -104,8 +104,8 @@ class Builder {
       layer.out = v.out;
       layer.weights = put_f64(v.weights);
       layer.biases = put_f64(v.biases);
-      // Transposed f32 [in x out], the layout gemv_t_f32 wants — same
-      // element order as nn::MlpF32View's constructor.
+      // Transposed f32 [in x out], the layout gemv_t_f32 wants on the
+      // serving f32 path.
       const Ref wt{f32_.size(), v.weights.size()};
       f32_.reserve(f32_.size() + v.weights.size());
       for (std::size_t i = 0; i < v.in; ++i) {
@@ -269,9 +269,17 @@ std::string pack_model(const AdversaryModel& model) {
   if (!model.fitted()) {
     throw std::logic_error("pack_model: model not fitted");
   }
-  const SpatiotemporalModel& st = model.spatiotemporal();
-  const trace::Dataset& dataset = model.dataset();
-  const net::IpToAsnMap& ip_map = model.ip_map();
+  return pack_model(model.spatiotemporal(), model.dataset(), model.ip_map(),
+                    model.options().magnitude_window);
+}
+
+std::string pack_model(const SpatiotemporalModel& st,
+                       const trace::Dataset& dataset,
+                       const net::IpToAsnMap& ip_map,
+                       std::size_t magnitude_window) {
+  if (!st.fitted()) {
+    throw std::logic_error("pack_model: model not fitted");
+  }
   Builder b;
 
   // Families: the exact per-family series predict_next_attack extracts at
@@ -391,7 +399,7 @@ std::string pack_model(const AdversaryModel& model) {
   b.meta.day_linear = b.put_linear(st.day_fallback());
 
   b.meta.window_start = dataset.window_start();
-  b.meta.magnitude_window = model.options().magnitude_window;
+  b.meta.magnitude_window = magnitude_window;
   b.meta.family_count = family_count;
   b.meta.target_count = b.targets.size();
   b.meta.mlp_count = b.mlp_count();

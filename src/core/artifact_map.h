@@ -48,7 +48,8 @@
 
 namespace acbm::core {
 
-class AdversaryModel;  // pipeline.h
+class AdversaryModel;       // pipeline.h
+class SpatiotemporalModel;  // spatiotemporal_model.h
 
 namespace armm {
 
@@ -103,7 +104,7 @@ struct Ref {
 static_assert(sizeof(Ref) == 16);
 
 /// A fitted ARIMA(p, d, q): enough to replay ArimaModel::forecast_one
-/// bit-for-bit (f64 pools) and ArimaF32::forecast_one (f32 pools).
+/// bit-for-bit (f64 pools) and its f32 serving counterpart (f32 pools).
 struct ArimaRec {
   std::uint32_t present = 0;
   std::uint32_t d = 0;
@@ -348,6 +349,15 @@ class ArtifactView {
 /// source_asn_distribution), so serving never needs the dataset or IP map.
 /// Throws std::logic_error when the model is not fitted.
 [[nodiscard]] std::string pack_model(const AdversaryModel& model);
+
+/// The same image from a fitted spatiotemporal model and the dataset and
+/// IP map it was fitted on (the AdversaryModel overload forwards here).
+/// evaluate_timestamps packs its train-split model this way to score the
+/// f32 columns through ServingModel.
+[[nodiscard]] std::string pack_model(const SpatiotemporalModel& st,
+                                     const trace::Dataset& dataset,
+                                     const net::IpToAsnMap& ip_map,
+                                     std::size_t magnitude_window);
 
 }  // namespace armm
 }  // namespace acbm::core

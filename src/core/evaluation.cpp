@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/artifact_map.h"
 #include "core/parallel.h"
 #include "stats/metrics.h"
 
@@ -388,8 +390,11 @@ TimestampEvaluation evaluate_timestamps(const trace::Dataset& dataset,
       assemble_rows(dataset, ip_map, temporal, spatial, model.options());
 
   const std::size_t n_train = train.size();
-  std::optional<InferenceView> view;
-  if (precision == Precision::kF32) view = InferenceView::extract(model);
+  std::optional<ServingModel> served;
+  if (precision == Precision::kF32) {
+    served = ServingModel::from_image(armm::pack_model(
+        model, train, ip_map, model.options().magnitude_window));
+  }
 
   // Per-target chronological hour/day/interval series for the §VII-A naive
   // timestamp baselines, built lazily (only targets with test rows pay).
@@ -434,10 +439,11 @@ TimestampEvaluation evaluate_timestamps(const trace::Dataset& dataset,
     if (row.attack_index < n_train) continue;  // Only score the test tail.
     out.truth_hour.push_back(row.truth_hour);
     out.truth_day.push_back(row.truth_day);
-    out.st_hour.push_back(view ? view->predict_hour(row.features)
-                               : model.predict_hour(row.features));
-    out.st_day.push_back(view ? view->predict_day(row.features)
-                              : model.predict_day(row.features));
+    out.st_hour.push_back(served
+                              ? served->predict_hour(row.features, precision)
+                              : model.predict_hour(row.features));
+    out.st_day.push_back(served ? served->predict_day(row.features, precision)
+                                : model.predict_day(row.features));
     out.spa_hour.push_back(std::clamp(row.features.spa_hour, 0.0, 23.999));
     out.spa_day.push_back(row.features.prev_day +
                           row.features.spa_interval_s / 86400.0);

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/baselines.h"
-#include "core/inference.h"
+#include "core/serving.h"
 #include "core/spatiotemporal_model.h"
 #include "net/ip_space.h"
 #include "trace/dataset.h"
@@ -104,8 +104,8 @@ struct TimestampEvaluation {
 
 /// `precision` selects the serving arithmetic for the spatiotemporal
 /// columns (st_hour / st_day): kF64 scores the fitted models directly,
-/// kF32 scores an InferenceView extracted from them (--precision f32).
-/// Fitting is identical either way.
+/// kF32 packs them (armm::pack_model) and scores the combiners through
+/// ServingModel (--precision f32). Fitting is identical either way.
 [[nodiscard]] TimestampEvaluation evaluate_timestamps(
     const trace::Dataset& dataset, const net::IpToAsnMap& ip_map,
     const SpatiotemporalOptions& opts = {}, double train_fraction = 0.8,

@@ -10,7 +10,6 @@
 
 #include "core/durable.h"
 #include "core/features.h"
-#include "core/inference.h"
 #include "core/observe.h"
 #include "stats/serialize.h"
 
@@ -255,15 +254,8 @@ std::vector<FamilyDriftBaseline> AdversaryModel::load_drift_baselines(
   });
 }
 
-InferenceView AdversaryModel::make_inference_view() const {
-  if (!fitted_) {
-    throw std::logic_error("AdversaryModel::make_inference_view: not fitted");
-  }
-  return InferenceView::extract(st_);
-}
-
 std::optional<AttackPrediction> AdversaryModel::predict_next_attack(
-    net::Asn target_asn, const InferenceView* view) const {
+    net::Asn target_asn) const {
   if (!fitted_) {
     throw std::logic_error("AdversaryModel::predict_next_attack: not fitted");
   }
@@ -310,27 +302,19 @@ std::optional<AttackPrediction> AdversaryModel::predict_next_attack(
   // Temporal component: the family's magnitude / hour / interval forecasts.
   const FamilySeries family_series = extract_family_series(dataset_, family);
   const TemporalModel* temporal = st_.temporal(family);
-  // The f32 view replaces the forecast arithmetic only; model presence,
-  // magnitude_sd (forecast variance), and the source distribution stay on
-  // the f64 models the view was extracted from.
-  const auto tmp_forecast = [&](TemporalSeries which,
-                                std::span<const double> series) {
-    return view != nullptr ? view->temporal_forecast(family, which, series)
-                           : temporal->forecast_next(which, series);
-  };
   StFeatures features;
   if (temporal != nullptr && !family_series.magnitude.empty()) {
     pred.magnitude = std::max(
-        1.0, tmp_forecast(TemporalSeries::kMagnitude,
-                          family_series.magnitude));
+        1.0, temporal->forecast_next(TemporalSeries::kMagnitude,
+                                     family_series.magnitude));
     if (const auto& arima = temporal->model(TemporalSeries::kMagnitude)) {
       pred.magnitude_sd = std::sqrt(arima->forecast_variance(1));
     }
-    features.tmp_hour = tmp_forecast(TemporalSeries::kHour,
-                                     family_series.hour);
+    features.tmp_hour =
+        temporal->forecast_next(TemporalSeries::kHour, family_series.hour);
     features.tmp_interval_s = std::max(
-        30.0, tmp_forecast(TemporalSeries::kInterval,
-                           family_series.interval_s));
+        30.0, temporal->forecast_next(TemporalSeries::kInterval,
+                                      family_series.interval_s));
   } else {
     pred.magnitude = target.magnitude.back();
     features.tmp_hour = target.hour.back();
@@ -340,17 +324,15 @@ std::optional<AttackPrediction> AdversaryModel::predict_next_attack(
   // Spatial component: per-target duration / hour / interval forecasts and
   // the source-AS distribution.
   const SpatialModel* spatial = st_.spatial(target_asn);
-  const auto spa_forecast = [&](SpatialSeries which,
-                                std::span<const double> series) {
-    return view != nullptr ? view->spatial_forecast(target_asn, which, series)
-                           : spatial->forecast_next(which, series);
-  };
   if (spatial != nullptr) {
     pred.duration_s = std::max(
-        30.0, spa_forecast(SpatialSeries::kDuration, target.duration_s));
-    features.spa_hour = spa_forecast(SpatialSeries::kHour, target.hour);
+        30.0,
+        spatial->forecast_next(SpatialSeries::kDuration, target.duration_s));
+    features.spa_hour =
+        spatial->forecast_next(SpatialSeries::kHour, target.hour);
     features.spa_interval_s = std::max(
-        30.0, spa_forecast(SpatialSeries::kInterval, target.interval_s));
+        30.0,
+        spatial->forecast_next(SpatialSeries::kInterval, target.interval_s));
     std::vector<std::unordered_map<net::Asn, double>> dists;
     dists.reserve(target_attacks.size());
     for (const trace::Attack* attack : target_attacks) {
@@ -382,10 +364,8 @@ std::optional<AttackPrediction> AdversaryModel::predict_next_attack(
   }
   features.avg_magnitude = mag / static_cast<double>(window);
 
-  pred.hour = view != nullptr ? view->predict_hour(features)
-                              : st_.predict_hour(features);
-  pred.day = view != nullptr ? view->predict_day(features)
-                             : st_.predict_day(features);
+  pred.hour = st_.predict_hour(features);
+  pred.day = st_.predict_day(features);
   // Materialize (day, hour) as a timestamp. When that instant is not
   // strictly in the future of the last observed attack (multistage chains
   // often continue within the same day), fall back to the predicted

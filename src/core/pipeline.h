@@ -18,8 +18,6 @@
 
 namespace acbm::core {
 
-class InferenceView;  // inference.h
-
 /// All predicted features of a target's next attack.
 struct AttackPrediction {
   double magnitude = 0.0;    ///< Expected number of bots.
@@ -77,16 +75,11 @@ class AdversaryModel {
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }
 
   /// Predicts the next attack on a target AS from all history in the fitted
-  /// dataset. Returns nullopt when the target has never been attacked.
-  /// When `view` is non-null the sub-model and combining-tree forecasts run
-  /// through the f32 inference view (--precision f32) instead of the f64
-  /// models; pass a view from make_inference_view() of this same model.
+  /// dataset plus observe()d attacks. Returns nullopt when the target has
+  /// never been attacked. This is the f64 reference ServingModel::predict
+  /// is pinned to; f32 forecasts are served by ServingModel only.
   [[nodiscard]] std::optional<AttackPrediction> predict_next_attack(
-      net::Asn target_asn, const InferenceView* view = nullptr) const;
-
-  /// Extracts the f32 serving replica of the fitted spatiotemporal model
-  /// (see core/inference.h). Throws std::logic_error when not fitted.
-  [[nodiscard]] InferenceView make_inference_view() const;
+      net::Asn target_asn) const;
 
   /// Appends newly observed attacks (e.g. the live feed) so subsequent
   /// predictions condition on them. Does not refit the models.

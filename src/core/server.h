@@ -31,7 +31,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/inference.h"
 #include "core/pipeline.h"
 #include "core/serving.h"
 

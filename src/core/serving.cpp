@@ -49,8 +49,8 @@ Scratch& tl_scratch() {
   return scratch;
 }
 
-/// Mirrors temporal_model.cpp repair_history / InferenceView::repair: the
-/// history unchanged when all finite, else a patched copy.
+/// Mirrors temporal_model.cpp repair_history: the history unchanged when
+/// all finite, else a patched copy.
 std::span<const double> repair(std::span<const double> history, double fill,
                                std::vector<double>& storage) {
   const bool finite =
@@ -127,12 +127,15 @@ double arima_forecast_f64(const ArimaRec& rec, const ArtifactView& view,
   return pred;
 }
 
-/// Mirrors core::ArimaF32::forecast_one over the mapped f32 coefficients.
+/// f32 counterpart of arima_forecast_f64 over the mapped f32
+/// coefficients: differencing and integration stay f64 (exact subtractions
+/// of the caller's history); the innovations filter runs in f32 as a
+/// branch-free AR sweep plus a sequential MA recurrence.
 double arima_forecast_f32(const ArimaRec& rec, const ArtifactView& view,
                           std::span<const double> history, Scratch& s) {
   const std::size_t d = rec.d;
   if (history.size() <= d) {
-    throw std::invalid_argument("ArimaF32::forecast_one: history too short");
+    throw std::invalid_argument("arima_forecast_f32: history too short");
   }
   s.diff.assign(history.begin(), history.end());
   std::size_t n = s.diff.size();
@@ -223,7 +226,8 @@ double mlp_predict_f64(const MlpRec& mlp, const ArtifactView& view,
   return cur[0] * mlp.out_sd + mlp.out_mean;
 }
 
-/// Mirrors nn::MlpF32View::predict over the mapped transposed f32 layers.
+/// f32 counterpart of mlp_predict_f64 over the mapped transposed f32
+/// layers (the gemv_t_f32 kernels); the output de-normalization stays f64.
 double mlp_predict_f32(const MlpRec& mlp, const ArtifactView& view,
                        std::span<const double> features, Scratch& s) {
   const std::span<const float> in_mean = view.f32(mlp.in_mean32);
@@ -272,8 +276,8 @@ double nar_forecast(const MlpRec& mlp, const ArtifactView& view,
              : mlp_predict_f64(mlp, view, s.window, s);
 }
 
-/// Mirrors TemporalModel::forecast_next (f64) /
-/// InferenceView::temporal_forecast (f32); both share guard structure.
+/// Mirrors TemporalModel::forecast_next; both precisions take the same
+/// rung.
 double temporal_forecast(const TemporalSlotRec& slot, const ArtifactView& view,
                          std::span<const double> history, bool f32,
                          Scratch& s) {
@@ -289,11 +293,9 @@ double temporal_forecast(const TemporalSlotRec& slot, const ArtifactView& view,
   return slot.fallback_mean;
 }
 
-/// Mirrors SpatialModel::forecast_next (f64) /
-/// InferenceView::spatial_forecast (f32). The AR-rung guards differ
-/// between the two reference paths (f64 fires on any non-empty series and
-/// throws when it is still shorter than d; f32 requires size > d) — both
-/// divergences are reproduced deliberately.
+/// Mirrors SpatialModel::forecast_next; both precisions take the same
+/// rung. The AR rung is always an AR(1) (d == 0), so SpatialModel's
+/// non-empty-series guard is the series.size() > d guard written here.
 double spatial_forecast(const SpatialSlotRec& slot, const ArtifactView& view,
                         std::span<const double> history, bool f32,
                         Scratch& s) {
@@ -305,20 +307,16 @@ double spatial_forecast(const SpatialSlotRec& slot, const ArtifactView& view,
       return nar_forecast(mlp, view, series, f32, s);
     }
   }
-  if (slot.ar.present != 0) {
-    if (f32) {
-      if (series.size() > slot.ar.d) {
-        return arima_forecast_f32(slot.ar, view, series, s);
-      }
-    } else if (!series.empty()) {
-      return arima_forecast_f64(slot.ar, view, series, s);
-    }
+  if (slot.ar.present != 0 && series.size() > slot.ar.d) {
+    return f32 ? arima_forecast_f32(slot.ar, view, series, s)
+               : arima_forecast_f64(slot.ar, view, series, s);
   }
   return slot.fallback_mean;
 }
 
-/// Mirrors RegressionTree::leaf_index + ModelTree leaf dispatch (f64) /
-/// TreeF32::predict (f32) over one tree's node block.
+/// Mirrors RegressionTree::leaf_index + ModelTree leaf dispatch over one
+/// tree's node block. Thresholds stay f64 at both precisions, so every
+/// sample lands in the same leaf; at f32 only the leaf model runs in f32.
 double tree_predict(const ArtifactView& view, std::uint64_t off,
                     std::span<const double> features, bool f32) {
   const TreeNodeRec* nodes = view.tree_nodes().data() + off;
@@ -342,7 +340,7 @@ double tree_predict(const ArtifactView& view, std::uint64_t off,
                     leaf.intercept);
 }
 
-/// Mirrors LinearRegression::predict (f64) / LinearF32::predict (f32).
+/// Mirrors LinearRegression::predict (the pooled-linear combiner rung).
 double linear_predict(const LinearRec& rec, const ArtifactView& view,
                       std::span<const double> features, bool f32) {
   if (f32) {
@@ -355,34 +353,6 @@ double linear_predict(const LinearRec& rec, const ArtifactView& view,
   }
   return stats::dot(view.f64(rec.coef), features.first(rec.coef.len),
                     rec.intercept);
-}
-
-/// Mirrors SpatiotemporalModel::predict_hour / InferenceView::predict_hour.
-double predict_hour(const ArtifactView& view, const StFeatures& features,
-                    bool f32) {
-  const MetaRec& meta = view.meta();
-  double hour;
-  if (meta.hour_tree_count > 0) {
-    hour = tree_predict(view, meta.hour_tree_off, features.hour_row(), f32);
-  } else if (meta.hour_linear.present != 0) {
-    hour = linear_predict(meta.hour_linear, view, features.hour_row(), f32);
-  } else {
-    hour = 0.5 * (features.tmp_hour + features.spa_hour);
-  }
-  return std::clamp(hour, 0.0, 23.999);
-}
-
-/// Mirrors SpatiotemporalModel::predict_day / InferenceView::predict_day.
-double predict_day(const ArtifactView& view, const StFeatures& features,
-                   bool f32) {
-  const MetaRec& meta = view.meta();
-  if (meta.day_tree_count > 0) {
-    return tree_predict(view, meta.day_tree_off, features.day_row(), f32);
-  }
-  if (meta.day_linear.present != 0) {
-    return linear_predict(meta.day_linear, view, features.day_row(), f32);
-  }
-  return features.prev_day + features.tmp_interval_s / 86400.0;
 }
 
 /// Share of `asn` in one attack's stored distribution (records sorted by
@@ -465,6 +435,17 @@ std::unordered_map<net::Asn, double> stored_distribution(
 
 }  // namespace
 
+std::string_view precision_name(Precision precision) noexcept {
+  return precision == Precision::kF32 ? "f32" : "f64";
+}
+
+Precision parse_precision(std::string_view text) {
+  if (text == "f64") return Precision::kF64;
+  if (text == "f32") return Precision::kF32;
+  throw std::invalid_argument("parse_precision: expected f64 or f32, got '" +
+                              std::string(text) + "'");
+}
+
 ServingModel ServingModel::map_file(const std::filesystem::path& path,
                                     bool verify_crc) {
   ServingModel model;
@@ -541,6 +522,80 @@ std::size_t ServingModel::image_size() const noexcept { return image_bytes_; }
 std::string_view ServingModel::image() const noexcept {
   if (file_.mapped()) return file_.view();
   return {reinterpret_cast<const char*>(image_.data()), image_bytes_};
+}
+
+/// Mirrors SpatiotemporalModel::predict_hour.
+double ServingModel::predict_hour(const StFeatures& features,
+                                  Precision precision) const {
+  if (!loaded_) {
+    throw std::logic_error("ServingModel::predict_hour: not loaded");
+  }
+  const bool f32 = precision == Precision::kF32;
+  const MetaRec& meta = view_.meta();
+  double hour;
+  if (meta.hour_tree_count > 0) {
+    hour = tree_predict(view_, meta.hour_tree_off, features.hour_row(), f32);
+  } else if (meta.hour_linear.present != 0) {
+    hour = linear_predict(meta.hour_linear, view_, features.hour_row(), f32);
+  } else {
+    hour = 0.5 * (features.tmp_hour + features.spa_hour);
+  }
+  return std::clamp(hour, 0.0, 23.999);
+}
+
+/// Mirrors SpatiotemporalModel::predict_day.
+double ServingModel::predict_day(const StFeatures& features,
+                                 Precision precision) const {
+  if (!loaded_) throw std::logic_error("ServingModel::predict_day: not loaded");
+  const bool f32 = precision == Precision::kF32;
+  const MetaRec& meta = view_.meta();
+  if (meta.day_tree_count > 0) {
+    return tree_predict(view_, meta.day_tree_off, features.day_row(), f32);
+  }
+  if (meta.day_linear.present != 0) {
+    return linear_predict(meta.day_linear, view_, features.day_row(), f32);
+  }
+  return features.prev_day + features.tmp_interval_s / 86400.0;
+}
+
+double ServingModel::forecast_temporal(std::uint32_t family,
+                                       TemporalSeries which,
+                                       std::span<const double> history,
+                                       Precision precision) const {
+  if (!loaded_) {
+    throw std::logic_error("ServingModel::forecast_temporal: not loaded");
+  }
+  const FamilyRec* frec = view_.family(family);
+  if (frec == nullptr || frec->has_temporal == 0) {
+    throw std::invalid_argument(
+        "ServingModel::forecast_temporal: no temporal model for family " +
+        std::to_string(family));
+  }
+  const TemporalSlotRec& slot =
+      view_.temporal_slots()[static_cast<std::size_t>(family) *
+                                 kTemporalSeriesCount +
+                             static_cast<std::size_t>(which)];
+  return temporal_forecast(slot, view_, history,
+                           precision == Precision::kF32, tl_scratch());
+}
+
+double ServingModel::forecast_spatial(net::Asn target, SpatialSeries which,
+                                      std::span<const double> history,
+                                      Precision precision) const {
+  if (!loaded_) {
+    throw std::logic_error("ServingModel::forecast_spatial: not loaded");
+  }
+  const TargetRec* trec = view_.target(target);
+  if (trec == nullptr || trec->has_spatial == 0) {
+    throw std::invalid_argument(
+        "ServingModel::forecast_spatial: no spatial model for AS" +
+        std::to_string(target));
+  }
+  const SpatialSlotRec& slot =
+      view_.spatial_slots()[view_.target_index(*trec) * kSpatialSeriesCount +
+                            static_cast<std::size_t>(which)];
+  return spatial_forecast(slot, view_, history, precision == Precision::kF32,
+                          tl_scratch());
 }
 
 std::optional<AttackPrediction> ServingModel::predict(
@@ -650,8 +705,8 @@ std::optional<AttackPrediction> ServingModel::predict(
   }
   features.avg_magnitude = mag / static_cast<double>(window);
 
-  pred.hour = predict_hour(view_, features, f32);
-  pred.day = predict_day(view_, features, f32);
+  pred.hour = predict_hour(features, precision);
+  pred.day = predict_day(features, precision);
   // Materialize (day, hour) as a timestamp with the same
   // same-day-collision fallback as the reference.
   const double day_for_ts = std::max(pred.day, features.prev_day);

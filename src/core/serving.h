@@ -9,24 +9,42 @@
 //
 // Numeric contract: predict() mirrors AdversaryModel::predict_next_attack
 // on a freshly loaded model (no live observations) operation for
-// operation. The f64 path is byte-identical to the batch CLI; the f32 path
-// is byte-identical to the InferenceView (--precision f32) path. The
-// serving tests assert both across every target of a fitted model.
+// operation. The f64 path is byte-identical to predict_next_attack; the
+// f32 path runs the same degradation ladders over the artifact's f32
+// pools, keeping every structural decision (ladder rung, tree routing,
+// history repair) in f64, and stays within 1e-3 * max(1, |f64|) of it
+// (DESIGN.md §6). ServingModel is the only f32 predictor: `predict` and
+// `evaluate --precision f32` and the daemon all run through it. The
+// serving tests assert both contracts across every target of a fitted
+// model and pin the f32 output bits.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/artifact_map.h"
 #include "core/durable.h"
-#include "core/inference.h"
 #include "core/pipeline.h"
+#include "core/spatial_model.h"
+#include "core/temporal_model.h"
 
 namespace acbm::core {
+
+/// Arithmetic precision of the serving path (--precision CLI flag).
+enum class Precision {
+  kF64,  ///< The fitted f64 models (default; byte-identical to batch).
+  kF32,  ///< The artifact's f32 pools (documented rel-error bound).
+};
+
+[[nodiscard]] std::string_view precision_name(Precision precision) noexcept;
+
+/// Parses "f64" / "f32"; throws std::invalid_argument on anything else.
+[[nodiscard]] Precision parse_precision(std::string_view text);
 
 class ServingModel {
  public:
@@ -51,11 +69,34 @@ class ServingModel {
   [[nodiscard]] bool loaded() const noexcept { return loaded_; }
 
   /// Next-attack forecast for one target, mirroring
-  /// AdversaryModel::predict_next_attack (f64) / the InferenceView path
-  /// (f32). Returns nullopt for targets with no attack history.
-  /// Thread-safe; uses thread_local scratch only.
+  /// AdversaryModel::predict_next_attack at either precision. Returns
+  /// nullopt for targets with no attack history. Thread-safe; uses
+  /// thread_local scratch only.
   [[nodiscard]] std::optional<AttackPrediction> predict(
       net::Asn target_asn, Precision precision = Precision::kF64) const;
+
+  /// The combining-tree hour / day predictions predict() feeds its
+  /// features through; at kF64 bit-identical to
+  /// SpatiotemporalModel::predict_hour / predict_day.
+  [[nodiscard]] double predict_hour(const StFeatures& features,
+                                    Precision precision) const;
+  [[nodiscard]] double predict_day(const StFeatures& features,
+                                   Precision precision) const;
+
+  /// One series forecast of one family's temporal model over `history`,
+  /// mirroring TemporalModel::forecast_next (same ladder rung at both
+  /// precisions; at kF64 bit-identical). Throws std::invalid_argument for
+  /// a family without a temporal model.
+  [[nodiscard]] double forecast_temporal(std::uint32_t family,
+                                         TemporalSeries which,
+                                         std::span<const double> history,
+                                         Precision precision) const;
+  /// One series forecast of one target's spatial model over `history`,
+  /// mirroring SpatialModel::forecast_next likewise. Throws
+  /// std::invalid_argument for a target without a spatial model.
+  [[nodiscard]] double forecast_spatial(net::Asn target, SpatialSeries which,
+                                        std::span<const double> history,
+                                        Precision precision) const;
 
   /// All target ASNs in the artifact, ascending.
   [[nodiscard]] std::vector<net::Asn> targets() const;

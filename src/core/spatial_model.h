@@ -107,8 +107,8 @@ class SpatialModel {
   /// NAR -> NAR retry (perturbed init) -> AR(1) -> mean.
   [[nodiscard]] FitRung rung(SpatialSeries which) const;
 
-  /// Inference-extraction accessors (core::InferenceView): the fitted
-  /// models and fallback mean of a series' degradation slot.
+  /// Accessors for the .armm packer (armm::pack_model): the fitted models
+  /// and fallback mean of a series' degradation slot.
   [[nodiscard]] const std::optional<nn::NarModel>& nar(
       SpatialSeries which) const;
   [[nodiscard]] const std::optional<ts::ArimaModel>& ar(

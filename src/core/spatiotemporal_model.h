@@ -107,16 +107,8 @@ class SpatiotemporalModel {
     return day_tree_;
   }
 
-  /// Full sub-model maps and the pooled-linear fallback combiners, for
-  /// inference-view extraction (core::InferenceView).
-  [[nodiscard]] const std::unordered_map<std::uint32_t, TemporalModel>&
-  temporal_models() const noexcept {
-    return temporal_;
-  }
-  [[nodiscard]] const std::unordered_map<net::Asn, SpatialModel>&
-  spatial_models() const noexcept {
-    return spatial_;
-  }
+  /// The pooled-linear fallback combiners, for the .armm packer
+  /// (armm::pack_model).
   [[nodiscard]] const std::optional<stats::LinearRegression>& hour_fallback()
       const noexcept {
     return hour_linear_;

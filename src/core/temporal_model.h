@@ -87,8 +87,8 @@ class TemporalModel {
   /// ARIMA -> AR(1) -> seasonal-naive -> mean.
   [[nodiscard]] FitRung rung(TemporalSeries which) const;
 
-  /// Inference-extraction accessors (core::InferenceView): the fallback
-  /// mean and seasonal period of a series' degradation slot.
+  /// Accessors for the .armm packer (armm::pack_model): the fallback mean
+  /// and seasonal period of a series' degradation slot.
   [[nodiscard]] double fallback_mean(TemporalSeries which) const;
   [[nodiscard]] std::size_t seasonal_period(TemporalSeries which) const;
 

@@ -102,7 +102,7 @@ class Workspace {
 };
 
 /// Read-only view of one fitted layer (row-major weights [out x in]), for
-/// inference-representation extraction (nn::MlpF32View).
+/// the .armm packer (core::armm::pack_model).
 struct MlpLayerView {
   std::span<const double> weights;
   std::span<const double> biases;

@@ -33,9 +33,9 @@ struct ModelTreeOptions {
 };
 
 /// Snapshot of one node's attached model (parallel to
-/// RegressionTree::nodes()), for inference-representation extraction
-/// (core::TreeF32). intercept/coefficients are meaningful only when
-/// use_linear is set.
+/// RegressionTree::nodes()), for the .armm packer
+/// (core::armm::pack_model). intercept/coefficients are meaningful only
+/// when use_linear is set.
 struct LeafModelExport {
   bool use_linear = false;
   double mean = 0.0;

@@ -157,6 +157,45 @@ TEST(CheckpointCli, EvaluateCrashResumeReproducesTheCleanArtifact) {
   EXPECT_NE(resumed_stdout.find("h=0.8"), std::string::npos);
 }
 
+TEST(CheckpointCli, EvaluatePrecisionsStoreDistinctStages) {
+  // An f64 and an f32 evaluate sharing one checkpoint dir must each store
+  // their own stage: the f32 --resume run may not serve the cached f64
+  // text.
+  FaultGuard guard;
+  TempDir tmp;
+  std::string err;
+  const std::string ckpt = tmp.file("shared_ckpt");
+  std::string f32_text, f32_fresh;
+  ASSERT_EQ(run_cli({"evaluate", "--dataset", world().dataset, "--ipmap",
+                     world().ipmap, "--horizons", "0.8", "--checkpoint-dir",
+                     ckpt},
+                    nullptr, &err),
+            0)
+      << err;
+  ASSERT_EQ(run_cli({"evaluate", "--dataset", world().dataset, "--ipmap",
+                     world().ipmap, "--horizons", "0.8", "--precision", "f32",
+                     "--checkpoint-dir", ckpt, "--resume"},
+                    &f32_text, &err),
+            0)
+      << err;
+  ASSERT_EQ(run_cli({"evaluate", "--dataset", world().dataset, "--ipmap",
+                     world().ipmap, "--horizons", "0.8", "--precision",
+                     "f32"},
+                    &f32_fresh, &err),
+            0)
+      << err;
+  EXPECT_EQ(f32_text, f32_fresh);
+
+  const std::string manifest = durable::read_file(ckpt + "/run.json");
+  EXPECT_NE(manifest.find("\"name\": \"eval/h=0.8\""), std::string::npos)
+      << manifest;
+  EXPECT_NE(manifest.find("\"name\": \"eval/h=0.8/f32\""),
+            std::string::npos)
+      << manifest;
+  EXPECT_TRUE(fs::exists(ckpt + "/eval-h=0.8.art"));
+  EXPECT_TRUE(fs::exists(ckpt + "/eval-h=0.8-f32.art"));
+}
+
 TEST(CheckpointCli, ResumeWithoutCheckpointDirIsAUsageError) {
   std::string err;
   EXPECT_EQ(run_cli({"fit", "--dataset", world().dataset, "--ipmap",

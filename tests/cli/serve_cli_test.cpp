@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <filesystem>
@@ -52,7 +53,8 @@ SpatiotemporalOptions fast_options() {
 }
 
 /// One fitted model, saved in both formats, shared by every test (the
-/// directory and fixture leak deliberately; fitting dominates runtime).
+/// fixture leaks deliberately, fitting dominates runtime; its directory is
+/// removed by FixtureCleanup once the tests are done).
 struct Fixture {
   TempDir* dir = new TempDir();
   trace::World world = trace::build_world(trace::small_world_options(37));
@@ -72,10 +74,26 @@ struct Fixture {
   }
 };
 
+const Fixture* g_fixture = nullptr;
+
 const Fixture& fx() {
-  static const Fixture* fixture = new Fixture();
+  static const Fixture* fixture = g_fixture = new Fixture();
   return *fixture;
 }
+
+/// Removes the shared fixture's directory (two model artifacts) when the
+/// test process finishes, so no run leaves it behind in the temp dir.
+class FixtureCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    if (g_fixture == nullptr) return;
+    std::error_code ec;
+    fs::remove_all(g_fixture->dir->path, ec);
+  }
+};
+
+[[maybe_unused]] ::testing::Environment* const kFixtureCleanup =
+    ::testing::AddGlobalTestEnvironment(new FixtureCleanup);
 
 /// A running server over the shared artifact in its own socket dir.
 struct ServerFixture {
@@ -136,14 +154,17 @@ TEST(Serve, PingPredictListStats) {
   EXPECT_FALSE(nothing.has_value());
 }
 
-TEST(Serve, F64PredictionsIdenticalForEveryTargetOverTcp) {
+/// Every target over TCP at `precision` must match the in-process
+/// ServingModel::predict at that precision bit for bit.
+void expect_identical_over_tcp(Precision precision) {
   ServerFixture sf([](ServerOptions& o) { o.tcp_port = -1; });
   ASSERT_GT(sf.server.tcp_port(), 0);
   Client client = Client::connect_tcp(sf.server.tcp_port());
   for (net::Asn asn : fx().serving.targets()) {
-    const auto want = fx().serving.predict(asn);
-    const auto [status, result] = client.predict("m", asn);
+    const auto want = fx().serving.predict(asn, precision);
+    const auto [status, result] = client.predict("m", asn, precision);
     ASSERT_EQ(status, Status::kOk) << "AS" << asn;
+    EXPECT_EQ(result->prediction.assumed_family, want->assumed_family);
     EXPECT_EQ(bits(result->prediction.magnitude), bits(want->magnitude));
     EXPECT_EQ(bits(result->prediction.magnitude_sd), bits(want->magnitude_sd));
     EXPECT_EQ(bits(result->prediction.duration_s), bits(want->duration_s));
@@ -157,6 +178,14 @@ TEST(Serve, F64PredictionsIdenticalForEveryTargetOverTcp) {
                 bits(share));
     }
   }
+}
+
+TEST(Serve, F64PredictionsIdenticalForEveryTargetOverTcp) {
+  expect_identical_over_tcp(Precision::kF64);
+}
+
+TEST(Serve, F32PredictionsIdenticalForEveryTargetOverTcp) {
+  expect_identical_over_tcp(Precision::kF32);
 }
 
 TEST(Serve, MalformedBodyGetsTypedErrorThenClose) {
@@ -264,6 +293,47 @@ TEST(Serve, PipelinedDuplicatesAreCoalesced) {
   EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kPipelined));
   EXPECT_GT(stats.coalesced, 0u);
   EXPECT_LT(stats.batches, static_cast<std::uint64_t>(kPipelined));
+}
+
+TEST(Serve, PipelinedPrecisionsAreNotCoalesced) {
+  // The precision byte is part of the coalescing key: interleaved f64 and
+  // f32 requests for one target, batched together, each get their own
+  // precision's answer. Pick a target whose two answers differ.
+  const auto targets = fx().serving.targets();
+  const auto differs = [](net::Asn asn) {
+    const auto a = fx().serving.predict(asn, Precision::kF64);
+    const auto b = fx().serving.predict(asn, Precision::kF32);
+    return bits(a->magnitude) != bits(b->magnitude);
+  };
+  const auto it = std::find_if(targets.begin(), targets.end(), differs);
+  ASSERT_NE(it, targets.end());
+  const net::Asn asn = *it;
+  ServerFixture sf([](ServerOptions& o) {
+    o.threads = 1;
+    o.max_batch = 64;
+    o.preload = true;
+  });
+  Client client = sf.client();
+  const std::string_view payload{reinterpret_cast<const char*>(&asn), 4};
+  const std::string pair =
+      encode_request(Opcode::kPredict, Precision::kF64, "m", payload) +
+      encode_request(Opcode::kPredict, Precision::kF32, "m", payload);
+  constexpr int kPairs = 100;
+  std::string burst;
+  for (int i = 0; i < kPairs; ++i) burst += pair;
+  client.send_raw(burst);
+  const auto want64 = fx().serving.predict(asn, Precision::kF64);
+  const auto want32 = fx().serving.predict(asn, Precision::kF32);
+  for (int i = 0; i < 2 * kPairs; ++i) {
+    const auto resp = client.read_response();
+    ASSERT_EQ(resp.status, Status::kOk) << "response " << i;
+    const PredictResult result = decode_prediction(resp.payload);
+    const auto& want = (i % 2) == 0 ? want64 : want32;
+    EXPECT_EQ(bits(result.prediction.magnitude), bits(want->magnitude))
+        << "response " << i;
+  }
+  // Same-precision duplicates still coalesce within a batch.
+  EXPECT_GT(sf.server.stats().coalesced, 0u);
 }
 
 TEST(Serve, UnbatchedModeServesIdenticalAnswers) {

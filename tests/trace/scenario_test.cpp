@@ -119,7 +119,7 @@ TEST(ScenarioCatalog, ParamsApplyToGeneratorOptions) {
 
 TEST(ScenarioCatalog, BadInputThrowsInvalidArgument) {
   WorldOptions opts = small_world_options(1);
-  EXPECT_THROW(apply_scenario(opts, "no-such"), std::invalid_argument);
+  EXPECT_THROW((void)apply_scenario(opts, "no-such"), std::invalid_argument);
   const Scenario& pulse = apply_scenario(opts, "pulse-wave");
   EXPECT_THROW(apply_scenario_param(opts.generator, pulse, "nokey"),
                std::invalid_argument);

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "core/features.h"
 #include "core/parallel.h"
@@ -129,9 +130,12 @@ void BM_LpmLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_LpmLookup)->Arg(0)->Arg(1);
 
-// The dataset CSV reader on the shared world's trace, in bytes per second:
-// what `acbm fit`, the model loader and every ingest hour parse with.
+// The dataset CSV reader on the shared world's trace (about 16 MB, above
+// trace::kCsvParallelFloor, so it parses in chunks), in bytes per second:
+// what `acbm fit`, the model loader and `ingest` cumulative() parse with.
+// The arg pins the thread count; Arg(1) is the one-chunk baseline.
 void BM_DatasetLoadCsv(benchmark::State& state) {
+  core::set_num_threads(static_cast<std::size_t>(state.range(0)));
   std::string csv;
   shared_world().dataset.append_csv(csv);
   for (auto _ : state) {
@@ -139,25 +143,34 @@ void BM_DatasetLoadCsv(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(csv.size()));
+  core::set_num_threads(0);
 }
-BENCHMARK(BM_DatasetLoadCsv)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DatasetLoadCsv)
+    ->Arg(1)->Arg(4)
+    ->UseRealTime()  // The pool's CPU is not the calling thread's.
+    ->Unit(benchmark::kMillisecond);
 
-// The dataset CSV writer on the same trace, in bytes per second: what
-// `acbm generate` and every model save write the embedded trace with.
+// The dataset CSV writer on the same trace, in bytes per second: the parts
+// `acbm generate` and every model save write the embedded trace from.
 void BM_DatasetSaveCsv(benchmark::State& state) {
+  core::set_num_threads(static_cast<std::size_t>(state.range(0)));
   const trace::Dataset& dataset = shared_world().dataset;
   std::size_t bytes = 0;
   for (auto _ : state) {
-    std::string csv;
-    dataset.append_csv(csv);
-    bytes = csv.size();
-    benchmark::DoNotOptimize(csv.data());
+    const std::vector<std::string> parts = dataset.csv_parts();
+    bytes = 0;
+    for (const std::string& part : parts) bytes += part.size();
+    benchmark::DoNotOptimize(parts.data());
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(bytes));
+  core::set_num_threads(0);
 }
-BENCHMARK(BM_DatasetSaveCsv)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DatasetSaveCsv)
+    ->Arg(1)->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ValleyFreeDistanceCold(benchmark::State& state) {
   const trace::World& world = shared_world();

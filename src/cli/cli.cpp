@@ -305,9 +305,8 @@ int cmd_generate(const ArgMap& args, std::ostream& out, std::ostream&) {
   const std::string ipmap_path = args.require("ipmap");
 
   const trace::World world = trace::build_world(opts);
-  std::string dataset_text;
-  world.dataset.append_csv(dataset_text);
-  durable::save_artifact(dataset_path, "dataset", 1, dataset_text);
+  durable::save_artifact(dataset_path, "dataset", 1,
+                         world.dataset.csv_parts());
   std::ostringstream ipmap_text;
   world.ip_map.save(ipmap_text);
   durable::save_artifact(ipmap_path, "ipmap", 1, ipmap_text.str());
@@ -448,12 +447,16 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
     checkpoint = open_checkpoint(args, config_hash);
   }
   if (checkpoint) opts.checkpoint = &*checkpoint;
+  // The trace bytes served only the checkpoint key and the parsed dataset
+  // owns its data, so the 60 MB text goes before the fit.
+  std::string().swap(dataset_bytes);
 
   core::AdversaryModel model(opts);
   model.fit(dataset, ip_map);
   {
     ACBM_SPAN("fit.save");
-    durable::save_artifact(model_path, "adversary_model", 4, model.body());
+    durable::save_artifact(model_path, "adversary_model", 4,
+                           model.body_parts());
   }
   info << "fitted on " << dataset.size() << " attacks; model saved to "
        << model_path << "\n";
@@ -619,9 +622,8 @@ int cmd_ingest(const ArgMap& args, std::ostream& out, std::ostream& err) {
   }
 
   if (const auto export_path = args.get("export-dataset")) {
-    std::string csv;
-    ingestor.log().cumulative().append_csv(csv);
-    durable::save_artifact(*export_path, "dataset", 1, csv);
+    durable::save_artifact(*export_path, "dataset", 1,
+                           ingestor.log().cumulative().csv_parts());
     out << "exported cumulative dataset ("
         << ingestor.log().segments().size() << " snapshot(s)) to "
         << *export_path << "\n";

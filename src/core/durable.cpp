@@ -1,7 +1,9 @@
 #include "core/durable.h"
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +20,7 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 #define ACBM_POSIX_IO 1
 #endif
@@ -117,23 +120,34 @@ const char* to_string(LoadError error) noexcept {
   return "unknown";
 }
 
-std::string frame_payload(std::string_view kind, int version,
-                          std::string_view payload) {
+std::string frame_header(std::string_view kind, int version,
+                         std::span<const std::string_view> parts) {
   if (kind.empty() || kind.find_first_of(" \n") != std::string_view::npos) {
     throw std::invalid_argument("frame_payload: kind must be a single token");
   }
+  std::size_t len = 0;
+  std::uint32_t crc = 0;
+  for (std::string_view part : parts) {
+    len += part.size();
+    crc = crc32c(part, crc);
+  }
   std::string out;
-  out.reserve(payload.size() + kind.size() + 64);
   out += kFrameMagic;
   out += ' ';
   out += kind;
   out += " v";
   out += std::to_string(version);
   out += " len=";
-  out += std::to_string(payload.size());
+  out += std::to_string(len);
   out += " crc32c=";
-  out += to_hex(crc32c(payload));
+  out += to_hex(crc);
   out += '\n';
+  return out;
+}
+
+std::string frame_payload(std::string_view kind, int version,
+                          std::string_view payload) {
+  std::string out = frame_header(kind, version, std::span(&payload, 1));
   out += payload;
   return out;
 }
@@ -350,6 +364,11 @@ std::string read_stream(std::istream& is) {
 
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view contents) {
+  atomic_write_file(path, std::span(&contents, 1));
+}
+
+void atomic_write_file(const std::filesystem::path& path,
+                       std::span<const std::string_view> parts) {
   const std::filesystem::path tmp = path.string() + ".tmp";
   FaultInjector& injector = FaultInjector::instance();
   const std::string key = "path=" + path.string();
@@ -357,8 +376,9 @@ void atomic_write_file(const std::filesystem::path& path,
   // The final name keeps its previous content (or stays absent) — exactly
   // what a kill between write() calls produces.
   const bool crash_write = injector.enabled() && injector.fires("io.write", key);
-  const std::size_t write_len =
-      crash_write ? contents.size() / 2 : contents.size();
+  std::size_t size = 0;
+  for (std::string_view part : parts) size += part.size();
+  std::size_t write_len = crash_write ? size / 2 : size;
 
 #ifdef ACBM_POSIX_IO
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -366,10 +386,19 @@ void atomic_write_file(const std::filesystem::path& path,
     throw WriteFailure("durable: cannot create " + tmp.string() + ": " +
                        std::strerror(errno));
   }
-  std::size_t written = 0;
-  while (written < write_len) {
-    const ::ssize_t n =
-        ::write(fd, contents.data() + written, write_len - written);
+  // The first write_len bytes of the parts, in order, as one gathered
+  // write (continued after a short one).
+  std::vector<::iovec> iov;
+  for (std::string_view part : parts) {
+    const std::size_t n = std::min(part.size(), write_len);
+    if (n == 0) continue;
+    iov.push_back({const_cast<char*>(part.data()), n});
+    write_len -= n;
+  }
+  for (std::size_t at = 0; at < iov.size();) {
+    const ::ssize_t n = ::writev(
+        fd, iov.data() + at,
+        static_cast<int>(std::min<std::size_t>(iov.size() - at, IOV_MAX)));
     if (n < 0) {
       if (errno == EINTR) continue;
       const int saved = errno;
@@ -377,7 +406,14 @@ void atomic_write_file(const std::filesystem::path& path,
       throw WriteFailure("durable: write failed on " + tmp.string() + ": " +
                          std::strerror(saved));
     }
-    written += static_cast<std::size_t>(n);
+    auto left = static_cast<std::size_t>(n);
+    for (; at < iov.size() && left >= iov[at].iov_len; ++at) {
+      left -= iov[at].iov_len;
+    }
+    if (left > 0) {
+      iov[at].iov_base = static_cast<char*>(iov[at].iov_base) + left;
+      iov[at].iov_len -= left;
+    }
   }
   if (crash_write) {
     ::close(fd);
@@ -398,7 +434,11 @@ void atomic_write_file(const std::filesystem::path& path,
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw WriteFailure("durable: cannot create " + tmp.string());
-    out.write(contents.data(), static_cast<std::streamsize>(write_len));
+    for (std::string_view part : parts) {
+      const std::size_t n = std::min(part.size(), write_len);
+      out.write(part.data(), static_cast<std::streamsize>(n));
+      write_len -= n;
+    }
     out.flush();
     if (!out) throw WriteFailure("durable: write failed on " + tmp.string());
   }
@@ -453,7 +493,21 @@ void atomic_write_file(const std::filesystem::path& path,
 
 void save_artifact(const std::filesystem::path& path, std::string_view kind,
                    int version, std::string_view payload) {
-  atomic_write_file(path, frame_payload(kind, version, payload));
+  const std::string header =
+      frame_header(kind, version, std::span(&payload, 1));
+  const std::array<std::string_view, 2> framed = {header, payload};
+  atomic_write_file(path, framed);
+}
+
+void save_artifact(const std::filesystem::path& path, std::string_view kind,
+                   int version, std::span<const std::string> parts) {
+  // Slot 0 takes the header, once the CRC over the parts is known.
+  std::vector<std::string_view> framed(parts.size() + 1);
+  std::copy(parts.begin(), parts.end(), framed.begin() + 1);
+  const std::string header =
+      frame_header(kind, version, std::span(framed).subspan(1));
+  framed[0] = header;
+  atomic_write_file(path, framed);
 }
 
 void LoadReport::write(std::ostream& os) const {

@@ -27,6 +27,7 @@
 #include <filesystem>
 #include <istream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
@@ -107,6 +108,12 @@ struct Frame {
 /// Wraps a payload in the framed envelope.
 [[nodiscard]] std::string frame_payload(std::string_view kind, int version,
                                         std::string_view payload);
+
+/// The header line frame_payload puts in front of the payload that is the
+/// concatenation of `parts`, with the CRC32C chained across them; the
+/// parts themselves are never joined.
+[[nodiscard]] std::string frame_header(std::string_view kind, int version,
+                                       std::span<const std::string_view> parts);
 
 /// True when `data` begins with the frame magic (cheap pre-check used to
 /// route legacy unframed artifacts to their old parser).
@@ -223,10 +230,21 @@ struct FramedView {
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view contents);
 
+/// atomic_write_file of the concatenation of `parts`, written with gathered
+/// writes (an io.write fault writes the first half of their bytes).
+void atomic_write_file(const std::filesystem::path& path,
+                       std::span<const std::string_view> parts);
+
 /// frame_payload + atomic_write_file: the one call every artifact writer
-/// goes through.
+/// goes through. The header and the payload go out in one gathered write,
+/// so the framed copy is never built.
 void save_artifact(const std::filesystem::path& path, std::string_view kind,
                    int version, std::string_view payload);
+
+/// save_artifact of the payload that is the concatenation of `parts` (a
+/// model body or a dataset CSV formatted in chunks), without joining them.
+void save_artifact(const std::filesystem::path& path, std::string_view kind,
+                   int version, std::span<const std::string> parts);
 
 // --- Corruption-tolerant loading -------------------------------------------
 

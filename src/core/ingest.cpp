@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -361,12 +362,17 @@ trace::Dataset SnapshotLog::cumulative() const {
   std::vector<trace::Attack> attacks;
   trace::EpochSeconds window_start = 0;
   for (std::size_t i = 0; i < segments_.size(); ++i) {
-    const trace::Dataset d = trace::Dataset::load_csv(segments_[i].csv);
+    trace::Dataset d = trace::Dataset::load_csv(segments_[i].csv);
     if (i == 0) window_start = d.window_start();
     if (d.family_names().size() > families.size()) {
       families = d.family_names();
     }
-    attacks.insert(attacks.end(), d.attacks().begin(), d.attacks().end());
+    std::vector<trace::Attack> segment = std::move(d).take_attacks();
+    if (attacks.empty()) {
+      attacks = std::move(segment);  // The base segment, most of the log.
+    } else {
+      std::move(segment.begin(), segment.end(), std::back_inserter(attacks));
+    }
   }
   // Dataset construction re-sorts, re-validates, and reindexes — the result
   // is exactly what a cold full fit on the exported dataset consumes.
@@ -578,9 +584,10 @@ std::map<std::string, std::uint64_t> Ingestor::stage_input_hashes(
   // spatial and tree both consume the whole dataset (spatial fits every
   // target from all attacks; the trees combine everything), so any change
   // to the cumulative CSV invalidates both.
-  std::string full;
-  cumulative.append_csv(full);
-  const std::uint64_t full_hash = durable::fnv1a64(full);
+  std::uint64_t full_hash = durable::fnv1a64("");  // The offset basis.
+  for (const std::string& part : cumulative.csv_parts()) {
+    full_hash = durable::fnv1a64(part, full_hash);
+  }
   hashes["spatial"] = full_hash;
   hashes["tree"] = full_hash;
   return hashes;
@@ -712,7 +719,7 @@ RefitResult Ingestor::refit(const trace::Dataset& cumulative,
 void Ingestor::publish(const AdversaryModel& model,
                        const std::map<std::string, std::uint64_t>& hashes,
                        std::size_t refit_hour) {
-  const std::string body = model.body();
+  const std::vector<std::string> body = model.body_parts();
 
   // Generation rotation with a COPY (not a rename) of the live model, so
   // model.art stays loadable at every instant of publication:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <sstream>
@@ -40,7 +41,6 @@ void AdversaryModel::fit(const trace::Dataset& dataset,
                          const net::IpToAsnMap& ip_map) {
   dataset_ = dataset;
   ip_map_ = ip_map;
-  observed_.clear();
   st_ = SpatiotemporalModel(opts_);
   st_.fit(dataset_, ip_map_);
   fitted_ = true;
@@ -96,12 +96,7 @@ void AdversaryModel::compute_drift_baselines() {
   }
 }
 
-void AdversaryModel::observe(const trace::Attack& attack) {
-  if (!fitted_) throw std::logic_error("AdversaryModel::observe: not fitted");
-  observed_.push_back(attack);
-}
-
-std::string AdversaryModel::body() const {
+std::vector<std::string> AdversaryModel::body_parts() const {
   namespace io = acbm::stats::io;
   std::ostringstream head;
   io::write_header(head, "adversary_model", 2);
@@ -115,29 +110,35 @@ std::string AdversaryModel::body() const {
          << base.interval_mean << ' ' << base.interval_residual_std << '\n';
   }
   st_.save(head);
-  std::string out = std::move(head).str();
-
   // Embed the dataset CSV and IP map with explicit line counts so the
-  // loader knows exactly where each block ends. The CSV is written in
-  // place and its count line inserted ahead of it afterwards.
-  const std::size_t dataset_at = out.size();
-  const std::size_t dataset_lines = dataset_.append_csv(out);
-  out.insert(dataset_at,
-             "dataset_lines " + std::to_string(dataset_lines) + "\n");
+  // loader knows exactly where each block ends. The CSV's count, its three
+  // header lines plus one per attack, is known before it is formatted.
+  io::write_scalar(head, "dataset_lines", 3 + dataset_.size());
+  std::vector<std::string> parts = {std::move(head).str()};
+  std::vector<std::string> csv = dataset_.csv_parts();
+  std::move(csv.begin(), csv.end(), std::back_inserter(parts));
 
   std::ostringstream ipmap_text;
   ip_map_.save(ipmap_text);
   const std::string_view ipmap = ipmap_text.view();
-  out += "ipmap_lines ";
-  out += std::to_string(std::count(ipmap.begin(), ipmap.end(), '\n'));
-  out += '\n';
-  out += ipmap;
+  std::string tail = "ipmap_lines ";
+  tail += std::to_string(std::count(ipmap.begin(), ipmap.end(), '\n'));
+  tail += '\n';
+  tail += ipmap;
+  parts.push_back(std::move(tail));
+  return parts;
+}
+
+std::string AdversaryModel::body() const {
+  std::string out;
+  for (const std::string& part : body_parts()) out += part;
   return out;
 }
 
 void AdversaryModel::save(std::ostream& os) const {
-  const std::string text = body();
-  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+  for (const std::string& part : body_parts()) {
+    os.write(part.data(), static_cast<std::streamsize>(part.size()));
+  }
 }
 
 namespace {
@@ -234,7 +235,12 @@ AdversaryModel AdversaryModel::load(std::istream& is) {
 }
 
 void AdversaryModel::save_framed(std::ostream& os) const {
-  os << durable::frame_payload("adversary_model", 4, body());
+  const std::vector<std::string> parts = body_parts();
+  const std::vector<std::string_view> views(parts.begin(), parts.end());
+  os << durable::frame_header("adversary_model", 4, views);
+  for (std::string_view part : views) {
+    os.write(part.data(), static_cast<std::streamsize>(part.size()));
+  }
 }
 
 AdversaryModel AdversaryModel::load_framed(std::istream& is) {
@@ -259,26 +265,10 @@ std::optional<AttackPrediction> AdversaryModel::predict_next_attack(
   if (!fitted_) {
     throw std::logic_error("AdversaryModel::predict_next_attack: not fitted");
   }
-  // Combined history: fitted dataset plus live observations on this target.
-  TargetSeries target = extract_target_series(dataset_, target_asn);
+  const TargetSeries target = extract_target_series(dataset_, target_asn);
   std::vector<const trace::Attack*> target_attacks;
   for (std::size_t idx : target.attack_indices) {
     target_attacks.push_back(&dataset_.attacks()[idx]);
-  }
-  for (const trace::Attack& attack : observed_) {
-    if (attack.target_asn != target_asn) continue;
-    target_attacks.push_back(&attack);
-    target.duration_s.push_back(attack.duration_s);
-    target.magnitude.push_back(static_cast<double>(attack.magnitude()));
-    const trace::EpochSeconds prev_start =
-        target_attacks.size() >= 2
-            ? target_attacks[target_attacks.size() - 2]->start
-            : attack.start;
-    target.interval_s.push_back(static_cast<double>(attack.start - prev_start));
-    const trace::DayHour dh =
-        trace::decompose_timestamp(attack.start, dataset_.window_start());
-    target.hour.push_back(static_cast<double>(dh.hour));
-    target.day.push_back(static_cast<double>(dh.day));
   }
   if (target_attacks.empty()) return std::nullopt;
 

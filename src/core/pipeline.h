@@ -75,15 +75,12 @@ class AdversaryModel {
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }
 
   /// Predicts the next attack on a target AS from all history in the fitted
-  /// dataset plus observe()d attacks. Returns nullopt when the target has
-  /// never been attacked. This is the f64 reference ServingModel::predict
-  /// is pinned to; f32 forecasts are served by ServingModel only.
+  /// dataset, a pure function of the fitted state. Returns nullopt when the
+  /// target has never been attacked. This is the f64 reference
+  /// ServingModel::predict is pinned to; f32 forecasts are served by
+  /// ServingModel only.
   [[nodiscard]] std::optional<AttackPrediction> predict_next_attack(
       net::Asn target_asn) const;
-
-  /// Appends newly observed attacks (e.g. the live feed) so subsequent
-  /// predictions condition on them. Does not refit the models.
-  void observe(const trace::Attack& attack);
 
   [[nodiscard]] const SpatiotemporalModel& spatiotemporal() const noexcept {
     return st_;
@@ -116,19 +113,24 @@ class AdversaryModel {
 
   /// Full-model serialization: fitted sub-models, the training dataset, the
   /// IP->ASN map, and the per-family drift baselines, so a loaded model
-  /// predicts (and drift-monitors) standalone. Live observations
-  /// (observe()) are not persisted. body() builds body v2 as one string;
-  /// save writes it to a stream. load_body is the one body parser: it
-  /// accepts v1 bodies (no drift block) as well, parses the dataset and
-  /// IP-map blocks in place in `body`, and throws on a malformed body.
-  /// load reads the stream to its end, then parses it.
+  /// predicts (and drift-monitors) standalone. body_parts() builds body v2
+  /// as ordered parts: the head and sub-models, the dataset CSV's parts
+  /// (Dataset::csv_parts, formatted in chunks concurrently), then the IP
+  /// map; a writer hands them to durable::save_artifact without joining
+  /// them. body() is their concatenation; save writes them to a stream.
+  /// load_body is the one body parser: it accepts v1 bodies (no drift
+  /// block) as well, parses the dataset and IP-map blocks in place in
+  /// `body`, and throws on a malformed body. load reads the stream to its
+  /// end, then parses it.
+  [[nodiscard]] std::vector<std::string> body_parts() const;
   [[nodiscard]] std::string body() const;
   void save(std::ostream& os) const;
   [[nodiscard]] static AdversaryModel load_body(std::string_view body);
   [[nodiscard]] static AdversaryModel load(std::istream& is);
 
   /// Framed (v4) serialization: the v2 body wrapped in durable.h's
-  /// magic/version/CRC32C envelope. load_framed also accepts framed v3
+  /// magic/version/CRC32C envelope, written part by part after
+  /// durable::frame_header. load_framed also accepts framed v3
   /// (v1 body) and legacy bare streams; corruption throws a typed
   /// durable::LoadFailure.
   void save_framed(std::ostream& os) const;
@@ -152,7 +154,6 @@ class AdversaryModel {
   SpatiotemporalModel st_;
   trace::Dataset dataset_;
   net::IpToAsnMap ip_map_;
-  std::vector<trace::Attack> observed_;
   std::vector<FamilyDriftBaseline> drift_baselines_;
   bool fitted_ = false;
 };

@@ -278,117 +278,134 @@ void SpatiotemporalModel::fit(const trace::Dataset& train,
   // same series independently).
   FeatureCache features(train, ip_map, nullptr);
 
-  // Per-family temporal fits and per-target spatial fits are independent;
-  // both fan out across the pool and are merged back in index order, so the
-  // fitted model (and the fit report) is identical at any thread count.
-  // Checkpoint loads happen before the fan-out and stores after the merge:
-  // the store only ever sees single-threaded access at stage boundaries.
+  // Per-family temporal fits and per-target spatial fits are independent,
+  // so they run as one fan-out, longest series first: the biggest family's
+  // temporal fit (the critical path) starts at once, and the small tasks
+  // fill in behind it. Each task writes its own index slot; the report
+  // merges and checkpoint stores run afterwards in family-then-target
+  // order, so the fitted model (and the fit report) is identical at any
+  // thread count. Checkpoint loads happen before the fan-out and stores
+  // after the merge: the store only ever sees single-threaded access at
+  // stage boundaries.
   const auto n_families =
       static_cast<std::uint32_t>(train.family_names().size());
-  {
-    ACBM_SPAN("fit.temporal");
-    std::vector<std::optional<std::string>> cached_family(n_families);
-    if (checkpoint != nullptr) {
-      for (std::uint32_t f = 0; f < n_families; ++f) {
-        cached_family[f] =
-            checkpoint->load("temporal/" + train.family_names()[f]);
+  const std::vector<net::Asn> targets = train.target_asns();
+  std::vector<std::optional<std::string>> cached_family(n_families);
+  bool spatial_resumed = false;
+  if (checkpoint != nullptr) {
+    for (std::uint32_t f = 0; f < n_families; ++f) {
+      cached_family[f] =
+          checkpoint->load("temporal/" + train.family_names()[f]);
+    }
+    if (const std::optional<std::string> payload =
+            checkpoint->load("spatial")) {
+      try {
+        load_spatial_stage(*payload);
+        spatial_resumed = true;
+      } catch (const std::exception&) {
+        spatial_.clear();  // Unusable payload: refit below.
       }
     }
-    std::vector<std::optional<TemporalModel>> family_fits = parallel_map(
-        n_families, [&](std::size_t f) -> std::optional<TemporalModel> {
-          ACBM_SPAN_KV("fit.family", "family=" + train.family_names()[f]);
-          if (cached_family[f]) {
-            // Empty payload = completed stage with too little data to model.
-            if (cached_family[f]->empty()) return std::nullopt;
-            try {
-              std::istringstream body(*cached_family[f]);
-              return TemporalModel::load(body);
-            } catch (const std::exception&) {
-              cached_family[f].reset();  // Unusable payload: refit below.
-            }
-          }
-          return fit_family_temporal(train, features,
-                                     static_cast<std::uint32_t>(f), opts_);
-        });
-    for (std::uint32_t family = 0; family < n_families; ++family) {
-      const std::string& name = train.family_names()[family];
-      const bool resumed = cached_family[family].has_value();
-      if (family_fits[family]) {
-        if (resumed) {
-          add_resumed_records(report_, "temporal/" + name + "/",
-                              *family_fits[family], kTemporalSeriesNames);
-        } else {
-          report_.merge("temporal/" + name + "/",
-                        family_fits[family]->fit_report());
-          if (checkpoint != nullptr) {
-            checkpoint->store("temporal/" + name,
-                              encode_temporal_stage(family_fits[family]));
-          }
+  }
+  // Task i < n_families fits family i; the rest fit targets[i - n_families].
+  // A task's series length stands in for its cost.
+  const std::size_t n_target_tasks = spatial_resumed ? 0 : targets.size();
+  std::vector<std::size_t> order(n_families + n_target_tasks);
+  std::vector<std::size_t> length(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+    length[i] =
+        i < n_families
+            ? train.attacks_of_family(static_cast<std::uint32_t>(i)).size()
+            : train.attacks_on_asn(targets[i - n_families]).size();
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&length](std::size_t a, std::size_t b) {
+                     return length[a] > length[b];
+                   });
+  std::vector<std::optional<TemporalModel>> family_fits(n_families);
+  std::vector<std::optional<SpatialModel>> target_fits(n_target_tasks);
+  {
+    ACBM_SPAN("fit.submodels");
+    parallel_for(0, order.size(), [&](std::size_t k) {
+      const std::size_t i = order[k];
+      if (i >= n_families) {
+        const net::Asn asn = targets[i - n_families];
+        ACBM_SPAN_KV("fit.target", "asn=" + std::to_string(asn));
+        target_fits[i - n_families] =
+            fit_target_spatial(train, ip_map, features, asn, opts_);
+        return;
+      }
+      ACBM_SPAN_KV("fit.family", "family=" + train.family_names()[i]);
+      if (cached_family[i]) {
+        // Empty payload = completed stage with too little data to model.
+        if (cached_family[i]->empty()) return;
+        try {
+          std::istringstream body(*cached_family[i]);
+          family_fits[i] = TemporalModel::load(body);
+          return;
+        } catch (const std::exception&) {
+          cached_family[i].reset();  // Unusable payload: refit below.
         }
-        temporal_.emplace(family, std::move(*family_fits[family]));
+      }
+      family_fits[i] = fit_family_temporal(
+          train, features, static_cast<std::uint32_t>(i), opts_);
+    });
+  }
+
+  for (std::uint32_t family = 0; family < n_families; ++family) {
+    const std::string& name = train.family_names()[family];
+    const bool resumed = cached_family[family].has_value();
+    if (family_fits[family]) {
+      if (resumed) {
+        add_resumed_records(report_, "temporal/" + name + "/",
+                            *family_fits[family], kTemporalSeriesNames);
       } else {
-        report_.add({"temporal/" + name, FitRung::kMean,
-                     FitError::kSeriesTooShort, "fewer than 2 attacks"});
-        if (checkpoint != nullptr && !resumed) {
-          checkpoint->store("temporal/" + name, "");
+        report_.merge("temporal/" + name + "/",
+                      family_fits[family]->fit_report());
+        if (checkpoint != nullptr) {
+          checkpoint->store("temporal/" + name,
+                            encode_temporal_stage(family_fits[family]));
         }
+      }
+      temporal_.emplace(family, std::move(*family_fits[family]));
+    } else {
+      report_.add({"temporal/" + name, FitRung::kMean,
+                   FitError::kSeriesTooShort, "fewer than 2 attacks"});
+      if (checkpoint != nullptr && !resumed) {
+        checkpoint->store("temporal/" + name, "");
       }
     }
   }
 
-  {
-    ACBM_SPAN("fit.spatial");
-    const std::vector<net::Asn> targets = train.target_asns();
-    bool spatial_resumed = false;
-    if (checkpoint != nullptr) {
-      if (const std::optional<std::string> payload =
-              checkpoint->load("spatial")) {
-        try {
-          load_spatial_stage(*payload);
-          spatial_resumed = true;
-        } catch (const std::exception&) {
-          spatial_.clear();  // Unusable payload: refit below.
-        }
+  const auto add_unmodeled_target = [this](net::Asn asn) {
+    report_.add({"spatial/AS" + std::to_string(asn), FitRung::kMean,
+                 FitError::kSeriesTooShort,
+                 "fewer than " + std::to_string(opts_.min_target_attacks) +
+                     " attacks"});
+  };
+  if (spatial_resumed) {
+    for (net::Asn asn : targets) {
+      const auto it = spatial_.find(asn);
+      if (it != spatial_.end()) {
+        add_resumed_records(report_, "spatial/AS" + std::to_string(asn) + "/",
+                            it->second, kSpatialSeriesNames);
+      } else {
+        add_unmodeled_target(asn);
       }
     }
-    if (spatial_resumed) {
-      for (net::Asn asn : targets) {
-        const auto it = spatial_.find(asn);
-        if (it != spatial_.end()) {
-          add_resumed_records(report_, "spatial/AS" + std::to_string(asn) + "/",
-                              it->second, kSpatialSeriesNames);
-        } else {
-          report_.add(
-              {"spatial/AS" + std::to_string(asn), FitRung::kMean,
-               FitError::kSeriesTooShort,
-               "fewer than " + std::to_string(opts_.min_target_attacks) +
-                   " attacks"});
-        }
+  } else {
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      if (target_fits[t]) {
+        report_.merge("spatial/AS" + std::to_string(targets[t]) + "/",
+                      target_fits[t]->fit_report());
+        spatial_.emplace(targets[t], std::move(*target_fits[t]));
+      } else {
+        add_unmodeled_target(targets[t]);
       }
-    } else {
-      std::vector<std::optional<SpatialModel>> target_fits = parallel_map(
-          targets.size(), [&](std::size_t t) -> std::optional<SpatialModel> {
-            ACBM_SPAN_KV("fit.target",
-                         "asn=" + std::to_string(targets[t]));
-            return fit_target_spatial(train, ip_map, features, targets[t],
-                                      opts_);
-          });
-      for (std::size_t t = 0; t < targets.size(); ++t) {
-        if (target_fits[t]) {
-          report_.merge("spatial/AS" + std::to_string(targets[t]) + "/",
-                        target_fits[t]->fit_report());
-          spatial_.emplace(targets[t], std::move(*target_fits[t]));
-        } else {
-          report_.add(
-              {"spatial/AS" + std::to_string(targets[t]), FitRung::kMean,
-               FitError::kSeriesTooShort,
-               "fewer than " + std::to_string(opts_.min_target_attacks) +
-                   " attacks"});
-        }
-      }
-      if (checkpoint != nullptr) {
-        checkpoint->store("spatial", save_spatial_stage());
-      }
+    }
+    if (checkpoint != nullptr) {
+      checkpoint->store("spatial", save_spatial_stage());
     }
   }
 
@@ -433,7 +450,8 @@ void SpatiotemporalModel::fit(const trace::Dataset& train,
 
   // Combining-tree ladder: model tree -> pooled linear model over the same
   // rows -> (at predict time) the fixed sub-model blend.
-  const auto fit_combiner = [&](const char* name, tree::ModelTree& tree,
+  const auto fit_combiner = [&](const char* name, bool inject_failure,
+                                tree::ModelTree& tree,
                                 std::optional<acbm::stats::LinearRegression>&
                                     linear,
                                 const acbm::stats::Matrix& x,
@@ -442,7 +460,7 @@ void SpatiotemporalModel::fit(const trace::Dataset& train,
     record.component = std::string("tree/") + name;
     record.rung = FitRung::kModelTree;
     try {
-      if (injector.enabled() && injector.fires("tree.fail", name)) {
+      if (inject_failure) {
         throw FitFailure(FitError::kNonconvergence,
                          std::string("injected fault: tree.fail ") + name);
       }
@@ -465,7 +483,7 @@ void SpatiotemporalModel::fit(const trace::Dataset& train,
         record.rung = FitRung::kMean;  // Predict-time sub-model blend.
       }
     }
-    report_.add(std::move(record));
+    return record;
   };
 
   ACBM_SPAN("fit.tree");
@@ -482,8 +500,22 @@ void SpatiotemporalModel::fit(const trace::Dataset& train,
       hour_y[i] = rows[i].truth_hour;
       day_y[i] = rows[i].truth_day;
     }
-    fit_combiner("hour", hour_tree_, hour_linear_, hour_x, hour_y);
-    fit_combiner("day", day_tree_, day_linear_, day_x, day_y);
+    // The two combiners are independent, so they fit concurrently; their
+    // records go in hour-then-day order. The injected faults are drawn
+    // first, in that order, because a fault's #limit counts its fires().
+    const bool fail_hour =
+        injector.enabled() && injector.fires("tree.fail", "hour");
+    const bool fail_day =
+        injector.enabled() && injector.fires("tree.fail", "day");
+    std::array<FitRecord, 2> records;
+    parallel_for(0, 2, [&](std::size_t k) {
+      records[k] =
+          k == 0 ? fit_combiner("hour", fail_hour, hour_tree_, hour_linear_,
+                                hour_x, hour_y)
+                 : fit_combiner("day", fail_day, day_tree_, day_linear_,
+                                day_x, day_y);
+    });
+    for (FitRecord& record : records) report_.add(std::move(record));
   } else {
     report_.add({"tree/hour", FitRung::kMean, FitError::kSeriesTooShort,
                  std::to_string(rows.size()) + " rows < 20"});

@@ -323,12 +323,17 @@ void Mlp::fit(const MlpTrainingSet& data) {
         constexpr double kBeta1 = 0.9;
         constexpr double kBeta2 = 0.999;
         constexpr double kEps = 1e-8;
+        // Bias corrections of this step, shared by every parameter.
+        const double correct1 =
+            1.0 - std::pow(kBeta1, static_cast<double>(adam_t));
+        const double correct2 =
+            1.0 - std::pow(kBeta2, static_cast<double>(adam_t));
         for (std::size_t p = 0; p < total; ++p) {
           const double g = ws.batch_grad[p];
           ws.m_state[p] = kBeta1 * ws.m_state[p] + (1.0 - kBeta1) * g;
           ws.v_state[p] = kBeta2 * ws.v_state[p] + (1.0 - kBeta2) * g * g;
-          const double mh = ws.m_state[p] / (1.0 - std::pow(kBeta1, static_cast<double>(adam_t)));
-          const double vh = ws.v_state[p] / (1.0 - std::pow(kBeta2, static_cast<double>(adam_t)));
+          const double mh = ws.m_state[p] / correct1;
+          const double vh = ws.v_state[p] / correct2;
           params[p] -= opts_.learning_rate * mh / (std::sqrt(vh) + kEps);
         }
       } else {

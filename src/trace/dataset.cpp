@@ -5,10 +5,16 @@
 #include <charconv>
 #include <cmath>
 #include <istream>
+#include <iterator>
+#include <optional>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
+
+#include "core/observe.h"
+#include "core/parallel.h"
 
 namespace acbm::trace {
 
@@ -22,6 +28,23 @@ DayHour decompose_timestamp(EpochSeconds ts, EpochSeconds window_start) {
     out.hour = static_cast<int>(((rel % 86400) + 86400) % 86400 / 3600);
   }
   return out;
+}
+
+std::vector<std::string_view> split_lines(std::string_view text,
+                                         std::size_t parts) {
+  std::vector<std::string_view> pieces;
+  std::size_t begin = 0;
+  for (std::size_t i = 1; i <= parts && begin < text.size(); ++i) {
+    std::size_t end = text.size();
+    if (i < parts) {
+      const std::size_t eol =
+          text.find('\n', std::max(begin, text.size() / parts * i));
+      if (eol != std::string_view::npos) end = eol + 1;
+    }
+    pieces.push_back(text.substr(begin, end - begin));
+    begin = end;
+  }
+  return pieces;
 }
 
 void ValidationReport::write(std::ostream& os) const {
@@ -107,6 +130,12 @@ void Dataset::reindex() {
   }
 }
 
+std::vector<Attack> Dataset::take_attacks() && {
+  by_family_.clear();
+  by_target_asn_.clear();
+  return std::move(attacks_);
+}
+
 std::vector<std::size_t> Dataset::attacks_of_family(
     std::uint32_t family) const {
   const auto it = by_family_.find(family);
@@ -182,6 +211,54 @@ char* put_number(char* out, char* end, T value) {
 char* put_duration(char* out, char* end, double value) {
   // %.17g, exactly what an ostream at setprecision(17) writes.
   return std::to_chars(out, end, value, std::chars_format::general, 17).ptr;
+}
+
+/// The three header lines: window start, family names, column names.
+std::string csv_header(EpochSeconds window_start,
+                       const std::vector<std::string>& families) {
+  std::string out = "#window_start=";
+  out += std::to_string(window_start);
+  out += "\n#families=";
+  for (std::size_t i = 0; i < families.size(); ++i) {
+    if (i > 0) out += ';';
+    out += families[i];
+  }
+  out += "\nid,family,target_ip,target_asn,start,duration_s,bots\n";
+  return out;
+}
+
+/// Appends one row per attack to `out`; `bounds` holds each row's
+/// row_bound.
+void append_rows(std::span<const Attack> attacks,
+                 std::span<const std::size_t> bounds, std::string& out) {
+  std::size_t bound = 0;
+  for (std::size_t b : bounds) bound += b;
+  out.reserve(out.size() + bound);
+  for (std::size_t r = 0; r < attacks.size(); ++r) {
+    const Attack& attack = attacks[r];
+    const std::size_t at = out.size();
+    out.resize(at + bounds[r]);
+    char* p = out.data() + at;
+    char* const end = out.data() + out.size();
+    p = put_number(p, end, attack.id);
+    *p++ = ',';
+    p = put_number(p, end, attack.family);
+    *p++ = ',';
+    p = net::format_ipv4(p, attack.target_ip);
+    *p++ = ',';
+    p = put_number(p, end, attack.target_asn);
+    *p++ = ',';
+    p = put_number(p, end, attack.start);
+    *p++ = ',';
+    p = put_duration(p, end, attack.duration_s);
+    *p++ = ',';
+    for (std::size_t i = 0; i < attack.bots.size(); ++i) {
+      if (i > 0) *p++ = ';';
+      p = net::format_ipv4(p, attack.bots[i]);
+    }
+    *p++ = '\n';
+    out.resize(static_cast<std::size_t>(p - out.data()));
+  }
 }
 
 [[noreturn]] void csv_error(std::size_t line_no, const std::string& what) {
@@ -285,55 +362,119 @@ Attack parse_row(std::string_view line, std::size_t line_no) {
   return attack;
 }
 
+/// The attacks of `rows`, the rows after the column header, whose first
+/// line is line `first_line` of the text.
+std::vector<Attack> parse_rows(std::string_view rows, std::size_t first_line) {
+  if (rows.size() < kCsvParallelFloor) {
+    std::vector<Attack> attacks;
+    for (std::size_t line_no = first_line; !rows.empty(); ++line_no) {
+      const std::string_view line = next_line(rows);
+      if (!line.empty()) attacks.push_back(parse_row(line, line_no));
+    }
+    return attacks;
+  }
+  const std::size_t chunks = core::num_threads();
+  ACBM_SPAN_KV("trace.csv.parse", "chunks=" + std::to_string(chunks));
+  // Each chunk stops at its first bad row and records it instead of
+  // throwing, so every chunk before the lowest failing one has counted all
+  // of its lines.
+  struct Chunk {
+    std::vector<Attack> attacks;
+    std::size_t lines = 0;  ///< Lines read; on failure, the bad row's index.
+    std::optional<std::string_view> bad_row;
+  };
+  const std::vector<std::string_view> pieces = split_lines(rows, chunks);
+  std::vector<Chunk> parsed(pieces.size());
+  core::parallel_for(0, pieces.size(), [&](std::size_t c) {
+    // Filled locally and stored once: neighbouring slots share cache lines.
+    Chunk chunk;
+    std::string_view text = pieces[c];
+    for (; !text.empty(); ++chunk.lines) {
+      const std::string_view line = next_line(text);
+      if (line.empty()) continue;
+      try {
+        chunk.attacks.push_back(parse_row(line, chunk.lines));
+      } catch (const std::invalid_argument&) {
+        chunk.bad_row = line;
+        break;
+      }
+    }
+    parsed[c] = std::move(chunk);
+  });
+  std::size_t line_no = first_line;
+  std::size_t count = 0;
+  for (const Chunk& chunk : parsed) {
+    if (chunk.bad_row) {
+      // parse_row is a pure function of the row, so parsing it again at
+      // its line number in the whole text throws the serial reader's error.
+      (void)parse_row(*chunk.bad_row, line_no + chunk.lines);
+    }
+    line_no += chunk.lines;
+    count += chunk.attacks.size();
+  }
+  std::vector<Attack> attacks;
+  attacks.reserve(count);
+  for (Chunk& chunk : parsed) {
+    std::move(chunk.attacks.begin(), chunk.attacks.end(),
+              std::back_inserter(attacks));
+  }
+  return attacks;
+}
+
 }  // namespace
 
-std::size_t Dataset::append_csv(std::string& out) const {
-  const std::size_t head_at = out.size();
-  out += "#window_start=";
-  out += std::to_string(window_start_);
-  out += "\n#families=";
-  for (std::size_t i = 0; i < family_names_.size(); ++i) {
-    if (i > 0) out += ';';
-    out += family_names_[i];
-  }
-  out += "\nid,family,target_ip,target_asn,start,duration_s,bots\n";
-  const auto head_lines = static_cast<std::size_t>(std::count(
-      out.begin() + static_cast<std::ptrdiff_t>(head_at), out.end(), '\n'));
+std::vector<std::string> Dataset::csv_parts() const {
+  std::string header = csv_header(window_start_, family_names_);
 
-  std::size_t bound = 0;
-  for (const Attack& attack : attacks_) bound += row_bound(attack);
-  out.reserve(out.size() + bound);
-  for (const Attack& attack : attacks_) {
-    const std::size_t at = out.size();
-    out.resize(at + row_bound(attack));
-    char* p = out.data() + at;
-    char* const end = out.data() + out.size();
-    p = put_number(p, end, attack.id);
-    *p++ = ',';
-    p = put_number(p, end, attack.family);
-    *p++ = ',';
-    p = net::format_ipv4(p, attack.target_ip);
-    *p++ = ',';
-    p = put_number(p, end, attack.target_asn);
-    *p++ = ',';
-    p = put_number(p, end, attack.start);
-    *p++ = ',';
-    p = put_duration(p, end, attack.duration_s);
-    *p++ = ',';
-    for (std::size_t i = 0; i < attack.bots.size(); ++i) {
-      if (i > 0) *p++ = ';';
-      p = net::format_ipv4(p, attack.bots[i]);
-    }
-    *p++ = '\n';
-    out.resize(static_cast<std::size_t>(p - out.data()));
+  std::vector<std::size_t> bounds(attacks_.size());
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < attacks_.size(); ++i) {
+    bounds[i] = row_bound(attacks_[i]);
+    total += bounds[i];
   }
-  return head_lines + attacks_.size();
+  if (total < kCsvParallelFloor) {
+    append_rows(attacks_, bounds, header);
+    return {std::move(header)};
+  }
+  // Chunks of about equal bound, cut at attack boundaries and formatted
+  // each into its own part: the parts in order are the serial text.
+  const std::size_t chunks = core::num_threads();
+  ACBM_SPAN_KV("trace.csv.format", "chunks=" + std::to_string(chunks));
+  std::vector<std::size_t> cuts = {0};
+  std::size_t acc = 0;
+  for (std::size_t i = 0; i < attacks_.size(); ++i) {
+    acc += bounds[i];
+    if (acc >= total / chunks * cuts.size() && cuts.size() < chunks) {
+      cuts.push_back(i + 1);
+    }
+  }
+  cuts.push_back(attacks_.size());
+  std::vector<std::string> parts(cuts.size());
+  parts[0] = std::move(header);
+  core::parallel_for(1, cuts.size(), [&](std::size_t c) {
+    const std::size_t lo = cuts[c - 1];
+    const std::size_t n = cuts[c] - lo;
+    std::string part;  // Stored once: neighbouring slots share cache lines.
+    append_rows(std::span(attacks_).subspan(lo, n),
+                std::span(bounds).subspan(lo, n), part);
+    parts[c] = std::move(part);
+  });
+  return parts;
+}
+
+std::size_t Dataset::append_csv(std::string& out) const {
+  const std::vector<std::string> parts = csv_parts();
+  std::size_t size = 0;
+  for (const std::string& part : parts) size += part.size();
+  out.reserve(out.size() + size);
+  for (const std::string& part : parts) out += part;
+  return 3 + attacks_.size();
 }
 
 void Dataset::save_csv(std::ostream& os) const {
-  std::string text;
-  append_csv(text);
-  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+  for (const std::string& part : csv_parts()) {
+    os.write(part.data(), static_cast<std::streamsize>(part.size()));
+  }
 }
 
 CsvHeader Dataset::load_csv_header(std::string_view csv) {
@@ -353,12 +494,7 @@ Dataset Dataset::load_csv(std::string_view csv) {
         "Dataset::load_csv: truncated (last line has no newline)");
   }
   (void)next_line(csv);
-  std::vector<Attack> attacks;
-  for (std::size_t line_no = 4; !csv.empty(); ++line_no) {
-    const std::string_view line = next_line(csv);
-    if (!line.empty()) attacks.push_back(parse_row(line, line_no));
-  }
-  return Dataset(std::move(header.families), std::move(attacks), {},
+  return Dataset(std::move(header.families), parse_rows(csv, 4), {},
                  header.window_start);
 }
 

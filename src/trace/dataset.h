@@ -71,6 +71,19 @@ struct ValidationReport {
   void write(std::ostream& os) const;
 };
 
+/// Dataset CSV texts of at least this many bytes are parsed (load_csv) and
+/// formatted (csv_parts, append_csv) in about core::num_threads() chunks on
+/// the thread pool; smaller ones, such as hourly snapshot segments, stay on
+/// the calling thread. The bytes are the same either way.
+inline constexpr std::size_t kCsvParallelFloor = std::size_t{1} << 20;
+
+/// Splits `text` into at most `parts` consecutive non-empty pieces: piece i
+/// ends just after the first '\n' at or after byte (i + 1) * size / parts,
+/// and the last piece ends where the text does. These are the chunks
+/// load_csv parses concurrently, so no row is ever cut in two.
+[[nodiscard]] std::vector<std::string_view> split_lines(std::string_view text,
+                                                        std::size_t parts);
+
 /// The two '#' header lines of a dataset CSV.
 struct CsvHeader {
   EpochSeconds window_start = 0;
@@ -98,6 +111,10 @@ class Dataset {
   }
   [[nodiscard]] std::size_t size() const noexcept { return attacks_.size(); }
 
+  /// Moves the attacks (chronological) out of an expiring dataset, so a
+  /// caller merging several parsed datasets into one copies no bot list.
+  [[nodiscard]] std::vector<Attack> take_attacks() &&;
+
   /// Indices of all attacks by a family, chronological.
   [[nodiscard]] std::vector<std::size_t> attacks_of_family(
       std::uint32_t family) const;
@@ -121,16 +138,22 @@ class Dataset {
     return validation_;
   }
 
-  /// CSV serialization (attacks only; snapshots are derivable). append_csv
-  /// appends the text to `out` and returns the number of lines it wrote;
-  /// durations are written as %.17g, so they round-trip exactly. save_csv
-  /// writes the same bytes to a stream. load_csv scans the text once and
-  /// throws std::invalid_argument on a malformed header or row: a row with
-  /// fewer than the six comma-terminated fields before its bots, a numeric
-  /// field with trailing characters, a negative value in an unsigned field,
-  /// a malformed address, or a last line with no '\n' (the writer ends
-  /// every line in one, so such text was cut short). The stream overload
-  /// reads the stream to its end, then parses that text.
+  /// CSV serialization (attacks only; snapshots are derivable). csv_parts
+  /// returns the text as ordered parts, the three header lines first, with
+  /// the rows of a text at or above kCsvParallelFloor formatted in chunks
+  /// concurrently; their concatenation is the same bytes at any thread
+  /// count. append_csv appends that text to `out` and returns the number of
+  /// lines it wrote (3 + size()); durations are written as %.17g, so they
+  /// round-trip exactly. save_csv writes the same bytes to a stream.
+  /// load_csv scans the text once (in chunks split by split_lines at or
+  /// above the floor) and throws std::invalid_argument on a malformed
+  /// header or row, naming the first bad line as a serial scan would: a row
+  /// with fewer than the six comma-terminated fields before its bots, a
+  /// numeric field with trailing characters, a negative value in an
+  /// unsigned field, a malformed address, or a last line with no '\n' (the
+  /// writer ends every line in one, so such text was cut short). The stream
+  /// overload reads the stream to its end, then parses that text.
+  [[nodiscard]] std::vector<std::string> csv_parts() const;
   std::size_t append_csv(std::string& out) const;
   void save_csv(std::ostream& os) const;
   [[nodiscard]] static Dataset load_csv(std::string_view csv);

@@ -144,8 +144,9 @@ TEST_F(ObserveCliTest, TraceMetricsAndProfileSinksAllEmit) {
   EXPECT_EQ(trace.find("{\"traceEvents\":["), 0u);
   EXPECT_NE(trace.find("\"name\":\"cli.fit\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"fit.spatiotemporal\""), std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"fit.temporal\""), std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"fit.spatial\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"fit.submodels\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"fit.family\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"fit.target\""), std::string::npos);
 
   // --metrics -: dump lands on stdout with live cache and pool counters.
   EXPECT_NE(out.find("# TYPE acbm_"), std::string::npos);

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/robust.h"
 
@@ -265,6 +267,79 @@ TEST(AtomicWrite, InjectedDirsyncFaultFiresAfterTheRename) {
   // (a power loss could roll them back; retrying the write reconverges).
   EXPECT_EQ(slurp(target), "renamed but not dir-synced");
   EXPECT_FALSE(fs::exists(tmp.file("artifact.txt.tmp")));
+}
+
+std::string join(const std::vector<std::string>& parts) {
+  std::string out;
+  for (const std::string& part : parts) out += part;
+  return out;
+}
+
+TEST(SaveArtifactParts, BytesEqualFramingTheJoinedPayload) {
+  TempDir tmp;
+  const fs::path target = tmp.file("artifact.txt");
+  // 8-byte CRC words split at every offset, empty parts anywhere, no parts.
+  std::string text;
+  for (int i = 0; i < 300; ++i) text += static_cast<char>('a' + i * 7 % 26);
+  std::vector<std::vector<std::string>> cases = {
+      {},
+      {""},
+      {"", "", ""},
+      {"head\n", "", "middle ", "", "tail\n"},
+      {text},
+  };
+  for (std::size_t cut = 1; cut < 17; ++cut) {
+    cases.push_back({text.substr(0, cut), text.substr(cut, 3), "",
+                     text.substr(cut + 3)});
+  }
+  for (const std::vector<std::string>& parts : cases) {
+    const std::string payload = join(parts);
+    const std::string expected = frame_payload("model", 3, payload);
+    save_artifact(target, "model", 3, parts);
+    EXPECT_EQ(slurp(target), expected) << parts.size() << " parts";
+    const std::vector<std::string_view> views(parts.begin(), parts.end());
+    EXPECT_EQ(frame_header("model", 3, views) + payload, expected);
+    save_artifact(target, "model", 3, std::string_view(payload));
+    EXPECT_EQ(slurp(target), expected);
+  }
+  EXPECT_FALSE(fs::exists(tmp.file("artifact.txt.tmp")));
+}
+
+TEST(SaveArtifactParts, MorePartsThanOneGatheredWriteTakes) {
+  TempDir tmp;
+  const fs::path target = tmp.file("artifact.txt");
+  std::vector<std::string> parts;
+  for (int i = 0; i < 5000; ++i) parts.push_back(std::to_string(i) + ",");
+  save_artifact(target, "model", 1, parts);
+  EXPECT_EQ(slurp(target), frame_payload("model", 1, join(parts)));
+}
+
+TEST(SaveArtifactParts, InjectedFaultsKeepThePreviousFile) {
+  FaultGuard guard;
+  TempDir tmp;
+  const fs::path target = tmp.file("artifact.txt");
+  const std::vector<std::string> old_parts = {"intact ", "old ", "content"};
+  save_artifact(target, "model", 1, old_parts);
+  const std::string old_bytes = slurp(target);
+  const std::vector<std::string> parts = {"replacement ", "", "that ",
+                                          "never lands"};
+  const std::string framed = frame_payload("model", 1, join(parts));
+
+  FaultInjector::instance().configure("io.write:artifact.txt");
+  EXPECT_THROW(save_artifact(target, "model", 1, parts), WriteFailure);
+  FaultInjector::instance().clear();
+  EXPECT_EQ(slurp(target), old_bytes);
+  // The crash wrote the first half of the framed bytes, across the parts.
+  EXPECT_EQ(slurp(tmp.file("artifact.txt.tmp")),
+            framed.substr(0, framed.size() / 2));
+
+  FaultInjector::instance().configure("io.fsync:artifact.txt");
+  EXPECT_THROW(save_artifact(target, "model", 1, parts), WriteFailure);
+  FaultInjector::instance().clear();
+  EXPECT_EQ(slurp(target), old_bytes);
+
+  save_artifact(target, "model", 1, parts);
+  EXPECT_EQ(slurp(target), framed);
 }
 
 TEST(Quarantine, MovesFilesAsideWithIncreasingSuffixes) {

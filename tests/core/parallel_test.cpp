@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/artifact_map.h"
+#include "core/durable.h"
 #include "core/features.h"
 #include "core/pipeline.h"
 #include "core/spatial_model.h"
@@ -249,6 +251,27 @@ TEST(ParallelDeterminism, FaultedSpatialFitBitIdentical) {
   EXPECT_EQ(reports[2], reports[0]);
 }
 
+/// Asserts that two datasets hold the same attacks, field by field.
+void expect_same_attacks(const trace::Dataset& base,
+                         const trace::Dataset& other) {
+  ASSERT_EQ(other.attacks().size(), base.attacks().size());
+  for (std::size_t i = 0; i < base.attacks().size(); ++i) {
+    const trace::Attack& a = base.attacks()[i];
+    const trace::Attack& b = other.attacks()[i];
+    ASSERT_EQ(b.id, a.id) << "attack " << i;
+    ASSERT_EQ(b.family, a.family) << "attack " << i;
+    ASSERT_EQ(b.target_ip.value, a.target_ip.value) << "attack " << i;
+    ASSERT_EQ(b.target_asn, a.target_asn) << "attack " << i;
+    ASSERT_EQ(b.start, a.start) << "attack " << i;
+    ASSERT_EQ(b.duration_s, a.duration_s) << "attack " << i;
+    ASSERT_EQ(b.bots.size(), a.bots.size()) << "attack " << i;
+    for (std::size_t k = 0; k < a.bots.size(); ++k) {
+      ASSERT_EQ(b.bots[k].value, a.bots[k].value)
+          << "attack " << i << " bot " << k;
+    }
+  }
+}
+
 TEST(ParallelDeterminism, BuildWorldBitIdentical) {
   ThreadCountGuard guard;
   std::vector<trace::World> worlds;
@@ -259,22 +282,7 @@ TEST(ParallelDeterminism, BuildWorldBitIdentical) {
   const auto& base = worlds[0].dataset;
   for (std::size_t w = 1; w < worlds.size(); ++w) {
     const auto& other = worlds[w].dataset;
-    ASSERT_EQ(other.attacks().size(), base.attacks().size());
-    for (std::size_t i = 0; i < base.attacks().size(); ++i) {
-      const trace::Attack& a = base.attacks()[i];
-      const trace::Attack& b = other.attacks()[i];
-      ASSERT_EQ(b.id, a.id) << "attack " << i;
-      ASSERT_EQ(b.family, a.family) << "attack " << i;
-      ASSERT_EQ(b.target_ip.value, a.target_ip.value) << "attack " << i;
-      ASSERT_EQ(b.target_asn, a.target_asn) << "attack " << i;
-      ASSERT_EQ(b.start, a.start) << "attack " << i;
-      ASSERT_EQ(b.duration_s, a.duration_s) << "attack " << i;
-      ASSERT_EQ(b.bots.size(), a.bots.size()) << "attack " << i;
-      for (std::size_t k = 0; k < a.bots.size(); ++k) {
-        ASSERT_EQ(b.bots[k].value, a.bots[k].value)
-            << "attack " << i << " bot " << k;
-      }
-    }
+    expect_same_attacks(base, other);
     ASSERT_EQ(other.snapshots().size(), base.snapshots().size());
     for (std::size_t i = 0; i < base.snapshots().size(); ++i) {
       ASSERT_EQ(other.snapshots()[i].ts, base.snapshots()[i].ts);
@@ -283,6 +291,170 @@ TEST(ParallelDeterminism, BuildWorldBitIdentical) {
                 base.snapshots()[i].active_bots);
     }
   }
+}
+
+std::string join(const std::vector<std::string>& parts) {
+  std::string out;
+  for (const std::string& part : parts) out += part;
+  return out;
+}
+
+TEST(ParallelDeterminism, DatasetCsvCodecBitIdentical) {
+  // The trace codec formats and parses a text at or above kCsvParallelFloor
+  // in chunks on the pool; the bytes and the attacks must not depend on the
+  // thread count.
+  ThreadCountGuard guard;
+  const trace::World world = trace::build_world(trace::small_world_options(23));
+  set_num_threads(1);
+  std::string serial;
+  ASSERT_EQ(world.dataset.append_csv(serial), 3 + world.dataset.size());
+  ASSERT_GE(serial.size(), 4 * trace::kCsvParallelFloor);  // Multi-MB.
+  expect_same_attacks(world.dataset, trace::Dataset::load_csv(serial));
+
+  SpatiotemporalOptions opts;
+  opts.spatial.grid_search = false;
+  opts.spatial.fixed.mlp.max_epochs = 20;
+  AdversaryModel model(opts);
+  model.fit(world.dataset, world.ip_map);
+  const std::string serial_body = join(model.body_parts());
+
+  for (std::size_t threads : {1u, 3u, 8u}) {
+    set_num_threads(threads);
+    const std::vector<std::string> parts = world.dataset.csv_parts();
+    // The header, then one part per chunk.
+    EXPECT_EQ(parts.size(), threads + 1) << threads << " threads";
+    EXPECT_EQ(join(parts), serial) << threads << " threads";
+    std::string appended = "prefix";
+    EXPECT_EQ(world.dataset.append_csv(appended), 3 + world.dataset.size());
+    EXPECT_EQ(appended, "prefix" + serial) << threads << " threads";
+    expect_same_attacks(world.dataset, trace::Dataset::load_csv(serial));
+
+    const std::vector<std::string> body_parts = model.body_parts();
+    EXPECT_GT(body_parts.size(), parts.size());
+    EXPECT_EQ(join(body_parts), serial_body) << threads << " threads";
+    EXPECT_EQ(model.body(), serial_body) << threads << " threads";
+    std::ostringstream framed;
+    model.save_framed(framed);
+    EXPECT_EQ(framed.str(),
+              durable::frame_payload("adversary_model", 4, serial_body));
+  }
+}
+
+/// load_csv's error message for `text` at `threads` threads ("" if none).
+std::string load_error(const std::string& text, std::size_t threads) {
+  set_num_threads(threads);
+  try {
+    (void)trace::Dataset::load_csv(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Dataset, LoadCsvParallelErrorsMatchSerial) {
+  // A chunked parse must report the error a serial scan would: the first
+  // bad row of the whole text, with its line number in the whole text.
+  ThreadCountGuard guard;
+  const trace::World world = trace::build_world(trace::small_world_options(23));
+  std::string full;
+  world.dataset.append_csv(full);
+  // About 3 MB of whole rows: above the floor, cheap under sanitizers.
+  const std::string csv = full.substr(0, full.find('\n', 3'000'000) + 1);
+  ASSERT_GE(csv.size(), 2 * trace::kCsvParallelFloor);
+  std::size_t rows_at = 0;
+  for (int i = 0; i < 3; ++i) rows_at = csv.find('\n', rows_at) + 1;
+  const std::string_view rows = std::string_view(csv).substr(rows_at);
+  // Line number of the line holding byte `pos`, and that line's start.
+  const auto line_of = [&csv](std::size_t pos) {
+    const std::string_view before = std::string_view(csv).substr(0, pos);
+    return 1 + static_cast<std::size_t>(
+                   std::count(before.begin(), before.end(), '\n'));
+  };
+  const auto line_start = [&csv](std::size_t pos) {
+    return csv.rfind('\n', pos - 1) + 1;
+  };
+  // Byte of the row text that holds the cut split_lines aims at after
+  // chunk 0 of `threads` chunks.
+  const auto first_cut = [&](std::size_t threads) {
+    return rows_at + rows.size() / threads;
+  };
+  // An id field that is not a number; the row keeps its length.
+  const auto bad_id = [&](std::string text, std::size_t pos) {
+    text[line_start(pos)] = 'x';
+    return text;
+  };
+
+  struct Case {
+    std::string name;
+    std::string text;
+    std::size_t line = 0;  ///< Line the error must name (0: no line).
+  };
+  std::vector<Case> cases;
+  cases.push_back({"last chunk", bad_id(csv, csv.size() - 2),
+                   line_of(csv.size() - 2)});
+  const std::size_t in_second = rows_at + rows.size() / 2;
+  const std::size_t in_third = rows_at + rows.size() * 5 / 6;
+  cases.push_back({"two chunks", bad_id(bad_id(csv, in_third), in_second),
+                   line_of(in_second)});
+  for (std::size_t threads : {3u, 8u}) {
+    const std::size_t cut = first_cut(threads);
+    cases.push_back({"bad row at cut " + std::to_string(threads),
+                     bad_id(csv, cut), line_of(cut)});
+    // The row ending at the chunk boundary runs on into the next row: its
+    // newline becomes a bot separator, so the next row's id is a bad
+    // address in the middle of one long row.
+    std::string merged = csv;
+    merged[csv.find('\n', cut)] = ';';
+    cases.push_back({"row across cut " + std::to_string(threads),
+                     std::move(merged), line_of(cut)});
+  }
+  cases.push_back({"no final newline", csv.substr(0, csv.size() - 1), 0});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string serial = load_error(c.text, 1);
+    ASSERT_FALSE(serial.empty());
+    if (c.line > 0) {
+      EXPECT_NE(serial.find("line " + std::to_string(c.line) + ": "),
+                std::string::npos)
+          << serial;
+    }
+    for (std::size_t threads : {2u, 3u, 8u}) {
+      EXPECT_EQ(load_error(c.text, threads), serial) << threads << " threads";
+    }
+  }
+  // The boundary cases really sit on a chunk boundary: the bad row is the
+  // last row of the first chunk.
+  for (std::size_t threads : {3u, 8u}) {
+    const std::string text = bad_id(csv, first_cut(threads));
+    const std::vector<std::string_view> pieces =
+        trace::split_lines(std::string_view(text).substr(rows_at), threads);
+    ASSERT_EQ(pieces.size(), threads);
+    const std::string_view first = pieces.front();
+    const std::size_t last_row = first.rfind('\n', first.size() - 2) + 1;
+    EXPECT_EQ(first[last_row], 'x') << threads << " threads";
+  }
+}
+
+TEST(Dataset, SplitLinesKeepsWholeLines) {
+  EXPECT_TRUE(trace::split_lines("", 4).empty());
+  const std::string text = "a\nbb\nccc\ndddd\n";
+  for (std::size_t parts : {1u, 2u, 3u, 4u, 9u}) {
+    const std::vector<std::string_view> pieces =
+        trace::split_lines(text, parts);
+    ASSERT_LE(pieces.size(), parts);
+    std::string joined;
+    for (std::string_view piece : pieces) {
+      ASSERT_FALSE(piece.empty());
+      EXPECT_EQ(piece.back(), '\n');
+      joined += piece;
+    }
+    EXPECT_EQ(joined, text) << parts << " parts";
+  }
+  // A last line without its newline ends the last piece.
+  const std::vector<std::string_view> cut = trace::split_lines("a\nb", 2);
+  ASSERT_EQ(cut.size(), 2u);
+  EXPECT_EQ(cut[1], "b");
 }
 
 TEST(ParallelDeterminism, RngSubstreamsAreOrderIndependent) {

@@ -174,8 +174,6 @@ TEST(AdversaryModel, MalformedBodyBlocksAreTypedParseErrors) {
 TEST(AdversaryModel, UnfittedUseThrows) {
   AdversaryModel model;
   EXPECT_THROW((void)model.predict_next_attack(1), std::logic_error);
-  trace::Attack attack;
-  EXPECT_THROW(model.observe(attack), std::logic_error);
 }
 
 TEST(AdversaryModel, PredictsForKnownTarget) {
@@ -221,29 +219,6 @@ TEST(AdversaryModel, PredictsForEveryAttackedTarget) {
     EXPECT_GE(pred->hour, 0.0);
     EXPECT_LT(pred->hour, 24.0);
   }
-}
-
-TEST(AdversaryModel, ObserveShiftsNextPrediction) {
-  Fixture fx;
-  const net::Asn busiest = fx.world.dataset.target_asns().front();
-  const auto before = fx.model.predict_next_attack(busiest);
-  ASSERT_TRUE(before.has_value());
-
-  // Feed a fresh observation far in the future; the next prediction must
-  // move past it.
-  trace::Attack attack;
-  attack.id = 999999;
-  attack.family = before->assumed_family;
-  attack.target_asn = busiest;
-  attack.target_ip = net::Ipv4(10, 0, 0, 1);
-  attack.start = fx.world.dataset.attacks().back().start + 30 * 86400;
-  attack.duration_s = 600.0;
-  attack.bots = {net::Ipv4(10, 0, 0, 2)};
-  fx.model.observe(attack);
-
-  const auto after = fx.model.predict_next_attack(busiest);
-  ASSERT_TRUE(after.has_value());
-  EXPECT_GT(after->start, attack.start);
 }
 
 TEST(AdversaryModel, DeterministicPredictions) {

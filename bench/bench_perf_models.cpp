@@ -11,6 +11,7 @@
 #include "core/parallel.h"
 #include "core/temporal_model.h"
 #include "net/gao.h"
+#include "net/ipv4_dispatch.h"
 #include "net/routing.h"
 #include "nn/grid_search.h"
 #include "nn/nar.h"
@@ -149,6 +150,42 @@ BENCHMARK(BM_DatasetLoadCsv)
     ->Arg(1)->Arg(4)
     ->UseRealTime()  // The pool's CPU is not the calling thread's.
     ->Unit(benchmark::kMillisecond);
+
+// The bot-address parser on the shared world's bot lists written as the CSV
+// writes them ("a.b.c.d;a.b.c.d;..."), each address parsed from the rest
+// of its list the way the CSV reader does, in addresses per second. Arg 0:
+// the scalar loop; Arg 1: what parse_ipv4_prefix dispatches to (the SSSE3
+// path where the build and CPU have it and ACBM_SIMD is not off).
+void BM_ParseIpv4(benchmark::State& state) {
+  std::string text;
+  std::size_t addresses = 0;
+  char buf[net::kMaxIpv4Chars];
+  for (const auto& attack : shared_world().dataset.attacks()) {
+    for (const net::Ipv4& bot : attack.bots) {
+      text.append(buf, net::format_ipv4(buf, bot));
+      text += ';';
+      ++addresses;
+    }
+    if (addresses >= 200000) break;
+  }
+  const net::detail::ParseIpv4Fn parse =
+      state.range(0) == 0 ? &net::detail::parse_ipv4_prefix_scalar
+                          : net::detail::active_ipv4_parser();
+  for (auto _ : state) {
+    std::string_view rest = text;
+    std::uint32_t sum = 0;
+    while (!rest.empty()) {
+      net::Ipv4 addr;
+      const std::size_t used = parse(rest, addr);
+      sum += addr.value;
+      rest.remove_prefix(used + 1);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(addresses));
+}
+BENCHMARK(BM_ParseIpv4)->Arg(0)->Arg(1);
 
 // The dataset CSV writer on the same trace, in bytes per second: the parts
 // `acbm generate` and every model save write the embedded trace from.

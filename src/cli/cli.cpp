@@ -218,8 +218,36 @@ std::string read_input(const std::string& path, const char* what) {
   }
 }
 
+/// An input file's bytes, mapped when the path names a regular file (no
+/// copy is made), read otherwise (a pipe or a device cannot be mapped).
+class InputBytes {
+ public:
+  InputBytes() = default;
+  InputBytes(const std::string& path, const char* what) {
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(path, ec)) {
+      read_ = read_input(path, what);
+      return;
+    }
+    try {
+      mapped_ = durable::MappedFile(path);
+    } catch (const durable::LoadFailure&) {
+      throw durable::LoadFailure(
+          durable::LoadError::kIo,
+          std::string("cannot open ") + what + " file " + path);
+    }
+  }
+  [[nodiscard]] std::string_view view() const noexcept {
+    return mapped_.mapped() ? mapped_.view() : std::string_view(read_);
+  }
+
+ private:
+  durable::MappedFile mapped_;
+  std::string read_;
+};
+
 /// Framed ("dataset" v1) or legacy bare-CSV dataset bytes -> Dataset.
-trace::Dataset parse_dataset(const std::string& bytes, const std::string& path,
+trace::Dataset parse_dataset(std::string_view bytes, const std::string& path,
                              std::ostream& info) {
   const std::string_view csv =
       durable::looks_framed(bytes)
@@ -235,10 +263,11 @@ trace::Dataset parse_dataset(const std::string& bytes, const std::string& path,
 }
 
 /// Framed ("ipmap" v1) or legacy bare ipmap bytes -> IpToAsnMap.
-net::IpToAsnMap parse_ipmap(const std::string& bytes, const std::string& path) {
-  std::istringstream in(durable::looks_framed(bytes)
-                            ? durable::unwrap(bytes, "ipmap", 1, 1)
-                            : bytes);
+net::IpToAsnMap parse_ipmap(std::string_view bytes, const std::string& path) {
+  durable::SpanBuf buf(durable::looks_framed(bytes)
+                           ? durable::unwrap_view(bytes, "ipmap", 1, 1).payload
+                           : bytes);
+  std::istream in(&buf);
   try {
     return net::IpToAsnMap::load(in);
   } catch (const std::exception& e) {
@@ -373,22 +402,22 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
   const std::string dataset_path = args.require("dataset");
   const std::string ipmap_path = args.require("ipmap");
   const std::string model_path = args.require("model");
-  std::string dataset_bytes;
-  std::string ipmap_bytes;
+  InputBytes dataset_bytes;
+  InputBytes ipmap_bytes;
   trace::Dataset dataset;
   net::IpToAsnMap ip_map;
   {
     ACBM_SPAN("fit.inputs");
-    dataset_bytes = read_input(dataset_path, "dataset");
-    ipmap_bytes = read_input(ipmap_path, "ipmap");
-    dataset = parse_dataset(dataset_bytes, dataset_path, info);
-    ip_map = parse_ipmap(ipmap_bytes, ipmap_path);
+    dataset_bytes = InputBytes(dataset_path, "dataset");
+    ipmap_bytes = InputBytes(ipmap_path, "ipmap");
+    dataset = parse_dataset(dataset_bytes.view(), dataset_path, info);
+    ip_map = parse_ipmap(ipmap_bytes.view(), ipmap_path);
   }
 
   core::SpatiotemporalOptions opts = core::default_cli_options();
   const auto config_hash = [&dataset_bytes, &ipmap_bytes] {
     return run_config_hash(
-        {"fit", dataset_bytes, ipmap_bytes, "grid_search=0"});
+        {"fit", dataset_bytes.view(), ipmap_bytes.view(), "grid_search=0"});
   };
   const int workers =
       static_cast<int>(args.get_or<std::size_t>("workers", 0));
@@ -448,17 +477,18 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
   }
   if (checkpoint) opts.checkpoint = &*checkpoint;
   // The trace bytes served only the checkpoint key and the parsed dataset
-  // owns its data, so the 60 MB text goes before the fit.
-  std::string().swap(dataset_bytes);
+  // owns its data, so the 60 MB mapping goes before the fit, and the
+  // dataset moves into the model, which keeps the only copy.
+  dataset_bytes = InputBytes();
 
   core::AdversaryModel model(opts);
-  model.fit(dataset, ip_map);
+  model.fit(std::move(dataset), ip_map);
   {
     ACBM_SPAN("fit.save");
     durable::save_artifact(model_path, "adversary_model", 4,
                            model.body_parts());
   }
-  info << "fitted on " << dataset.size() << " attacks; model saved to "
+  info << "fitted on " << model.dataset().size() << " attacks; model saved to "
        << model_path << "\n";
   if (checkpoint && !checkpoint->report().clean()) {
     err << "checkpoint recovery:\n";

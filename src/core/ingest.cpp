@@ -1,12 +1,13 @@
 #include "core/ingest.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -51,9 +52,14 @@ bool families_consistent(const std::vector<std::string>& a,
                     b.begin());
 }
 
+/// The "hour=<h>\n" stamp in front of a segment's snapshot.
+std::string hour_stamp(std::size_t hour) {
+  return "hour=" + std::to_string(hour) + "\n";
+}
+
 /// One framed log record: envelope + the "hour=<h>\n" stamp + the snapshot.
 std::string encode_segment(std::size_t hour, std::string_view csv) {
-  std::string payload = "hour=" + std::to_string(hour) + "\n";
+  std::string payload = hour_stamp(hour);
   payload.append(csv);
   return durable::frame_payload(kSegmentKind, kSegmentVersion, payload);
 }
@@ -120,54 +126,98 @@ fs::path quarantine_slot(const fs::path& base) {
   }
 }
 
+/// Parses all of `field` as a number in `base`; false on anything else.
+template <typename T>
+bool parse_whole(std::string_view field, T& value, int base = 10) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value, base);
+  return ec == std::errc{} && ptr == end && !field.empty();
+}
+
 struct ParsedSegment {
   std::size_t hour = 0;
-  std::string csv;
-  std::size_t end = 0;  ///< Offset one past the segment's last byte.
+  std::string_view csv;  ///< Aliases the scanned bytes.
+  std::size_t end = 0;   ///< Offset one past the segment's last byte.
 };
 
 /// Parses the log record starting at `pos`; nullopt when the bytes there
-/// are not one intact, CRC-verified segment.
+/// are not one intact, CRC-verified segment. The header must read exactly
+/// as durable::frame_header writes it.
 std::optional<ParsedSegment> parse_segment(std::string_view bytes,
                                            std::size_t pos) {
+  static const std::string lead =
+      std::string(durable::kFrameMagic) + " " + std::string(kSegmentKind) +
+      " v" + std::to_string(kSegmentVersion) + " len=";
+  constexpr std::string_view kCrcTag = " crc32c=";
+  constexpr std::string_view kHourTag = "hour=";
   const auto header_end = bytes.find('\n', pos);
   if (header_end == std::string_view::npos) return std::nullopt;
-  std::istringstream header(
-      std::string(bytes.substr(pos, header_end - pos)));
-  std::string magic, kind, version, len_field, crc_field;
-  header >> magic >> kind >> version >> len_field >> crc_field;
-  if (magic != durable::kFrameMagic || kind != kSegmentKind ||
-      version != "v" + std::to_string(kSegmentVersion) ||
-      len_field.rfind("len=", 0) != 0 || crc_field.rfind("crc32c=", 0) != 0) {
-    return std::nullopt;
-  }
+  const std::string_view header = bytes.substr(pos, header_end - pos);
   std::size_t len = 0;
   std::uint32_t crc = 0;
-  try {
-    len = std::stoull(len_field.substr(4));
-    crc = static_cast<std::uint32_t>(
-        std::stoul(crc_field.substr(7), nullptr, 16));
-  } catch (const std::exception&) {
+  if (!header.starts_with(lead)) return std::nullopt;
+  const std::size_t crc_at = header.find(kCrcTag);
+  if (crc_at == std::string_view::npos ||
+      !parse_whole(header.substr(lead.size(), crc_at - lead.size()), len) ||
+      !parse_whole(header.substr(crc_at + kCrcTag.size()), crc, 16)) {
     return std::nullopt;
   }
   const std::size_t payload_begin = header_end + 1;
-  if (payload_begin + len > bytes.size()) return std::nullopt;
+  if (len > bytes.size() - payload_begin) return std::nullopt;
   const std::string_view payload = bytes.substr(payload_begin, len);
   if (durable::crc32c(payload) != crc) return std::nullopt;
   const auto stamp_end = payload.find('\n');
-  if (stamp_end == std::string_view::npos ||
-      payload.substr(0, 5) != "hour=") {
-    return std::nullopt;
-  }
   ParsedSegment out;
-  try {
-    out.hour = std::stoull(std::string(payload.substr(5, stamp_end - 5)));
-  } catch (const std::exception&) {
+  if (stamp_end == std::string_view::npos || !payload.starts_with(kHourTag) ||
+      !parse_whole(payload.substr(kHourTag.size(),
+                                  stamp_end - kHourTag.size()),
+                   out.hour)) {
     return std::nullopt;
   }
-  out.csv = std::string(payload.substr(stamp_end + 1));
+  out.csv = payload.substr(stamp_end + 1);
   out.end = payload_begin + len;
   return out;
+}
+
+/// What one pass over the log's bytes found.
+struct LogScan {
+  std::vector<std::string_view> corrupt;  ///< Interior corrupt ranges.
+  std::size_t torn_tail = 0;  ///< Bad bytes running to EOF.
+  std::size_t good_tail = 0;  ///< End of the last intact segment.
+};
+
+/// Collects the intact, in-order segments of `bytes` into `segments`, as
+/// views into `bytes`, and the byte ranges that are not.
+LogScan scan_log(std::string_view bytes, std::vector<Segment>& segments) {
+  LogScan scan;
+  segments.clear();
+  std::size_t pos = 0;
+  while (pos < bytes.size()) {
+    auto segment = parse_segment(bytes, pos);
+    // An intact segment whose hour does not advance violates the append
+    // invariant (hours strictly increase) and is treated like corruption so
+    // the invariant holds for every reader.
+    if (segment && !segments.empty() &&
+        segment->hour <= segments.back().hour) {
+      segment.reset();
+    }
+    if (segment) {
+      segments.push_back({segment->hour, segment->csv});
+      pos = segment->end;
+      scan.good_tail = pos;
+      continue;
+    }
+    // Resync at the next segment boundary; no boundary means the bad bytes
+    // run to EOF — a torn tail from a crash mid-append.
+    const auto next = bytes.find("\nACBMF1 ", pos);
+    if (next == std::string_view::npos) {
+      scan.torn_tail = bytes.size() - pos;
+      break;
+    }
+    scan.corrupt.push_back(bytes.substr(pos, next + 1 - pos));
+    pos = next + 1;
+  }
+  return scan;
 }
 
 }  // namespace
@@ -199,68 +249,60 @@ void SnapshotLog::recover() {
   segments_.clear();
   recovery_ = LogRecovery{};
   if (!fs::exists(log_path_)) return;
-  const std::string bytes = durable::read_file(log_path_);
+  mapped_ = durable::MappedFile(log_path_);
+  const LogScan scan = scan_log(mapped_.view(), segments_);
+  recovery_.torn_tail_bytes = scan.torn_tail;
+  recovery_.quarantined_ranges = scan.corrupt.size();
+  if (scan.torn_tail > 0) ACBM_COUNT("ingest.recovered.torn_tail", 1);
 
-  std::string corrupt_bytes;
-  std::size_t pos = 0;
-  std::size_t good_tail = 0;  // End of the last intact, in-order segment.
-  bool interior_corruption = false;
-  while (pos < bytes.size()) {
-    auto segment = parse_segment(bytes, pos);
-    // An intact segment whose hour does not advance violates the append
-    // invariant (hours strictly increase) and is treated like corruption so
-    // the invariant holds for every reader.
-    if (segment && !segments_.empty() &&
-        segment->hour <= segments_.back().hour) {
-      segment.reset();
-    }
-    if (segment) {
-      segments_.push_back({segment->hour, std::move(segment->csv)});
-      pos = segment->end;
-      good_tail = pos;
-      continue;
-    }
-    // Resync at the next segment boundary; no boundary means the bad bytes
-    // run to EOF — a torn tail from a crash mid-append.
-    const auto next = bytes.find("\nACBMF1 ", pos);
-    if (next == std::string::npos) {
-      recovery_.torn_tail_bytes = bytes.size() - pos;
-      ACBM_COUNT("ingest.recovered.torn_tail", 1);
-      break;
-    }
-    corrupt_bytes.append(bytes, pos, next + 1 - pos);
-    ++recovery_.quarantined_ranges;
-    interior_corruption = true;
-    pos = next + 1;
-  }
-
-  if (!corrupt_bytes.empty()) {
+  if (!scan.corrupt.empty()) {
     const fs::path slot = quarantine_slot(log_path_);
-    durable::atomic_write_file(slot, corrupt_bytes);
+    durable::atomic_write_file(slot, scan.corrupt);
     recovery_.quarantine_path = slot.string();
     ACBM_COUNT("ingest.recovered.quarantined", recovery_.quarantined_ranges);
-  }
-  if (interior_corruption) {
     // Compact the log to its surviving segments so every later reader (and
     // append offset) sees a clean, contiguous record stream.
-    std::string clean;
-    for (const Segment& s : segments_) clean += encode_segment(s.hour, s.csv);
-    rewrite(clean);
-  } else if (recovery_.torn_tail_bytes > 0) {
+    compact();
+  } else if (scan.torn_tail > 0) {
     // The prefix up to good_tail is intact; truncating in place removes the
     // half-written record without rewriting the whole log.
     std::error_code ec;
-    fs::resize_file(log_path_, good_tail, ec);
+    fs::resize_file(log_path_, scan.good_tail, ec);
     if (ec) {
       throw durable::WriteFailure("ingest: truncating torn tail of " +
                                   log_path_.string() +
                                   " failed: " + ec.message());
     }
+  } else {
+    return;
   }
+  // The repaired file replaced or shortened the mapped one: map it again,
+  // so no view outlives the bytes it was taken from or points past EOF.
+  // The repaired log holds exactly the segments just found.
+  mapped_ = durable::MappedFile(log_path_);
+  (void)scan_log(mapped_.view(), segments_);
 }
 
-void SnapshotLog::rewrite(const std::string& bytes) {
-  durable::atomic_write_file(log_path_, bytes);
+void SnapshotLog::compact() {
+  // Each segment goes out as its frame header, its hour stamp and its CSV
+  // view, in one gathered write; the record bytes are never joined.
+  std::vector<std::string> heads;  // Header and stamp per segment.
+  heads.reserve(2 * segments_.size());
+  for (const Segment& s : segments_) {
+    std::string stamp = hour_stamp(s.hour);
+    const std::array<std::string_view, 2> payload = {stamp, s.csv};
+    heads.push_back(
+        durable::frame_header(kSegmentKind, kSegmentVersion, payload));
+    heads.push_back(std::move(stamp));
+  }
+  std::vector<std::string_view> parts;
+  parts.reserve(3 * segments_.size());
+  for (std::size_t i = 0; i < segments_.size(); ++i) {
+    parts.push_back(heads[2 * i]);
+    parts.push_back(heads[2 * i + 1]);
+    parts.push_back(segments_[i].csv);
+  }
+  durable::atomic_write_file(log_path_, parts);
 }
 
 AppendOutcome SnapshotLog::append(std::size_t hour,
@@ -331,7 +373,8 @@ AppendOutcome SnapshotLog::append(std::size_t hour,
   const bool torn = injector.enabled() && injector.fires("ingest.torn_tail", key);
   durable_append(log_path_, record, torn);
 
-  segments_.push_back({hour, std::move(canonical)});
+  appended_.push_back(std::move(canonical));
+  segments_.push_back({hour, appended_.back()});
   ACBM_COUNT(outcome.status == AppendStatus::kAccepted
                  ? "ingest.snapshots.accepted"
                  : "ingest.snapshots.repaired",
@@ -358,26 +401,14 @@ trace::Dataset SnapshotLog::cumulative() const {
   if (segments_.empty()) {
     throw std::logic_error("ingest: cumulative() on an empty snapshot log");
   }
-  std::vector<std::string> families;
-  std::vector<trace::Attack> attacks;
-  trace::EpochSeconds window_start = 0;
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    trace::Dataset d = trace::Dataset::load_csv(segments_[i].csv);
-    if (i == 0) window_start = d.window_start();
-    if (d.family_names().size() > families.size()) {
-      families = d.family_names();
-    }
-    std::vector<trace::Attack> segment = std::move(d).take_attacks();
-    if (attacks.empty()) {
-      attacks = std::move(segment);  // The base segment, most of the log.
-    } else {
-      std::move(segment.begin(), segment.end(), std::back_inserter(attacks));
-    }
-  }
-  // Dataset construction re-sorts, re-validates, and reindexes — the result
-  // is exactly what a cold full fit on the exported dataset consumes.
-  return trace::Dataset(std::move(families), std::move(attacks), {},
-                        window_start);
+  // Every segment's rows are parsed straight from its view into the one
+  // dataset; its construction re-sorts, re-validates, and reindexes, so the
+  // result is exactly what a cold full fit on the exported dataset
+  // consumes.
+  std::vector<std::string_view> texts;
+  texts.reserve(segments_.size());
+  for (const Segment& s : segments_) texts.push_back(s.csv);
+  return trace::Dataset::load_csv_union(texts);
 }
 
 // --- Drift detection --------------------------------------------------------

@@ -4,10 +4,12 @@
 //  * SnapshotLog — an append-only, crash-safe log of hourly dataset
 //    snapshots (`<dir>/snapshots.log`). Every segment is one durable.h
 //    frame (`ACBMF1 ingest_segment v1 len=… crc32c=…`) appended and
-//    fsynced in place. Recovery on open truncates a torn tail (a crash
-//    mid-append) and quarantines interior corruption (bit rot between
-//    intact segments) into `snapshots.log.corrupt-<n>`, then compacts the
-//    log to its surviving segments.
+//    fsynced in place. The log is memory-mapped on open and its segments
+//    are views into the mapping. Recovery CRC-checks the mapped bytes,
+//    truncates a torn tail (a crash mid-append) and quarantines interior
+//    corruption (bit rot between intact segments) into
+//    `snapshots.log.corrupt-<n>`, then compacts the log to its surviving
+//    segments; after either repair it maps the log again.
 //
 //  * Snapshot validation policy (per-append, via trace::Dataset's
 //    ValidationReport machinery):
@@ -60,6 +62,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -67,6 +70,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/durable.h"
 #include "core/pipeline.h"
 #include "core/spatiotemporal_model.h"
 #include "net/ip_space.h"
@@ -109,7 +113,11 @@ class CorrectedEma {
 /// the log) and its canonical snapshot CSV payload.
 struct Segment {
   std::size_t hour = 0;
-  std::string csv;  ///< Canonical Dataset::save_csv text of the snapshot.
+  /// Canonical Dataset::save_csv text of the snapshot: a view into the
+  /// log's mapping, or into storage the log owns for a segment appended
+  /// since it was opened. Valid as long as the SnapshotLog that holds it
+  /// (a log moved into another object keeps its views valid there).
+  std::string_view csv;
 };
 
 enum class AppendStatus { kAccepted, kRepaired, kRejected, kDuplicate };
@@ -132,6 +140,9 @@ struct LogRecovery {
 
 /// Append-only crash-safe snapshot log. Single-writer (the ingest CLI);
 /// every append is framed, CRC'd, and fsynced before it is acknowledged.
+/// Opening maps the log read-only and keeps segments as views into the
+/// mapping, so the log is read once and never copied; nothing else may
+/// truncate or rewrite the file while a SnapshotLog holds it. Move-only.
 class SnapshotLog {
  public:
   /// Opens (creating the directory if needed) and recovers the log.
@@ -157,7 +168,9 @@ class SnapshotLog {
   }
 
   /// The union dataset of every segment: cumulative family list, all
-  /// attacks, the log's window_start. Dataset construction re-sorts and
+  /// attacks, the log's window_start. One pass parses every segment's rows
+  /// from its view into one Dataset (Dataset::load_csv_union), each segment
+  /// with its own checks and messages; the construction re-sorts and
   /// re-validates, so the result is the canonical cumulative dataset a
   /// cold full fit would consume. Throws std::logic_error on an empty log.
   [[nodiscard]] trace::Dataset cumulative() const;
@@ -173,13 +186,16 @@ class SnapshotLog {
 
  private:
   void recover();
-  void rewrite(const std::string& bytes);
+  /// Rewrites the log as exactly its surviving segments.
+  void compact();
   /// The union family list across segments (append keeps lists
   /// prefix-consistent, so this is the longest list seen).
   [[nodiscard]] std::vector<std::string> cumulative_families() const;
 
   std::filesystem::path dir_;
   std::filesystem::path log_path_;
+  durable::MappedFile mapped_;         ///< The log as opened (or repaired).
+  std::deque<std::string> appended_;   ///< Segments appended since; stable.
   std::vector<Segment> segments_;
   LogRecovery recovery_;
 };

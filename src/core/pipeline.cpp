@@ -39,7 +39,12 @@ SpatiotemporalOptions default_cli_options() {
 
 void AdversaryModel::fit(const trace::Dataset& dataset,
                          const net::IpToAsnMap& ip_map) {
-  dataset_ = dataset;
+  fit(trace::Dataset(dataset), ip_map);
+}
+
+void AdversaryModel::fit(trace::Dataset&& dataset,
+                         const net::IpToAsnMap& ip_map) {
+  dataset_ = std::move(dataset);
   ip_map_ = ip_map;
   st_ = SpatiotemporalModel(opts_);
   st_.fit(dataset_, ip_map_);

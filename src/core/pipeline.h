@@ -69,8 +69,10 @@ class AdversaryModel {
 
   /// Fits temporal, spatial, and spatiotemporal components on the dataset
   /// (typically the training split). The dataset and map are copied so the
-  /// model is self-contained.
+  /// model is self-contained; the rvalue overload takes the dataset over
+  /// instead, for callers that do not read it again.
   void fit(const trace::Dataset& dataset, const net::IpToAsnMap& ip_map);
+  void fit(trace::Dataset&& dataset, const net::IpToAsnMap& ip_map);
 
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }
 

@@ -5,6 +5,9 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "net/ipv4_dispatch.h"
+#include "stats/kernels.h"
+
 namespace acbm::net {
 
 namespace {
@@ -52,9 +55,11 @@ std::string Ipv4::to_string() const {
   return std::string(buf, format_ipv4(buf, *this));
 }
 
-std::size_t parse_ipv4_prefix(std::string_view text, Ipv4& out) noexcept {
-  // The dataset reader parses every bot address through here, and this
-  // digit loop is faster than one from_chars per octet. Grammar: 1+
+namespace detail {
+
+std::size_t parse_ipv4_prefix_scalar(std::string_view text,
+                                     Ipv4& out) noexcept {
+  // This digit loop is faster than one from_chars per octet. Grammar: 1+
   // decimal digits per octet (leading zeros allowed), each at most 255.
   std::uint32_t value = 0;
   const char* ptr = text.data();
@@ -75,6 +80,31 @@ std::size_t parse_ipv4_prefix(std::string_view text, Ipv4& out) noexcept {
   }
   out = Ipv4(value);
   return static_cast<std::size_t>(ptr - text.data());
+}
+
+#if !defined(ACBM_HAVE_IPV4_SSSE3_TU)
+// ipv4_ssse3.cpp is not part of this build.
+ParseIpv4Fn parse_ipv4_prefix_ssse3() noexcept { return nullptr; }
+#endif
+
+ParseIpv4Fn active_ipv4_parser() noexcept {
+  static const ParseIpv4Fn parser = []() -> ParseIpv4Fn {
+#if defined(ACBM_HAVE_IPV4_SSSE3_TU)
+    if (stats::active_isa() != stats::SimdIsa::kScalar &&
+        __builtin_cpu_supports("ssse3")) {
+      return parse_ipv4_prefix_ssse3();
+    }
+#endif
+    return &parse_ipv4_prefix_scalar;
+  }();
+  return parser;
+}
+
+}  // namespace detail
+
+std::size_t parse_ipv4_prefix(std::string_view text, Ipv4& out) noexcept {
+  // The dataset reader parses every bot address through here.
+  return detail::active_ipv4_parser()(text, out);
 }
 
 Ipv4 parse_ipv4(std::string_view text) {

@@ -41,6 +41,10 @@ char* format_ipv4(char* out, Ipv4 addr) noexcept;
 /// list in place: stores it in `out` and returns the number of characters
 /// consumed, or 0 (leaving `out` alone) when `text` does not start with
 /// one. parse_ipv4 is this plus a check that all of `text` was consumed.
+/// On x86-64 with SSSE3, a view of at least 16 bytes whose octets have 1-3
+/// digits is parsed with one vector load (ipv4_ssse3.cpp); every other
+/// input takes the scalar loop, so results do not depend on the path.
+/// ACBM_SIMD=off or -DACBM_DISABLE_SIMD=ON keep the scalar loop.
 std::size_t parse_ipv4_prefix(std::string_view text, Ipv4& out) noexcept;
 
 /// A CIDR prefix (network address + length). The network address is

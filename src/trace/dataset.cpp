@@ -130,12 +130,6 @@ void Dataset::reindex() {
   }
 }
 
-std::vector<Attack> Dataset::take_attacks() && {
-  by_family_.clear();
-  by_target_asn_.clear();
-  return std::move(attacks_);
-}
-
 std::vector<std::size_t> Dataset::attacks_of_family(
     std::uint32_t family) const {
   const auto it = by_family_.find(family);
@@ -341,10 +335,12 @@ Attack parse_row(std::string_view line, std::size_t line_no) {
   attack.target_asn = parse_number<net::Asn>(fields[3], line_no, "target_asn");
   attack.start = parse_number<EpochSeconds>(fields[4], line_no, "start");
   attack.duration_s = parse_number<double>(fields[5], line_no, "duration_s");
-  attack.bots.reserve(
-      static_cast<std::size_t>(std::count(line.begin(), line.end(), ';')) + 1);
   // Each address is parsed in place and must end at a ';' or the line's
-  // end; empty entries are skipped.
+  // end; empty entries are skipped. The addresses gather in a per-thread
+  // list first, so the attack's own list is allocated once at its size
+  // without a separate pass to count them.
+  thread_local std::vector<net::Ipv4> bots;
+  bots.clear();
   while (!line.empty()) {
     if (line.front() != ';') {
       net::Ipv4 bot;
@@ -354,24 +350,25 @@ Attack parse_row(std::string_view line, std::size_t line_no) {
                                std::string(line.substr(0, line.find(';'))) +
                                "'");
       }
-      attack.bots.push_back(bot);
+      bots.push_back(bot);
       line.remove_prefix(used);
     }
     if (!line.empty()) line.remove_prefix(1);
   }
+  attack.bots.assign(bots.begin(), bots.end());
   return attack;
 }
 
-/// The attacks of `rows`, the rows after the column header, whose first
-/// line is line `first_line` of the text.
-std::vector<Attack> parse_rows(std::string_view rows, std::size_t first_line) {
+/// Appends the attacks of `rows`, the rows after the column header whose
+/// first line is line `first_line` of the text, to `attacks`.
+void parse_rows(std::string_view rows, std::size_t first_line,
+                std::vector<Attack>& attacks) {
   if (rows.size() < kCsvParallelFloor) {
-    std::vector<Attack> attacks;
     for (std::size_t line_no = first_line; !rows.empty(); ++line_no) {
       const std::string_view line = next_line(rows);
       if (!line.empty()) attacks.push_back(parse_row(line, line_no));
     }
-    return attacks;
+    return;
   }
   const std::size_t chunks = core::num_threads();
   ACBM_SPAN_KV("trace.csv.parse", "chunks=" + std::to_string(chunks));
@@ -402,7 +399,7 @@ std::vector<Attack> parse_rows(std::string_view rows, std::size_t first_line) {
     parsed[c] = std::move(chunk);
   });
   std::size_t line_no = first_line;
-  std::size_t count = 0;
+  std::size_t count = attacks.size();
   for (const Chunk& chunk : parsed) {
     if (chunk.bad_row) {
       // parse_row is a pure function of the row, so parsing it again at
@@ -412,13 +409,30 @@ std::vector<Attack> parse_rows(std::string_view rows, std::size_t first_line) {
     line_no += chunk.lines;
     count += chunk.attacks.size();
   }
-  std::vector<Attack> attacks;
   attacks.reserve(count);
   for (Chunk& chunk : parsed) {
     std::move(chunk.attacks.begin(), chunk.attacks.end(),
               std::back_inserter(attacks));
   }
-  return attacks;
+}
+
+/// Checks one whole dataset CSV text as load_csv documents, appends its
+/// rows to `attacks` and returns its header.
+CsvHeader parse_text(std::string_view csv, std::vector<Attack>& attacks) {
+  CsvHeader header = parse_header(csv);
+  if (csv.empty()) {
+    throw std::invalid_argument("Dataset::load_csv: missing column header");
+  }
+  // save_csv ends every line in '\n'. Text that does not was cut short,
+  // maybe inside a row's bots, where a cut can still leave valid addresses
+  // ("10.9.0.12" -> "10.9.0.1").
+  if (csv.back() != '\n') {
+    throw std::invalid_argument(
+        "Dataset::load_csv: truncated (last line has no newline)");
+  }
+  (void)next_line(csv);
+  parse_rows(csv, 4, attacks);
+  return header;
 }
 
 }  // namespace
@@ -482,20 +496,32 @@ CsvHeader Dataset::load_csv_header(std::string_view csv) {
 }
 
 Dataset Dataset::load_csv(std::string_view csv) {
-  CsvHeader header = parse_header(csv);
-  if (csv.empty()) {
-    throw std::invalid_argument("Dataset::load_csv: missing column header");
+  return load_csv_union(std::span(&csv, 1));
+}
+
+Dataset Dataset::load_csv_union(std::span<const std::string_view> texts) {
+  if (texts.empty()) {
+    throw std::invalid_argument("Dataset::load_csv_union: no text");
   }
-  // save_csv ends every line in '\n'. Text that does not was cut short,
-  // maybe inside a row's bots, where a cut can still leave valid addresses
-  // ("10.9.0.12" -> "10.9.0.1").
-  if (csv.back() != '\n') {
-    throw std::invalid_argument(
-        "Dataset::load_csv: truncated (last line has no newline)");
+  std::vector<std::string> families;
+  std::vector<Attack> attacks;
+  EpochSeconds window_start = 0;
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    const std::size_t first = attacks.size();
+    CsvHeader header = parse_text(texts[i], attacks);
+    // The check load_csv's construction makes, against this text's list.
+    for (std::size_t a = first; a < attacks.size(); ++a) {
+      if (attacks[a].family >= header.families.size()) {
+        throw std::invalid_argument(
+            "Dataset: attack references unknown family");
+      }
+    }
+    if (i == 0) window_start = header.window_start;
+    if (header.families.size() > families.size()) {
+      families = std::move(header.families);
+    }
   }
-  (void)next_line(csv);
-  return Dataset(std::move(header.families), parse_rows(csv, 4), {},
-                 header.window_start);
+  return Dataset(std::move(families), std::move(attacks), {}, window_start);
 }
 
 Dataset Dataset::load_csv(std::istream& is) {

@@ -111,10 +111,6 @@ class Dataset {
   }
   [[nodiscard]] std::size_t size() const noexcept { return attacks_.size(); }
 
-  /// Moves the attacks (chronological) out of an expiring dataset, so a
-  /// caller merging several parsed datasets into one copies no bot list.
-  [[nodiscard]] std::vector<Attack> take_attacks() &&;
-
   /// Indices of all attacks by a family, chronological.
   [[nodiscard]] std::vector<std::size_t> attacks_of_family(
       std::uint32_t family) const;
@@ -158,6 +154,17 @@ class Dataset {
   void save_csv(std::ostream& os) const;
   [[nodiscard]] static Dataset load_csv(std::string_view csv);
   [[nodiscard]] static Dataset load_csv(std::istream& is);
+  /// One dataset from several CSV texts in one pass: every text's rows in
+  /// text order, the longest family list (the texts' lists must agree
+  /// where they overlap), the first text's window_start, then one
+  /// construction that repairs, sorts and indexes the union. Each text gets
+  /// load_csv's checks and messages, including that its rows' family
+  /// indices fall within its own list; the first failure throws. For texts
+  /// in the form save_csv writes (sorted, unique ids, nothing to repair),
+  /// this equals loading each and constructing the union of their attacks.
+  /// Throws on an empty span.
+  [[nodiscard]] static Dataset load_csv_union(
+      std::span<const std::string_view> texts);
   /// Parses only the header lines (no row), with load_csv's checks.
   [[nodiscard]] static CsvHeader load_csv_header(std::string_view csv);
 

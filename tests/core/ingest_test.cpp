@@ -371,6 +371,260 @@ TEST(SnapshotLog, TornTailFaultThenReopenConverges) {
   EXPECT_EQ(recovered.cumulative().size(), 3u);
 }
 
+// --- The mapped log -------------------------------------------------------
+
+/// Copies of every segment's hour and CSV bytes, for comparing a log's
+/// segments with what was appended after the views were re-taken.
+std::vector<std::pair<std::size_t, std::string>> segment_bytes(
+    const SnapshotLog& log) {
+  std::vector<std::pair<std::size_t, std::string>> out;
+  for (const Segment& s : log.segments()) {
+    out.emplace_back(s.hour, std::string(s.csv));
+  }
+  return out;
+}
+
+/// The canonical text append stores for `snapshot`.
+std::string canonical(std::string_view snapshot) {
+  return csv_of(trace::Dataset::load_csv(snapshot));
+}
+
+/// The cumulative dataset as it was built before the one-pass parse: each
+/// segment loaded on its own, its attacks gathered into one list, the longest
+/// family list, one construction of the union.
+trace::Dataset per_segment_merge(const SnapshotLog& log) {
+  std::vector<std::string> families;
+  std::vector<trace::Attack> attacks;
+  trace::EpochSeconds window_start = 0;
+  for (std::size_t i = 0; i < log.segments().size(); ++i) {
+    trace::Dataset d = trace::Dataset::load_csv(log.segments()[i].csv);
+    if (i == 0) window_start = d.window_start();
+    if (d.family_names().size() > families.size()) families = d.family_names();
+    attacks.insert(attacks.end(), d.attacks().begin(), d.attacks().end());
+  }
+  return trace::Dataset(std::move(families), std::move(attacks), {},
+                        window_start);
+}
+
+void expect_same_dataset(const trace::Dataset& got,
+                         const trace::Dataset& want) {
+  EXPECT_EQ(csv_of(got), csv_of(want));
+  EXPECT_EQ(got.family_names(), want.family_names());
+  EXPECT_EQ(got.window_start(), want.window_start());
+  EXPECT_EQ(got.validation().nonfinite_durations,
+            want.validation().nonfinite_durations);
+  EXPECT_EQ(got.validation().negative_durations,
+            want.validation().negative_durations);
+  EXPECT_EQ(got.validation().out_of_order, want.validation().out_of_order);
+  EXPECT_EQ(got.validation().duplicate_ids, want.validation().duplicate_ids);
+  for (std::uint32_t f = 0; f < want.family_names().size(); ++f) {
+    EXPECT_EQ(got.attacks_of_family(f), want.attacks_of_family(f));
+  }
+}
+
+TEST(SnapshotLog, MappedSegmentsSurviveTornTailTruncation) {
+  TempDir tmp;
+  const std::vector<std::string> families = {"BotA", "BotB"};
+  std::vector<std::pair<std::size_t, std::string>> appended;
+  {
+    SnapshotLog log(tmp.path);
+    for (std::size_t h = 1; h <= 3; ++h) {
+      const std::string snap =
+          snapshot_csv(families, static_cast<std::uint32_t>(h % 2), h, h, 2,
+                       h * 100);
+      ASSERT_EQ(log.append(h, snap).status, AppendStatus::kAccepted);
+      appended.emplace_back(h, canonical(snap));
+    }
+    EXPECT_EQ(segment_bytes(log), appended);
+  }
+  {
+    std::ofstream os(tmp.path / "snapshots.log",
+                     std::ios::binary | std::ios::app);
+    os << "ACBMF1 ingest_segment v1 len=900 crc32c=0badf00d\nhour=4\n#win";
+  }
+  SnapshotLog recovered(tmp.path);
+  EXPECT_EQ(recovered.recovery().torn_tail_bytes,
+            std::string_view("ACBMF1 ingest_segment v1 len=900 "
+                             "crc32c=0badf00d\nhour=4\n#win")
+                .size());
+  EXPECT_EQ(recovered.recovery().quarantined_ranges, 0u);
+  EXPECT_TRUE(recovered.recovery().quarantine_path.empty());
+  EXPECT_EQ(segment_bytes(recovered), appended);
+  expect_same_dataset(recovered.cumulative(), per_segment_merge(recovered));
+
+  // An append after the repair, then a reopen, sees every segment.
+  const std::string snap = snapshot_csv(families, 0, 4, 4, 1, 400);
+  ASSERT_EQ(recovered.append(4, snap).status, AppendStatus::kAccepted);
+  appended.emplace_back(4, canonical(snap));
+  EXPECT_EQ(segment_bytes(recovered), appended);
+  const SnapshotLog reopened(tmp.path);
+  EXPECT_EQ(reopened.recovery().torn_tail_bytes, 0u);
+  EXPECT_EQ(segment_bytes(reopened), appended);
+  EXPECT_EQ(reopened.cumulative().size(), 2u + 2u + 2u + 1u);
+}
+
+TEST(SnapshotLog, MappedSegmentsSurviveCompaction) {
+  TempDir tmp;
+  TempDir clean;  // The same surviving hours appended to a fresh log.
+  const std::vector<std::string> families = {"BotA"};
+  std::vector<std::pair<std::size_t, std::string>> survivors;
+  {
+    SnapshotLog log(tmp.path);
+    SnapshotLog reference(clean.path);
+    for (std::size_t h = 1; h <= 4; ++h) {
+      const std::string snap = snapshot_csv(families, 0, h, h, 2, h * 100);
+      ASSERT_EQ(log.append(h, snap).status, AppendStatus::kAccepted);
+      if (h == 2) continue;
+      ASSERT_EQ(reference.append(h, snap).status, AppendStatus::kAccepted);
+      survivors.emplace_back(h, canonical(snap));
+    }
+  }
+  // Bit rot inside the second segment's payload.
+  const fs::path log_path = tmp.path / "snapshots.log";
+  std::string bytes = durable::read_file(log_path);
+  const std::size_t second = bytes.find("ACBMF1", 1);
+  const std::size_t third = bytes.find("ACBMF1", second + 1);
+  ASSERT_NE(third, std::string::npos);
+  bytes[second + 80] ^= 0x04;
+  std::ofstream(log_path, std::ios::binary | std::ios::trunc) << bytes;
+
+  SnapshotLog recovered(tmp.path);
+  EXPECT_EQ(recovered.recovery().quarantined_ranges, 1u);
+  EXPECT_EQ(recovered.recovery().torn_tail_bytes, 0u);
+  ASSERT_FALSE(recovered.recovery().quarantine_path.empty());
+  EXPECT_EQ(durable::read_file(recovered.recovery().quarantine_path),
+            bytes.substr(second, third - second));
+  EXPECT_EQ(segment_bytes(recovered), survivors);
+  // The compacted log is byte-equal to one that only ever held the
+  // survivors.
+  EXPECT_EQ(durable::read_file(log_path),
+            durable::read_file(clean.path / "snapshots.log"));
+  expect_same_dataset(recovered.cumulative(), per_segment_merge(recovered));
+
+  const std::string snap = snapshot_csv(families, 0, 5, 5, 1, 500);
+  ASSERT_EQ(recovered.append(5, snap).status, AppendStatus::kAccepted);
+  survivors.emplace_back(5, canonical(snap));
+  const SnapshotLog reopened(tmp.path);
+  EXPECT_EQ(reopened.recovery().quarantined_ranges, 0u);
+  EXPECT_EQ(segment_bytes(reopened), survivors);
+}
+
+TEST(SnapshotLog, MovedLogKeepsWorkingViews) {
+  TempDir tmp;
+  const std::vector<std::string> families = {"BotA"};
+  {
+    SnapshotLog log(tmp.path);
+    ASSERT_EQ(log.append(1, snapshot_csv(families, 0, 0, 1, 2, 10)).status,
+              AppendStatus::kAccepted);
+  }
+  // Segment 1 is a view into the mapping, segment 2 into owned storage.
+  SnapshotLog log(tmp.path);
+  ASSERT_EQ(log.append(2, snapshot_csv(families, 0, 2, 2, 1, 20)).status,
+            AppendStatus::kAccepted);
+  const auto expected = segment_bytes(log);
+  const std::string cumulative = csv_of(log.cumulative());
+
+  SnapshotLog moved(std::move(log));
+  EXPECT_EQ(segment_bytes(moved), expected);
+  EXPECT_EQ(csv_of(moved.cumulative()), cumulative);
+
+  TempDir other;
+  SnapshotLog assigned(other.path);
+  assigned = std::move(moved);
+  EXPECT_EQ(segment_bytes(assigned), expected);
+  EXPECT_EQ(csv_of(assigned.cumulative()), cumulative);
+  EXPECT_EQ(assigned.dir(), tmp.path);
+  ASSERT_EQ(assigned.append(3, snapshot_csv(families, 0, 3, 3, 1, 30)).status,
+            AppendStatus::kAccepted);
+  EXPECT_EQ(SnapshotLog(tmp.path).segments().size(), 3u);
+}
+
+TEST(SnapshotLog, CumulativeEqualsThePerSegmentMerge) {
+  TempDir tmp;
+  SnapshotLog log(tmp.path);
+  ASSERT_EQ(log.append(1, snapshot_csv({"BotA", "BotB"}, 0, 0, 1, 3, 1000))
+                .status,
+            AppendStatus::kAccepted);
+  // A repaired snapshot: a NaN duration and rows out of order.
+  std::string repaired = snapshot_csv({"BotA", "BotB"}, 1, 2, 3, 2, 2000);
+  {
+    std::vector<std::string> lines;
+    std::istringstream is(repaired);
+    for (std::string line; std::getline(is, line);) lines.push_back(line);
+    ASSERT_GE(lines.size(), 5u);
+    std::swap(lines[3], lines.back());
+    std::string& row = lines[4];
+    std::size_t at = 0;
+    for (int comma = 0; comma < 5; ++comma) at = row.find(',', at) + 1;
+    row.replace(at, row.find(',', at) - at, "nan");
+    repaired.clear();
+    for (const std::string& line : lines) repaired += line + "\n";
+  }
+  const AppendOutcome fixed = log.append(3, repaired);
+  ASSERT_EQ(fixed.status, AppendStatus::kRepaired);
+  EXPECT_EQ(fixed.validation.nonfinite_durations, 1u);
+  EXPECT_GT(fixed.validation.out_of_order, 0u);
+  // A family-list extension, and an id the base segment already used.
+  std::vector<trace::Attack> attacks = {
+      make_attack(1000, 2, kWs + 4 * 3600 + 5),
+      make_attack(3001, 0, kWs + 4 * 3600 + 9)};
+  ASSERT_EQ(log.append(4, csv_of(trace::Dataset({"BotA", "BotB", "BotC"},
+                                                std::move(attacks), {}, kWs)))
+                .status,
+            AppendStatus::kAccepted);
+
+  const trace::Dataset reference = per_segment_merge(log);
+  EXPECT_EQ(reference.validation().duplicate_ids, 1u);
+  EXPECT_EQ(reference.family_names().size(), 3u);
+  expect_same_dataset(log.cumulative(), reference);
+  // The same from the mapped log of a fresh reader.
+  const SnapshotLog reopened(tmp.path);
+  expect_same_dataset(reopened.cumulative(), reference);
+}
+
+TEST(SnapshotLog, HandFramedSegmentWithABadRowThrowsTheLoadCsvMessage) {
+  const std::vector<std::string> families = {"BotA", "BotB"};
+  const std::string good = snapshot_csv(families, 0, 2, 2, 2, 200);
+  std::string bad_address = good;
+  bad_address.replace(bad_address.rfind("10.1.0.2"), 8, "10.1.0.256");
+  std::string bad_family = good;  // Family 1 is beyond a one-name list.
+  bad_family.replace(bad_family.find("#families=BotA;BotB"), 19,
+                     "#families=BotA");
+  const std::size_t last_row =
+      bad_family.rfind('\n', bad_family.size() - 2) + 1;
+  bad_family.replace(bad_family.find(",0,", last_row), 3, ",1,");
+
+  for (const std::string& bad : {bad_address, bad_family}) {
+    std::string want;
+    try {
+      (void)trace::Dataset::load_csv(bad);
+      ADD_FAILURE() << "load_csv accepted the bad text";
+    } catch (const std::invalid_argument& e) {
+      want = e.what();
+    }
+    TempDir tmp;
+    {
+      SnapshotLog log(tmp.path);
+      ASSERT_EQ(log.append(1, snapshot_csv(families, 0, 0, 1, 1, 10)).status,
+                AppendStatus::kAccepted);
+    }
+    {
+      std::ofstream os(tmp.path / "snapshots.log",
+                       std::ios::binary | std::ios::app);
+      os << durable::frame_payload("ingest_segment", 1, "hour=2\n" + bad);
+    }
+    const SnapshotLog log(tmp.path);
+    ASSERT_EQ(log.segments().size(), 2u);  // The frame itself is intact.
+    EXPECT_EQ(log.recovery().torn_tail_bytes, 0u);
+    try {
+      (void)log.cumulative();
+      ADD_FAILURE() << "cumulative() accepted the bad segment";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  }
+}
+
 // --- Drift detection --------------------------------------------------------
 
 /// Baseline for a family launching `rate` attacks/hour of magnitude 3.

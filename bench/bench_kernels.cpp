@@ -13,6 +13,7 @@
 // timing).
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -132,7 +133,7 @@ BenchResult bench_mlp_fit(const BenchConfig& config) {
     y[i] = target + rng.normal(0.0, 0.05);
   }
   acbm::nn::MlpOptions opts;
-  opts.hidden_layers = {8};
+  opts.hidden_units = 8;
   opts.max_epochs = config.tiny ? 6 : 120;
   opts.patience = 15;
   return run_bench("mlp_fit", config, [&]() {
@@ -220,6 +221,37 @@ BenchResult bench_gemv_isa(const BenchConfig& config,
   });
   acbm::stats::set_active_isa(saved);
   result.ops = static_cast<double>(iters);
+  return result;
+}
+
+/// tanh over a block of hidden-unit-sized inputs in [-4, 4]: "std" is
+/// libm's std::tanh per element, "scalar" the stats::tanh reference per
+/// element, and an ISA name the block kernel dispatched at that ISA.
+BenchResult bench_tanh(const BenchConfig& config, const std::string& variant) {
+  const std::size_t n = config.tiny ? 1024 : std::size_t{1} << 16;
+  const std::size_t passes = config.tiny ? 2 : 50;
+  acbm::stats::Rng rng(17);
+  std::vector<double> x(n);
+  for (double& v : x) v = rng.uniform(-4.0, 4.0);
+  std::vector<double> out(n);
+  const acbm::stats::SimdIsa saved = acbm::stats::active_isa();
+  acbm::stats::set_active_isa(acbm::stats::detected_isa());
+  BenchResult result = run_bench("tanh_" + variant, config, [&]() {
+    double acc = 0.0;
+    for (std::size_t p = 0; p < passes; ++p) {
+      if (variant == "std") {
+        for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(x[i]);
+      } else if (variant == "scalar") {
+        for (std::size_t i = 0; i < n; ++i) out[i] = acbm::stats::tanh(x[i]);
+      } else {
+        acbm::stats::tanh(x, out);
+      }
+      acc += out[p % n];
+    }
+    return acc;
+  });
+  acbm::stats::set_active_isa(saved);
+  result.ops = static_cast<double>(n * passes);
   return result;
 }
 
@@ -423,6 +455,12 @@ int main(int argc, char** argv) {
   if (acbm::stats::detected_isa() != acbm::stats::SimdIsa::kScalar) {
     results.push_back(bench_gemm_isa(config, acbm::stats::detected_isa()));
     results.push_back(bench_gemv_isa(config, acbm::stats::detected_isa()));
+  }
+  results.push_back(bench_tanh(config, "std"));
+  results.push_back(bench_tanh(config, "scalar"));
+  if (acbm::stats::detected_isa() != acbm::stats::SimdIsa::kScalar) {
+    results.push_back(bench_tanh(
+        config, acbm::stats::isa_name(acbm::stats::detected_isa())));
   }
   results.push_back(bench_ols(config));
   results.push_back(bench_mlp_fit(config));

@@ -416,8 +416,8 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
 
   core::SpatiotemporalOptions opts = core::default_cli_options();
   const auto config_hash = [&dataset_bytes, &ipmap_bytes] {
-    return run_config_hash(
-        {"fit", dataset_bytes.view(), ipmap_bytes.view(), "grid_search=0"});
+    return run_config_hash({"fit", dataset_bytes.view(), ipmap_bytes.view(),
+                            core::fit_config_tag()});
   };
   const int workers =
       static_cast<int>(args.get_or<std::size_t>("workers", 0));
@@ -536,8 +536,8 @@ int cmd_worker(const ArgMap& args, std::ostream&, std::ostream& err) {
   // Recomputed from the same bytes cmd_fit hashes, so a worker pointed at
   // the wrong dataset/ipmap refuses the shard plan instead of publishing
   // stages under a mismatched key.
-  wopts.config_hash =
-      run_config_hash({"fit", dataset_bytes, ipmap_bytes, "grid_search=0"});
+  wopts.config_hash = run_config_hash(
+      {"fit", dataset_bytes, ipmap_bytes, core::fit_config_tag()});
   wopts.worker_id = static_cast<int>(args.get_or<std::size_t>("worker-id", 0));
   wopts.lease_ttl_ms =
       static_cast<int>(args.get_or<std::size_t>("lease-ttl-ms", 2000));
@@ -1051,8 +1051,8 @@ int cmd_evaluate(const ArgMap& args, std::ostream& out, std::ostream& err) {
   const core::SpatiotemporalOptions opts = core::default_cli_options();
   std::optional<core::CheckpointDir> checkpoint =
       open_checkpoint(args, [&dataset_bytes, &ipmap_bytes] {
-        return run_config_hash(
-            {"evaluate", dataset_bytes, ipmap_bytes, "grid_search=0"});
+        return run_config_hash({"evaluate", dataset_bytes, ipmap_bytes,
+                                core::fit_config_tag()});
       });
 
   std::string results;

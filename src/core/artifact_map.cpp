@@ -672,6 +672,9 @@ ArtifactView ArtifactView::parse(std::string_view data, bool verify_crc) {
         mlp.layer_count == 0) {
       throw corrupt(LoadError::kParse, "mlp layer range out of bounds");
     }
+    if (mlp.layer_count != 2) {
+      throw corrupt(LoadError::kParse, "mlp is not one hidden layer");
+    }
     if (mlp.in_mean.len != mlp.input_dim || mlp.in_sd.len != mlp.input_dim ||
         mlp.in_mean32.len != mlp.input_dim ||
         mlp.in_sd32.len != mlp.input_dim || mlp.delays != mlp.input_dim) {

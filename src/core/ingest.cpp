@@ -593,6 +593,7 @@ std::size_t Ingestor::last_refit_hour() const {
 
 std::map<std::string, std::uint64_t> Ingestor::stage_input_hashes(
     const trace::Dataset& cumulative) const {
+  ACBM_SPAN("ingest.stage_hashes");
   std::map<std::string, std::uint64_t> hashes;
   const auto& families = cumulative.family_names();
 
@@ -639,7 +640,7 @@ std::uint64_t Ingestor::checkpoint_config_hash() const {
   // inputs.state instead (refit() invalidates exactly what changed).
   std::uint64_t h = durable::fnv1a64("acbm-ingest-fit");
   h = durable::fnv1a64(durable::read_file(opts_.dir / "ipmap.art"), h);
-  h = durable::fnv1a64("grid_search=0", h);
+  h = durable::fnv1a64(fit_config_tag(), h);
   return h;
 }
 
@@ -710,18 +711,22 @@ RefitResult Ingestor::refit(const trace::Dataset& cumulative,
       if (injector.enabled() && injector.fires("refit.fail", key)) {
         throw durable::WriteFailure("injected fault: refit.fail " + key);
       }
-      CheckpointDir::Options ckpt_opts;
-      ckpt_opts.config_hash = checkpoint_config_hash();
-      ckpt_opts.resume = true;
-      CheckpointDir ckpt(opts_.dir / "checkpoint", ckpt_opts);
-      if (!invalidated) {
-        for (const std::string& stage : changed) {
-          if (ckpt.is_complete(stage)) ckpt.invalidate(stage);
+      std::optional<CheckpointDir> ckpt;
+      {
+        ACBM_SPAN("ingest.checkpoint_open");
+        CheckpointDir::Options ckpt_opts;
+        ckpt_opts.config_hash = checkpoint_config_hash();
+        ckpt_opts.resume = true;
+        ckpt.emplace(opts_.dir / "checkpoint", ckpt_opts);
+        if (!invalidated) {
+          for (const std::string& stage : changed) {
+            if (ckpt->is_complete(stage)) ckpt->invalidate(stage);
+          }
+          invalidated = true;
         }
-        invalidated = true;
       }
       AdversaryModel model(opts_.model);
-      model.set_checkpoint(&ckpt);
+      model.set_checkpoint(&*ckpt);
       model.fit(cumulative, ip_map);
       publish(model, hashes, refit_hour);
       result.published = true;
@@ -750,6 +755,7 @@ RefitResult Ingestor::refit(const trace::Dataset& cumulative,
 void Ingestor::publish(const AdversaryModel& model,
                        const std::map<std::string, std::uint64_t>& hashes,
                        std::size_t refit_hour) {
+  ACBM_SPAN("ingest.publish");
   const std::vector<std::string> body = model.body_parts();
 
   // Generation rotation with a COPY (not a rename) of the live model, so

@@ -37,9 +37,16 @@ SpatiotemporalOptions default_cli_options() {
   return opts;
 }
 
+std::string_view fit_config_tag() { return "grid_search=0;tanh=acbm1"; }
+
 void AdversaryModel::fit(const trace::Dataset& dataset,
                          const net::IpToAsnMap& ip_map) {
-  fit(trace::Dataset(dataset), ip_map);
+  trace::Dataset copy;
+  {
+    ACBM_SPAN("fit.dataset_copy");
+    copy = dataset;
+  }
+  fit(std::move(copy), ip_map);
 }
 
 void AdversaryModel::fit(trace::Dataset&& dataset,

@@ -57,9 +57,15 @@ struct FamilyDriftBaseline {
 /// favors responsiveness), everything else at library defaults. cmd_fit,
 /// cmd_worker, cmd_predict, cmd_evaluate, and the ingest refit loop must all
 /// use exactly these options — checkpoint stages and sharded fits are keyed
-/// on the "grid_search=0" config hash and must stay byte-identical across
-/// entry points.
+/// on fit_config_tag() and must stay byte-identical across entry points.
 [[nodiscard]] SpatiotemporalOptions default_cli_options();
+
+/// The configuration part of every checkpoint and shard-plan key, hashed
+/// beside the input bytes: the options above ("grid_search=0") and the
+/// numerics the fit runs on ("tanh=acbm1": stats::tanh, not libm's). A
+/// change that alters fitted bytes on purpose changes this tag, so a stage
+/// checkpointed by another version is never resumed into this one.
+[[nodiscard]] std::string_view fit_config_tag();
 
 /// The full adversary-centric behavior model.
 class AdversaryModel {

@@ -10,6 +10,7 @@
 
 #include "core/observe.h"
 #include "core/spatiotemporal_model.h"
+#include "nn/mlp.h"
 #include "stats/kernels.h"
 #include "trace/dataset.h"
 
@@ -40,7 +41,7 @@ struct Scratch {
   std::vector<float> x32;       ///< f32 differenced series.
   std::vector<float> e32;       ///< f32 innovations.
   std::vector<double> window;   ///< NAR delay window (most recent first).
-  std::vector<double> act_a, act_b;  ///< f64 MLP ping-pong activations.
+  std::vector<double> act_a, act_b;  ///< f64 MLP features, activations.
   std::vector<float> fact_a, fact_b;  ///< f32 MLP ping-pong activations.
 };
 
@@ -189,41 +190,31 @@ double arima_forecast_f32(const ArimaRec& rec, const ArtifactView& view,
   return static_cast<double>(next) + integrate_add;
 }
 
-/// Mirrors nn::Mlp::predict over the mapped f64 layers: ZScore transform,
-/// gemv_tanh hidden layers, gemv output, ZScore inverse. Uses the same
-/// stats kernels, so bit-identity holds by construction.
+/// nn::Mlp::predict over the mapped f64 layers: ZScore transform, then
+/// nn::forward_normalized, the forward pass Mlp itself runs (one copy of
+/// the code, compiled with -ffp-contract=off), then ZScore inverse. So the
+/// forecast equals the batch model's bit for bit, with fast-math on or off.
+/// The loader (artifact_map.cpp) admits only one-hidden-layer networks.
 double mlp_predict_f64(const MlpRec& mlp, const ArtifactView& view,
                        std::span<const double> features, Scratch& s) {
   const std::span<const double> in_mean = view.f64(mlp.in_mean);
   const std::span<const double> in_sd = view.f64(mlp.in_sd);
   const std::span<const MlpLayerRec> layers =
       view.mlp_layers().subspan(mlp.layer_off, mlp.layer_count);
-  std::size_t max_width = mlp.input_dim;
-  for (const MlpLayerRec& layer : layers) {
-    max_width = std::max<std::size_t>(max_width, layer.out);
-  }
-  s.act_a.resize(max_width);
-  s.act_b.resize(max_width);
-  double* cur = s.act_a.data();
-  double* next = s.act_b.data();
+  const auto layer_view = [&](const MlpLayerRec& layer) {
+    return nn::MlpLayerView{view.f64(layer.weights), view.f64(layer.biases),
+                            static_cast<std::size_t>(layer.in),
+                            static_cast<std::size_t>(layer.out)};
+  };
+  s.act_a.resize(mlp.input_dim);
+  s.act_b.resize(layers[0].out);
   for (std::size_t j = 0; j < mlp.input_dim; ++j) {
-    cur[j] = (features[j] - in_mean[j]) / in_sd[j];
+    s.act_a[j] = (features[j] - in_mean[j]) / in_sd[j];
   }
-  std::size_t width = mlp.input_dim;
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    const MlpLayerRec& layer = layers[l];
-    const std::span<const double> in{cur, width};
-    const std::span<double> out{next, static_cast<std::size_t>(layer.out)};
-    if (l + 1 < layers.size()) {
-      stats::gemv_tanh(view.f64(layer.weights), view.f64(layer.biases), in,
-                       out);
-    } else {
-      stats::gemv(view.f64(layer.weights), view.f64(layer.biases), in, out);
-    }
-    std::swap(cur, next);
-    width = layer.out;
-  }
-  return cur[0] * mlp.out_sd + mlp.out_mean;
+  const double y = nn::forward_normalized(layer_view(layers[0]),
+                                          layer_view(layers[1]), s.act_a,
+                                          s.act_b);
+  return y * mlp.out_sd + mlp.out_mean;
 }
 
 /// f32 counterpart of mlp_predict_f64 over the mapped transposed f32

@@ -53,7 +53,7 @@ struct SpatialModelOptions {
     grid.delay_grid = {1, 2, 3};
     grid.hidden_grid = {2, 4};
     grid.mlp.max_epochs = 150;
-    grid.mlp.hidden_layers = {4};
+    grid.mlp.hidden_units = 4;
     fixed.delays = 2;
     fixed.hidden_nodes = 4;
     fixed.mlp.max_epochs = 150;

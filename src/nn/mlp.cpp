@@ -1,6 +1,7 @@
 #include "nn/mlp.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -12,10 +13,6 @@
 #include "stats/serialize.h"
 
 namespace acbm::nn {
-
-namespace {
-double tanh_derivative_from_output(double y) { return 1.0 - y * y; }
-}  // namespace
 
 MlpTrainingSet MlpTrainingSet::build(const std::vector<std::vector<double>>& x,
                                      std::span<const double> y) {
@@ -121,113 +118,101 @@ MlpTrainingSet MlpTrainingSet::build_lagged(std::span<const double> series,
   return out;
 }
 
-void Mlp::init_layers(std::size_t input_dim, acbm::stats::Rng& rng) {
-  layers_.clear();
-  std::size_t in = input_dim;
-  std::vector<std::size_t> sizes = opts_.hidden_layers;
-  sizes.push_back(1);  // Linear scalar output.
-  for (std::size_t out : sizes) {
-    if (out == 0) throw std::invalid_argument("Mlp: zero-width layer");
-    Layer layer;
-    layer.in = in;
-    layer.out = out;
-    layer.weights.resize(in * out);
-    layer.biases.assign(out, 0.0);
-    // Xavier/Glorot initialization keeps tanh units out of saturation.
-    const double scale = std::sqrt(6.0 / static_cast<double>(in + out));
-    for (double& w : layer.weights) w = rng.uniform(-scale, scale);
-    layers_.push_back(std::move(layer));
-    in = out;
-  }
-}
-
-void Mlp::prepare_workspace(Workspace& ws) const {
+void Mlp::prepare_workspace(Workspace& ws, std::size_t rows) const {
   // Cheap shape-key check keeps this near-free on the predict hot path;
-  // only a topology change (different grid candidate reusing the
-  // thread-local workspace) rewinds the arena and recarves the spans.
-  const std::size_t n_layers = layers_.size();
-  bool same = ws.shape.size() == n_layers + 1 && ws.shape[0] == input_dim_;
-  for (std::size_t l = 0; same && l < n_layers; ++l) {
-    same = ws.shape[l + 1] == layers_[l].out;
+  // only a shape change (different grid candidate reusing the thread-local
+  // workspace) rewinds the arena and recarves the spans.
+  if (ws.inputs == input_dim_ && ws.hidden_units == hidden_ &&
+      ws.rows >= rows) {
+    return;
   }
-  if (same) return;
-
-  ws.shape.assign(1, input_dim_);
-  for (const Layer& layer : layers_) ws.shape.push_back(layer.out);
+  ws.inputs = input_dim_;
+  ws.hidden_units = hidden_;
+  ws.rows = rows;
   ws.arena.reset();
-  ws.acts.assign(n_layers + 1, {});
-  ws.acts[0] = ws.arena.alloc_span<double>(input_dim_);
-  std::size_t total = 0;
-  std::size_t max_width = input_dim_;
-  for (std::size_t l = 0; l < n_layers; ++l) {
-    ws.acts[l + 1] = ws.arena.alloc_span<double>(layers_[l].out);
-    total += layers_[l].weights.size() + layers_[l].biases.size();
-    max_width = std::max(max_width, layers_[l].out);
-  }
-  ws.sample_grad = ws.arena.alloc_span<double>(total);
-  ws.batch_grad = ws.arena.alloc_span<double>(total);
-  ws.delta = ws.arena.alloc_span<double>(max_width);
-  ws.prev_delta = ws.arena.alloc_span<double>(max_width);
+  const std::size_t total = params_.size();
   ws.xn = ws.arena.alloc_span<double>(input_dim_);
-  ws.params = ws.arena.alloc_span<double>(total);
+  ws.hidden = ws.arena.alloc_span<double>(rows * hidden_);
+  ws.residual = ws.arena.alloc_span<double>(rows);
+  ws.grad = ws.arena.alloc_span<double>(total);
   ws.best_params = ws.arena.alloc_span<double>(total);
   ws.m_state = ws.arena.alloc_span<double>(total);
   ws.v_state = ws.arena.alloc_span<double>(total);
 }
 
-double Mlp::forward_into(Workspace& ws, std::span<const double> x_norm) const {
-  // acts[0] keeps the input so the backward pass can read it.
-  std::copy(x_norm.begin(), x_norm.end(), ws.acts[0].begin());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const Layer& layer = layers_[l];
-    std::span<const double> in{ws.acts[l].data(), layer.in};
-    std::span<double> out{ws.acts[l + 1].data(), layer.out};
-    // Hidden layers use tanh; the final layer is linear. The fused kernels
-    // accumulate bias-first in sequential order, matching the reference
-    // per-neuron loop bit for bit.
-    if (l + 1 < layers_.size()) {
-      acbm::stats::gemv_tanh(layer.weights, layer.biases, in, out);
-    } else {
-      acbm::stats::gemv(layer.weights, layer.biases, in, out);
-    }
+namespace {
+
+/// out[o] = b[o] + w[o, :] . x for o in [0, rows): each a bias-first
+/// sequential dot over `cols` inputs.
+void affine(const double* w, const double* b, std::size_t rows,
+            std::size_t cols, const double* x, double* out) {
+  for (std::size_t o = 0; o < rows; ++o) {
+    const double* row = w + o * cols;
+    double z = b[o];
+    for (std::size_t i = 0; i < cols; ++i) z += row[i] * x[i];
+    out[o] = z;
   }
-  return ws.acts.back().front();
 }
 
-void Mlp::gradient_into(Workspace& ws, std::span<const double> x_norm,
-                        double target_norm) const {
-  const double output = forward_into(ws, x_norm);
+}  // namespace
 
-  // Backward pass: delta is dLoss/dz for the current layer. Every element
-  // of sample_grad is overwritten below, so no zero-fill is needed.
-  ws.delta[0] = output - target_norm;
-  std::size_t block_end = ws.sample_grad.size();
-  for (std::size_t li = layers_.size(); li-- > 0;) {
-    const Layer& layer = layers_[li];
-    const std::span<const double> input = ws.acts[li];
-    const std::size_t block_start =
-        block_end - layer.weights.size() - layer.biases.size();
-    double* grad = ws.sample_grad.data();
-    for (std::size_t o = 0; o < layer.out; ++o) {
-      const double d = ws.delta[o];
-      double* grad_row = grad + block_start + o * layer.in;
-      for (std::size_t i = 0; i < layer.in; ++i) {
-        grad_row[i] = d * input[i];
-      }
-      grad[block_start + layer.weights.size() + o] = d;
-    }
-    if (li > 0) {
-      for (std::size_t i = 0; i < layer.in; ++i) {
-        double acc = 0.0;
-        for (std::size_t o = 0; o < layer.out; ++o) {
-          acc += layer.weights[o * layer.in + i] * ws.delta[o];
-        }
-        ws.prev_delta[i] = acc * tanh_derivative_from_output(input[i]);
-      }
-      std::swap(ws.delta, ws.prev_delta);
-    }
-    block_end = block_start;
+double forward_normalized(const MlpLayerView& hidden_layer,
+                          const MlpLayerView& output_layer,
+                          std::span<const double> x_norm,
+                          std::span<double> hidden) {
+  const std::size_t units = hidden_layer.out;
+  affine(hidden_layer.weights.data(), hidden_layer.biases.data(), units,
+         hidden_layer.in, x_norm.data(), hidden.data());
+  const std::span<double> h = hidden.first(units);
+  acbm::stats::tanh(h, h);
+  double y = 0.0;
+  affine(output_layer.weights.data(), output_layer.biases.data(), 1, units,
+         hidden.data(), &y);
+  return y;
+}
+
+double Mlp::forward(std::span<const double> x_norm, double* hidden) const {
+  const auto [hidden_layer, output_layer] = views();
+  return forward_normalized(hidden_layer, output_layer, x_norm,
+                            {hidden, hidden_});
+}
+
+void Mlp::forward_block(const MlpTrainingSet& data, const std::size_t* rows,
+                        std::size_t count, Workspace& ws) const {
+  // forward_normalized() split in three so one stats::tanh call covers
+  // the block: the same dots on the same values, in the same order.
+  const auto [hl, ol] = views();
+  double* const hidden = ws.hidden.data();
+  for (std::size_t k = 0; k < count; ++k) {
+    affine(hl.weights.data(), hl.biases.data(), hidden_, input_dim_,
+           data.row(rows[k]).data(), hidden + k * hidden_);
   }
+  const std::span<double> block{hidden, count * hidden_};
+  acbm::stats::tanh(block, block);
+  for (std::size_t k = 0; k < count; ++k) {
+    double y = 0.0;
+    affine(ol.weights.data(), ol.biases.data(), 1, hidden_,
+           hidden + k * hidden_, &y);
+    ws.residual[k] = y - data.y_norm[rows[k]];
+  }
+}
+
+void Mlp::accumulate_gradient(std::span<const double> x_norm,
+                              const double* hidden, double d,
+                              double* grad) const {
+  const std::size_t in = input_dim_;
+  const double* w2 = params_.data() + hidden_ * (in + 1);
+  double* g_b1 = grad + hidden_ * in;
+  double* g_w2 = g_b1 + hidden_;
+  for (std::size_t o = 0; o < hidden_; ++o) {
+    g_w2[o] += d * hidden[o];
+    // Back through the tanh: d/dz tanh(z) = 1 - tanh(z)^2.
+    const double dz = w2[o] * d * (1.0 - hidden[o] * hidden[o]);
+    double* g_row = grad + o * in;
+    for (std::size_t i = 0; i < in; ++i) g_row[i] += dz * x_norm[i];
+    g_b1[o] += dz;
+  }
+  g_w2[hidden_] += d;  // b2
 }
 
 void Mlp::fit(const std::vector<std::vector<double>>& x,
@@ -236,19 +221,39 @@ void Mlp::fit(const std::vector<std::vector<double>>& x,
 }
 
 void Mlp::fit(const MlpTrainingSet& data) {
+  if (opts_.hidden_units == 0) {
+    throw std::invalid_argument("Mlp: zero-width layer");
+  }
+  if (opts_.batch_size == 0) {
+    throw std::invalid_argument("Mlp: batch_size == 0");
+  }
   input_dim_ = data.cols;
+  hidden_ = opts_.hidden_units;
   input_scalers_ = data.input_scalers;
   output_scaler_ = data.output_scaler;
   const std::size_t n = data.rows;
+  const std::size_t in = input_dim_;
 
+  // Xavier/Glorot initialization keeps tanh units out of saturation; the
+  // biases start at zero.
   acbm::stats::Rng rng(opts_.seed);
-  init_layers(input_dim_, rng);
-  fitted_ = true;  // forward/gradient helpers below require this.
+  params_.assign(hidden_ * (in + 2) + 1, 0.0);
+  const double scale1 = std::sqrt(6.0 / static_cast<double>(in + hidden_));
+  for (std::size_t p = 0; p < hidden_ * in; ++p) {
+    params_[p] = rng.uniform(-scale1, scale1);
+  }
+  const double scale2 = std::sqrt(6.0 / static_cast<double>(hidden_ + 1));
+  for (std::size_t o = 0; o < hidden_; ++o) {
+    params_[hidden_ * (in + 1) + o] = rng.uniform(-scale2, scale2);
+  }
+  fitted_ = true;
 
   static thread_local Workspace tl_ws;
   Workspace& ws = tl_ws;
-  prepare_workspace(ws);
-  const std::size_t total = ws.sample_grad.size();
+  prepare_workspace(ws, std::min(opts_.batch_size, n));
+  const std::size_t total = params_.size();
+  double* const params = params_.data();
+  double* const grad = ws.grad.data();
 
   // Validation holdout (tail of a shuffled order) for early stopping.
   std::vector<std::size_t> order(n);
@@ -259,36 +264,23 @@ void Mlp::fit(const MlpTrainingSet& data) {
   if (n <= 8) n_val = 0;  // Tiny datasets: train on everything.
   const std::size_t n_train = n - n_val;
 
-  // Optimizer state and parameter mirrors live in the workspace so a
-  // refit (grid search, retry rungs) reuses the same storage.
-  const std::span<double> params = ws.params;
-  {
-    std::size_t pos = 0;
-    for (const Layer& layer : layers_) {
-      std::copy(layer.weights.begin(), layer.weights.end(),
-                params.begin() + static_cast<std::ptrdiff_t>(pos));
-      pos += layer.weights.size();
-      std::copy(layer.biases.begin(), layer.biases.end(),
-                params.begin() + static_cast<std::ptrdiff_t>(pos));
-      pos += layer.biases.size();
-    }
-  }
   // Adam state (also reused as momentum buffers for SGD).
   std::fill(ws.m_state.begin(), ws.m_state.end(), 0.0);
   std::fill(ws.v_state.begin(), ws.v_state.end(), 0.0);
   std::size_t adam_t = 0;
 
-  std::copy(params.begin(), params.end(), ws.best_params.begin());
+  std::copy(params_.begin(), params_.end(), ws.best_params.begin());
   double best_val = std::numeric_limits<double>::infinity();
   std::size_t since_best = 0;
 
   const auto validation_loss = [&]() {
-    if (n_val == 0) return 0.0;
     double acc = 0.0;
-    for (std::size_t k = n_train; k < n; ++k) {
-      const std::size_t i = order[k];
-      const double d = forward_into(ws, data.row(i)) - data.y_norm[i];
-      acc += 0.5 * d * d;
+    for (std::size_t begin = n_train; begin < n; begin += ws.rows) {
+      const std::size_t count = std::min(ws.rows, n - begin);
+      forward_block(data, order.data() + begin, count, ws);
+      for (std::size_t k = 0; k < count; ++k) {
+        acc += 0.5 * ws.residual[k] * ws.residual[k];
+      }
     }
     return acc / static_cast<double>(n_val);
   };
@@ -305,17 +297,19 @@ void Mlp::fit(const MlpTrainingSet& data) {
          batch_start += opts_.batch_size) {
       const std::size_t batch_end =
           std::min(batch_start + opts_.batch_size, n_train);
-      std::fill(ws.batch_grad.begin(), ws.batch_grad.end(), 0.0);
-      for (std::size_t k = batch_start; k < batch_end; ++k) {
-        const std::size_t i = order[k];
-        gradient_into(ws, data.row(i), data.y_norm[i]);
-        for (std::size_t p = 0; p < total; ++p) {
-          ws.batch_grad[p] += ws.sample_grad[p];
-        }
+      const std::size_t count = batch_end - batch_start;
+      forward_block(data, order.data() + batch_start, count, ws);
+      // Per-sample gradients added in sample order, as a per-sample
+      // forward/backward loop would.
+      std::fill_n(grad, total, 0.0);
+      for (std::size_t k = 0; k < count; ++k) {
+        accumulate_gradient(data.row(order[batch_start + k]),
+                            ws.hidden.data() + k * hidden_, ws.residual[k],
+                            grad);
       }
-      const double inv = 1.0 / static_cast<double>(batch_end - batch_start);
+      const double inv = 1.0 / static_cast<double>(count);
       for (std::size_t p = 0; p < total; ++p) {
-        ws.batch_grad[p] = ws.batch_grad[p] * inv + opts_.weight_decay * params[p];
+        grad[p] = grad[p] * inv + opts_.weight_decay * params[p];
       }
 
       if (opts_.optimizer == Optimizer::kAdam) {
@@ -329,7 +323,7 @@ void Mlp::fit(const MlpTrainingSet& data) {
         const double correct2 =
             1.0 - std::pow(kBeta2, static_cast<double>(adam_t));
         for (std::size_t p = 0; p < total; ++p) {
-          const double g = ws.batch_grad[p];
+          const double g = grad[p];
           ws.m_state[p] = kBeta1 * ws.m_state[p] + (1.0 - kBeta1) * g;
           ws.v_state[p] = kBeta2 * ws.v_state[p] + (1.0 - kBeta2) * g * g;
           const double mh = ws.m_state[p] / correct1;
@@ -339,18 +333,17 @@ void Mlp::fit(const MlpTrainingSet& data) {
       } else {
         for (std::size_t p = 0; p < total; ++p) {
           ws.m_state[p] = opts_.momentum * ws.m_state[p] -
-                          opts_.learning_rate * ws.batch_grad[p];
+                          opts_.learning_rate * grad[p];
           params[p] += ws.m_state[p];
         }
       }
-      set_parameters(params);
     }
 
     if (n_val > 0) {
       const double vl = validation_loss();
       if (vl < best_val - 1e-12) {
         best_val = vl;
-        std::copy(params.begin(), params.end(), ws.best_params.begin());
+        std::copy(params_.begin(), params_.end(), ws.best_params.begin());
         since_best = 0;
       } else if (++since_best >= opts_.patience) {
         break;
@@ -359,12 +352,13 @@ void Mlp::fit(const MlpTrainingSet& data) {
   }
 
   if (n_val > 0) {
-    set_parameters(ws.best_params);
+    std::copy(ws.best_params.begin(), ws.best_params.end(), params_.begin());
     best_val_loss_ = best_val;
   } else {
+    // Training loss over every row, in row order.
     double acc = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double d = forward_into(ws, data.row(i)) - data.y_norm[i];
+      const double d = forward(data.row(i), ws.hidden.data()) - data.y_norm[i];
       acc += 0.5 * d * d;
     }
     best_val_loss_ = acc / static_cast<double>(n);
@@ -372,19 +366,11 @@ void Mlp::fit(const MlpTrainingSet& data) {
 
   // Training can diverge (exploding gradients on pathological scaling);
   // refuse to hand back a network that predicts non-finite values.
-  for (const Layer& layer : layers_) {
-    for (double p : layer.weights) {
-      if (std::isfinite(p)) continue;
-      fitted_ = false;
-      throw core::FitFailure(core::FitError::kNonconvergence,
-                             "Mlp::fit: training diverged (non-finite weights)");
-    }
-    for (double p : layer.biases) {
-      if (std::isfinite(p)) continue;
-      fitted_ = false;
-      throw core::FitFailure(core::FitError::kNonconvergence,
-                             "Mlp::fit: training diverged (non-finite weights)");
-    }
+  for (double p : params_) {
+    if (std::isfinite(p)) continue;
+    fitted_ = false;
+    throw core::FitFailure(core::FitError::kNonconvergence,
+                           "Mlp::fit: training diverged (non-finite weights)");
   }
   if (!std::isfinite(best_val_loss_)) {
     fitted_ = false;
@@ -403,29 +389,29 @@ double Mlp::predict(Workspace& ws, std::span<const double> features) const {
   if (features.size() != input_dim_) {
     throw std::invalid_argument("Mlp::predict: feature count mismatch");
   }
-  prepare_workspace(ws);
+  prepare_workspace(ws, 1);
   for (std::size_t j = 0; j < input_dim_; ++j) {
     ws.xn[j] = input_scalers_[j].transform(features[j]);
   }
-  return output_scaler_.inverse(forward_into(ws, ws.xn));
+  return output_scaler_.inverse(forward(ws.xn, ws.hidden.data()));
 }
 
 double Mlp::sample_loss(std::span<const double> features_norm,
                         double target_norm) const {
   if (!fitted_) throw std::logic_error("Mlp::sample_loss: not fitted");
-  static thread_local Workspace tl_ws;
-  prepare_workspace(tl_ws);
-  const double d = forward_into(tl_ws, features_norm) - target_norm;
+  std::vector<double> hidden(hidden_);
+  const double d = forward(features_norm, hidden.data()) - target_norm;
   return 0.5 * d * d;
 }
 
 std::vector<double> Mlp::loss_gradient(std::span<const double> features_norm,
                                        double target_norm) const {
   if (!fitted_) throw std::logic_error("Mlp::loss_gradient: not fitted");
-  static thread_local Workspace tl_ws;
-  prepare_workspace(tl_ws);
-  gradient_into(tl_ws, features_norm, target_norm);
-  return {tl_ws.sample_grad.begin(), tl_ws.sample_grad.end()};
+  std::vector<double> hidden(hidden_);
+  std::vector<double> grad(params_.size(), 0.0);
+  const double d = forward(features_norm, hidden.data()) - target_norm;
+  accumulate_gradient(features_norm, hidden.data(), d, grad.data());
+  return grad;
 }
 
 void Mlp::save(std::ostream& os) const {
@@ -435,9 +421,9 @@ void Mlp::save(std::ostream& os) const {
   io::write_scalar(os, "input_dim", input_dim_);
   io::write_scalar(os, "best_val_loss", best_val_loss_);
   std::vector<std::size_t> layer_sizes;
-  for (const Layer& layer : layers_) layer_sizes.push_back(layer.out);
+  if (!params_.empty()) layer_sizes = {hidden_, 1};
   io::write_vector<std::size_t>(os, "layer_sizes", layer_sizes);
-  for (const Layer& layer : layers_) {
+  for (const MlpLayerView& layer : layer_views()) {
     io::write_vector<double>(os, "weights", layer.weights);
     io::write_vector<double>(os, "biases", layer.biases);
   }
@@ -459,18 +445,26 @@ Mlp Mlp::load(std::istream& is) {
   net.input_dim_ = io::read_scalar<std::size_t>(is, "input_dim");
   net.best_val_loss_ = io::read_scalar<double>(is, "best_val_loss");
   const auto layer_sizes = io::read_vector<std::size_t>(is, "layer_sizes");
-  std::size_t in = net.input_dim_;
-  for (std::size_t out : layer_sizes) {
-    Layer layer;
-    layer.in = in;
-    layer.out = out;
-    layer.weights = io::read_vector<double>(is, "weights");
-    layer.biases = io::read_vector<double>(is, "biases");
-    if (layer.weights.size() != in * out || layer.biases.size() != out) {
-      throw std::invalid_argument("Mlp::load: inconsistent layer shape");
+  if (!layer_sizes.empty()) {
+    if (layer_sizes.size() != 2 || layer_sizes[0] == 0 ||
+        layer_sizes[1] != 1) {
+      throw std::invalid_argument(
+          "Mlp::load: not a one-hidden-layer scalar network");
     }
-    net.layers_.push_back(std::move(layer));
-    in = out;
+    const std::size_t in = net.input_dim_;
+    net.hidden_ = layer_sizes[0];
+    const auto read_layer = [&](std::size_t in_dim, std::size_t out_dim) {
+      const auto weights = io::read_vector<double>(is, "weights");
+      const auto biases = io::read_vector<double>(is, "biases");
+      if (weights.size() != in_dim * out_dim || biases.size() != out_dim) {
+        throw std::invalid_argument("Mlp::load: inconsistent layer shape");
+      }
+      net.params_.insert(net.params_.end(), weights.begin(), weights.end());
+      net.params_.insert(net.params_.end(), biases.begin(), biases.end());
+    };
+    read_layer(in, net.hidden_);
+    read_layer(net.hidden_, 1);
+    net.opts_.hidden_units = net.hidden_;
   }
   const auto scaler_values = io::read_vector<double>(is, "input_scalers");
   if (scaler_values.size() != 2 * net.input_dim_) {
@@ -482,46 +476,31 @@ Mlp Mlp::load(std::istream& is) {
   }
   net.output_scaler_.mean = io::read_scalar<double>(is, "output_mean");
   net.output_scaler_.sd = io::read_scalar<double>(is, "output_sd");
-  // Reconstruct the hidden-layer option list for consistency.
-  net.opts_.hidden_layers.assign(layer_sizes.begin(),
-                                 layer_sizes.end() - (layer_sizes.empty() ? 0 : 1));
   return net;
 }
 
-std::vector<MlpLayerView> Mlp::layer_views() const {
-  std::vector<MlpLayerView> out;
-  out.reserve(layers_.size());
-  for (const Layer& layer : layers_) {
-    out.push_back({layer.weights, layer.biases, layer.in, layer.out});
-  }
-  return out;
+std::array<MlpLayerView, 2> Mlp::views() const {
+  const std::size_t in = input_dim_;
+  const double* w1 = params_.data();
+  const double* b1 = w1 + hidden_ * in;
+  const double* w2 = b1 + hidden_;
+  return {{{{w1, hidden_ * in}, {b1, hidden_}, in, hidden_},
+           {{w2, hidden_}, {w2 + hidden_, 1}, hidden_, 1}}};
 }
 
-std::vector<double> Mlp::parameters() const {
-  std::vector<double> out;
-  for (const Layer& layer : layers_) {
-    out.insert(out.end(), layer.weights.begin(), layer.weights.end());
-    out.insert(out.end(), layer.biases.begin(), layer.biases.end());
-  }
-  return out;
+std::vector<MlpLayerView> Mlp::layer_views() const {
+  if (params_.empty()) return {};
+  const auto [hidden_layer, output_layer] = views();
+  return {hidden_layer, output_layer};
 }
+
+std::vector<double> Mlp::parameters() const { return params_; }
 
 void Mlp::set_parameters(std::span<const double> params) {
-  std::size_t pos = 0;
-  for (Layer& layer : layers_) {
-    if (pos + layer.weights.size() + layer.biases.size() > params.size()) {
-      throw std::invalid_argument("Mlp::set_parameters: wrong parameter count");
-    }
-    std::copy_n(params.begin() + static_cast<std::ptrdiff_t>(pos),
-                layer.weights.size(), layer.weights.begin());
-    pos += layer.weights.size();
-    std::copy_n(params.begin() + static_cast<std::ptrdiff_t>(pos),
-                layer.biases.size(), layer.biases.begin());
-    pos += layer.biases.size();
-  }
-  if (pos != params.size()) {
+  if (params.size() != params_.size()) {
     throw std::invalid_argument("Mlp::set_parameters: wrong parameter count");
   }
+  std::copy(params.begin(), params.end(), params_.begin());
 }
 
 }  // namespace acbm::nn

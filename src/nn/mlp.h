@@ -1,16 +1,19 @@
-// Feed-forward multilayer perceptron with tanh hidden units and a linear
-// output — the network family the paper's spatial model uses (§V-A: one
-// hidden layer with the Tan-Sigmoid transfer function). Trained by
-// backpropagation with Adam or SGD+momentum and optional early stopping.
+// Feed-forward perceptron with one tanh hidden layer and a linear output —
+// the network the paper's spatial model uses (§V-A: one hidden layer with
+// the Tan-Sigmoid transfer function). Trained by backpropagation with Adam
+// or SGD+momentum and optional early stopping.
 //
-// Training is allocation-free inside the epoch loop: all scratch lives in
-// a per-thread Workspace sized once per fit, and the layer transforms run
-// through the fused GEMV+activation kernels (stats/kernels.h). The
+// Training is one fused loop, allocation-free inside the epoch loop: each
+// sample's forward pass reads the parameter array the optimizer updates,
+// its gradient is added straight into the batch gradient, and the hidden
+// block goes through stats::tanh (stats/kernels.h). All scratch lives in a
+// per-thread Workspace sized once per fit. The
 // normalized design matrix plus its column scalers can be prebuilt once as
 // an MlpTrainingSet and shared across fits (grid-search candidates and
 // degradation-ladder retry rungs reuse one set via nn::LagMatrixCache).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -26,7 +29,7 @@ namespace acbm::nn {
 enum class Optimizer { kSgdMomentum, kAdam };
 
 struct MlpOptions {
-  std::vector<std::size_t> hidden_layers{8};  ///< Sizes of hidden layers.
+  std::size_t hidden_units = 8;  ///< Width of the one tanh hidden layer.
   std::size_t max_epochs = 500;
   std::size_t batch_size = 32;
   double learning_rate = 1e-2;
@@ -75,7 +78,7 @@ struct MlpTrainingSet {
 /// size it for the network once and then run allocation-free; one
 /// Workspace per thread (the trainers keep a thread_local instance), never
 /// shared concurrently. All buffers are spans carved from one arena, so a
-/// topology change (grid-search candidates sharing the thread-local
+/// shape change (grid-search candidates sharing the thread-local
 /// workspace) recarves in place instead of reallocating each vector.
 class Workspace {
  public:
@@ -87,22 +90,22 @@ class Workspace {
 
  private:
   friend class Mlp;
-  acbm::core::Arena arena;         ///< Backing storage for every span below.
-  std::vector<std::size_t> shape;  ///< input_dim + layer widths (carve key).
-  std::vector<std::span<double>> acts;  ///< Activations per layer edge.
-  std::span<double> sample_grad;
-  std::span<double> batch_grad;
-  std::span<double> delta;
-  std::span<double> prev_delta;
-  std::span<double> xn;  ///< Normalized features for predict().
-  std::span<double> params;
+  acbm::core::Arena arena;  ///< Backing storage for every span below.
+  std::size_t inputs = 0;   ///< Carve key, with hidden_units and rows.
+  std::size_t hidden_units = 0;
+  std::size_t rows = 0;      ///< Samples one forward block holds.
+  std::span<double> xn;      ///< Normalized features for predict().
+  std::span<double> hidden;  ///< Hidden activations, rows x hidden_units.
+  std::span<double> residual;  ///< Output minus target, per block row.
+  std::span<double> grad;    ///< Batch gradient, parameter layout.
   std::span<double> best_params;
   std::span<double> m_state;
   std::span<double> v_state;
 };
 
-/// Read-only view of one fitted layer (row-major weights [out x in]), for
-/// the .armm packer (core::armm::pack_model).
+/// Read-only view of one fitted layer (row-major weights [out x in]): what
+/// the .armm packer (core::armm::pack_model) stores and what
+/// forward_normalized() runs.
 struct MlpLayerView {
   std::span<const double> weights;
   std::span<const double> biases;
@@ -110,9 +113,22 @@ struct MlpLayerView {
   std::size_t out = 0;
 };
 
-/// A fully connected regression network: inputs -> tanh hidden layer(s) ->
-/// linear output. Inputs and targets are z-score normalized internally, so
-/// callers work on the original scale.
+/// The forward pass of a one-hidden-layer network on normalized features:
+/// hidden = stats::tanh(b1 + W1 x), each row a bias-first sequential dot,
+/// then b2 + w2 . hidden, returned. `hidden` receives the activations
+/// (hidden_layer.out values). Mlp (fit, predict) and the f64 serving path
+/// (core::ServingModel) all run this code, and mlp.cpp is compiled with
+/// -ffp-contract=off, so their values agree bit for bit on every CPU;
+/// stats::fast_math() does not reach it.
+[[nodiscard]] double forward_normalized(const MlpLayerView& hidden_layer,
+                                        const MlpLayerView& output_layer,
+                                        std::span<const double> x_norm,
+                                        std::span<double> hidden);
+
+/// A fully connected regression network with exactly one hidden layer:
+/// inputs -> tanh hidden units -> linear output. Inputs and targets are
+/// z-score normalized internally, so callers work on the original scale.
+/// fit() throws std::invalid_argument for MlpOptions::hidden_units == 0.
 class Mlp {
  public:
   Mlp() = default;
@@ -160,8 +176,9 @@ class Mlp {
   [[nodiscard]] std::vector<double> loss_gradient(
       std::span<const double> features_norm, double target_norm) const;
 
-  /// Flattened parameter access (weights then biases, layer by layer);
-  /// used with loss_gradient by the gradient-check test.
+  /// Flattened parameter access (weights then biases, hidden layer first:
+  /// W1 [hidden x inputs] | b1 [hidden] | w2 [hidden] | b2); used with
+  /// loss_gradient by the gradient-check test.
   [[nodiscard]] std::vector<double> parameters() const;
   void set_parameters(std::span<const double> params);
 
@@ -176,30 +193,33 @@ class Mlp {
   [[nodiscard]] static Mlp load(std::istream& is);
 
  private:
-  struct Layer {
-    // weights[o * in + i]: weight from input i to output o.
-    std::vector<double> weights;
-    std::vector<double> biases;
-    std::size_t in = 0;
-    std::size_t out = 0;
-  };
+  /// Sizes ws for this shape and at least `rows` block rows (idempotent;
+  /// no-op once sized).
+  void prepare_workspace(Workspace& ws, std::size_t rows) const;
 
-  void init_layers(std::size_t input_dim, acbm::stats::Rng& rng);
+  /// The hidden and output layers over params_ (valid while params_ is
+  /// not resized).
+  [[nodiscard]] std::array<MlpLayerView, 2> views() const;
 
-  /// Sizes ws for this topology (idempotent; no-op once sized).
-  void prepare_workspace(Workspace& ws) const;
+  /// forward_normalized() over this network's parameters.
+  double forward(std::span<const double> x_norm, double* hidden) const;
 
-  /// Forward pass into ws.acts; returns the scalar output. No allocation
-  /// once ws is prepared.
-  double forward_into(Workspace& ws, std::span<const double> x_norm) const;
+  /// The forward pass of data rows rows[0, count) at once, count <=
+  /// ws.rows: activations into ws.hidden, output minus target into
+  /// ws.residual. Every value equals forward()'s; the samples are
+  /// independent, so their dots overlap and one stats::tanh call covers
+  /// the whole hidden block.
+  void forward_block(const MlpTrainingSet& data, const std::size_t* rows,
+                     std::size_t count, Workspace& ws) const;
 
-  /// Forward + backward for one sample, writing the flattened gradient
-  /// into ws.sample_grad. No allocation once ws is prepared.
-  void gradient_into(Workspace& ws, std::span<const double> x_norm,
-                     double target_norm) const;
+  /// Adds one sample's loss gradient to `grad` (parameter layout), given
+  /// the hidden activations of its forward pass and d = output - target.
+  void accumulate_gradient(std::span<const double> x_norm,
+                           const double* hidden, double d, double* grad) const;
 
   MlpOptions opts_;
-  std::vector<Layer> layers_;
+  std::size_t hidden_ = 0;      ///< Hidden units.
+  std::vector<double> params_;  ///< W1 | b1 | w2 | b2, see parameters().
   std::vector<acbm::stats::ZScore> input_scalers_;
   acbm::stats::ZScore output_scaler_;
   std::size_t input_dim_ = 0;

@@ -12,7 +12,7 @@ NarModel::NarModel(NarOptions opts) : opts_(std::move(opts)) {
   if (opts_.hidden_nodes == 0) {
     throw std::invalid_argument("NarModel: hidden_nodes == 0");
   }
-  opts_.mlp.hidden_layers = {opts_.hidden_nodes};
+  opts_.mlp.hidden_units = opts_.hidden_nodes;
   mlp_ = Mlp(opts_.mlp);
 }
 

@@ -17,7 +17,7 @@ namespace acbm::nn {
 struct NarOptions {
   std::size_t delays = 3;        ///< q in Eq. (6): number of lagged inputs.
   std::size_t hidden_nodes = 8;  ///< Width of the single hidden layer.
-  MlpOptions mlp;                ///< hidden_layers is overwritten from above.
+  MlpOptions mlp;                ///< hidden_units is overwritten from above.
 };
 
 class NarModel {

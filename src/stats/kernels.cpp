@@ -1,8 +1,10 @@
 #include "stats/kernels.h"
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string_view>
 
@@ -50,7 +52,7 @@ void gemv_scalar(const double* w, const double* bias, const double* x,
                  double* out, std::size_t out_dim, std::size_t in) {
   for (std::size_t o = 0; o < out_dim; ++o) {
     const double z = dot_unrolled(bias[o], w + o * in, x, in);
-    out[o] = kTanh ? std::tanh(z) : z;
+    out[o] = kTanh ? stats::tanh(z) : z;
   }
 }
 
@@ -183,6 +185,57 @@ constexpr std::size_t kMinSimdFneCols = 8;
 constexpr std::size_t kMinSimdGemvF32Rows = 8;
 
 }  // namespace
+
+double tanh(double x) noexcept {
+  // See detail::tanh_coef for the formula. This TU is compiled with
+  // -ffp-contract=off, so no mul+add below becomes an FMA and the AVX2
+  // lanes (kernels_avx2.cpp) evaluate exactly these operations.
+  namespace c = detail::tanh_coef;
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const double ax = std::bit_cast<double>(bits & ~c::kSignBit);
+  double r = 0.0;
+  if (ax >= c::kLarge) {
+    r = 1.0;
+  } else if (ax >= c::kSmall) {
+    const double t = -2.0 * ax;
+    const double shifted = t * c::kLog2e + c::kRoundMagic;
+    const double n = shifted - c::kRoundMagic;
+    double g = t - n * c::kLn2Hi;
+    g = g - n * c::kLn2Lo;
+    const double gg = g * g;
+    const double p = g * ((c::kR0 * gg + c::kR1) * gg + c::kR2);
+    const double q = ((c::kS0 * gg + c::kS1) * gg + c::kS2) * gg + c::kS3;
+    // n is in [-64, -2]: its two's complement sits in the low bits of
+    // `shifted`, and 2^n is a normal double built from its exponent field.
+    const std::uint64_t n_bits = std::bit_cast<std::uint64_t>(shifted) -
+                                 std::bit_cast<std::uint64_t>(c::kRoundMagic);
+    const double scale =
+        std::bit_cast<double>((n_bits + c::kExponentBias) << 52);
+    const double e = (1.0 + 2.0 * (p / (q - p))) * scale;
+    r = (1.0 - e) / (1.0 + e);
+  } else {
+    // Also the NaN branch: every comparison above is false for NaN, and
+    // the arithmetic propagates it.
+    const double z = ax * ax;
+    const double p = (c::kP0 * z + c::kP1) * z + c::kP2;
+    const double q = ((z + c::kQ0) * z + c::kQ1) * z + c::kQ2;
+    r = ax + ax * z * p / q;
+  }
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(r) |
+                               (bits & c::kSignBit));
+}
+
+void tanh(std::span<const double> x, std::span<double> out) noexcept {
+  assert(x.size() == out.size());
+  assert(x.data() == out.data() ||
+         !ranges_overlap(out.data(), out.size(), x.data(), x.size()));
+  const detail::KernelTable* t = active_table();
+  if (t != nullptr && t->tanh != nullptr) {
+    t->tanh(x.data(), out.data(), x.size());
+    return;
+  }
+  for (std::size_t i = 0; i < x.size(); ++i) out[i] = stats::tanh(x[i]);
+}
 
 const char* isa_name(SimdIsa isa) noexcept {
   switch (isa) {

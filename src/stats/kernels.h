@@ -1,8 +1,9 @@
 // Small fused dense kernels for the model-fitting and serving hot loops:
-// GEMV (optionally fused with tanh), row-range GEMM, the streamed
-// normal-equations row update, and f32 inference GEMV. Each kernel has a
-// scalar reference implementation plus runtime-dispatched SIMD variants
-// (AVX2 on x86-64, NEON on aarch64) selected per call by `active_isa()`.
+// the repository's own f64 tanh, GEMV (optionally fused with tanh),
+// row-range GEMM, the streamed normal-equations row update, and f32
+// inference GEMV. Each kernel has a scalar reference implementation plus
+// runtime-dispatched SIMD variants (AVX2 on x86-64, NEON on aarch64)
+// selected per call by `active_isa()`.
 //
 // Bit-identity contract: with fast_math() off (the default), every SIMD
 // variant performs the exact same IEEE-754 operations in the exact same
@@ -53,10 +54,26 @@ void set_fast_math(bool on) noexcept;
 void gemv(std::span<const double> weights, std::span<const double> bias,
           std::span<const double> x, std::span<double> out);
 
-/// Fused GEMV + tanh: out[o] = tanh(bias[o] + sum_i w[o][i] * x[i]).
-/// Identical accumulation order to gemv; the activation is applied to the
-/// finished accumulator, so the result is bit-identical to
-/// gemv-then-tanh without the intermediate store/reload pass.
+/// Hyperbolic tangent, computed with IEEE add, mul, div and compare only —
+/// no libm call, so its bits do not depend on the C library or on which
+/// libm code path the CPU selects. Within 2 ULP of the exact value;
+/// tanh(-x) == -tanh(x) exactly; NaN -> NaN, +-inf -> +-1, +-0 -> +-0.
+/// This scalar function is the reference every SIMD version of the block
+/// overload below reproduces bit for bit.
+[[nodiscard]] double tanh(double x) noexcept;
+
+/// out[i] = tanh(x[i]) through the active ISA's version (AVX2: 4 lanes at
+/// a time), bit-identical to the scalar reference at every ISA and with
+/// fast-math on or off. `out` may be `x` itself; otherwise they must not
+/// overlap. Not counted in `kernels.dispatch.*`: the MLP forward pass calls
+/// it once per mini-batch and once per prediction.
+void tanh(std::span<const double> x, std::span<double> out) noexcept;
+
+/// Fused GEMV + tanh: out[o] = tanh(bias[o] + sum_i w[o][i] * x[i]), with
+/// the tanh above in every variant (fast-math included). Identical
+/// accumulation order to gemv; the activation is applied to the finished
+/// accumulator, so the result is bit-identical to gemv-then-tanh without
+/// the intermediate store/reload pass.
 void gemv_tanh(std::span<const double> weights, std::span<const double> bias,
                std::span<const double> x, std::span<double> out);
 

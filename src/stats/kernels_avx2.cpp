@@ -17,17 +17,100 @@
 //    ata entry gets its single mul+add for this row.
 //  - gemv_t_f32: transposed (input-major) weights make output lanes
 //    contiguous; ascending-i accumulation per lane.
+//  - tanh: every lane evaluates both computed branches of the scalar
+//    reference with the same operations and keeps the one the scalar code
+//    takes; no accumulation chain is involved.
 
 #include <immintrin.h>
 
 #include <cmath>
 #include <cstddef>
 
+#include "stats/kernels.h"
 #include "stats/kernels_dispatch.h"
 
 namespace acbm::stats::detail {
 
 namespace {
+
+// ---------------------------------------------------------------------------
+// tanh: 4 lanes, bit-identical to stats::tanh (kernels.cpp) lane for lane.
+// ---------------------------------------------------------------------------
+
+/// |x| < kSmall (and NaN) branch on ax = |x|: ax + ax*z*P(z)/Q(z).
+inline __m256d tanh_small4(__m256d ax) {
+  namespace c = tanh_coef;
+  const __m256d z = _mm256_mul_pd(ax, ax);
+  __m256d p = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(c::kP0), z),
+                            _mm256_set1_pd(c::kP1));
+  p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(c::kP2));
+  __m256d q = _mm256_add_pd(z, _mm256_set1_pd(c::kQ0));
+  q = _mm256_add_pd(_mm256_mul_pd(q, z), _mm256_set1_pd(c::kQ1));
+  q = _mm256_add_pd(_mm256_mul_pd(q, z), _mm256_set1_pd(c::kQ2));
+  return _mm256_add_pd(
+      ax, _mm256_div_pd(_mm256_mul_pd(_mm256_mul_pd(ax, z), p), q));
+}
+
+/// kSmall <= |x| < kLarge branch on ax = |x|: (1 - e)/(1 + e) with
+/// e = exp(-2|x|). Lanes above kLarge are clamped so that 2^n stays a
+/// valid double; the caller discards them.
+inline __m256d tanh_mid4(__m256d ax) {
+  namespace c = tanh_coef;
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d t = _mm256_mul_pd(
+      _mm256_set1_pd(-2.0), _mm256_min_pd(ax, _mm256_set1_pd(c::kLarge)));
+  const __m256d magic = _mm256_set1_pd(c::kRoundMagic);
+  const __m256d shifted =
+      _mm256_add_pd(_mm256_mul_pd(t, _mm256_set1_pd(c::kLog2e)), magic);
+  const __m256d n = _mm256_sub_pd(shifted, magic);
+  __m256d g = _mm256_sub_pd(t, _mm256_mul_pd(n, _mm256_set1_pd(c::kLn2Hi)));
+  g = _mm256_sub_pd(g, _mm256_mul_pd(n, _mm256_set1_pd(c::kLn2Lo)));
+  const __m256d gg = _mm256_mul_pd(g, g);
+  __m256d p = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(c::kR0), gg),
+                            _mm256_set1_pd(c::kR1));
+  p = _mm256_mul_pd(
+      g, _mm256_add_pd(_mm256_mul_pd(p, gg), _mm256_set1_pd(c::kR2)));
+  __m256d q = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(c::kS0), gg),
+                            _mm256_set1_pd(c::kS1));
+  q = _mm256_add_pd(_mm256_mul_pd(q, gg), _mm256_set1_pd(c::kS2));
+  q = _mm256_add_pd(_mm256_mul_pd(q, gg), _mm256_set1_pd(c::kS3));
+  const __m256i n_bits = _mm256_sub_epi64(_mm256_castpd_si256(shifted),
+                                          _mm256_castpd_si256(magic));
+  const __m256d scale = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_add_epi64(n_bits, _mm256_set1_epi64x(c::kExponentBias)), 52));
+  const __m256d ratio = _mm256_div_pd(p, _mm256_sub_pd(q, p));
+  const __m256d e = _mm256_mul_pd(
+      _mm256_add_pd(one, _mm256_mul_pd(_mm256_set1_pd(2.0), ratio)), scale);
+  return _mm256_div_pd(_mm256_sub_pd(one, e), _mm256_add_pd(one, e));
+}
+
+inline __m256d tanh4(__m256d x) {
+  namespace c = tanh_coef;
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d ax = _mm256_andnot_pd(sign, x);
+  // Every lane computes both branches and keeps the one the scalar code
+  // takes; ordered compares are false for NaN, which keeps the small one.
+  __m256d r = _mm256_blendv_pd(
+      tanh_small4(ax), tanh_mid4(ax),
+      _mm256_cmp_pd(ax, _mm256_set1_pd(c::kSmall), _CMP_GE_OQ));
+  r = _mm256_blendv_pd(
+      r, _mm256_set1_pd(1.0),
+      _mm256_cmp_pd(ax, _mm256_set1_pd(c::kLarge), _CMP_GE_OQ));
+  return _mm256_or_pd(r, _mm256_and_pd(x, sign));
+}
+
+void tanh_avx2(const double* x, double* out, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(out + i, tanh4(_mm256_loadu_pd(x + i)));
+  }
+  if (i == n) return;
+  // Tail: pad to one vector; the padding lanes are computed and dropped.
+  alignas(32) double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  for (std::size_t l = 0; i + l < n; ++l) lanes[l] = x[i + l];
+  _mm256_store_pd(lanes, tanh4(_mm256_load_pd(lanes)));
+  for (std::size_t l = 0; i + l < n; ++l) out[i + l] = lanes[l];
+}
 
 // ---------------------------------------------------------------------------
 // f64 gemv: 4 outputs per vector, lane-stable.
@@ -82,20 +165,11 @@ void gemv_avx2(const double* w, const double* bias, const double* x,
     const double* r0 = w + o * in;
     const __m256d acc = gemv4_accumulate(r0, r0 + in, r0 + 2 * in, r0 + 3 * in,
                                          x, in, _mm256_loadu_pd(bias + o));
-    if constexpr (kTanh) {
-      alignas(32) double z[4];
-      _mm256_store_pd(z, acc);
-      out[o] = std::tanh(z[0]);
-      out[o + 1] = std::tanh(z[1]);
-      out[o + 2] = std::tanh(z[2]);
-      out[o + 3] = std::tanh(z[3]);
-    } else {
-      _mm256_storeu_pd(out + o, acc);
-    }
+    _mm256_storeu_pd(out + o, kTanh ? tanh4(acc) : acc);
   }
   for (; o < out_dim; ++o) {
     const double z = dot_seq(bias[o], w + o * in, x, in);
-    out[o] = kTanh ? std::tanh(z) : z;
+    out[o] = kTanh ? stats::tanh(z) : z;
   }
 }
 
@@ -124,7 +198,7 @@ void gemv_avx2_fm(const double* w, const double* bias, const double* x,
     _mm256_store_pd(lanes, acc0);
     double z = bias[o] + (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
     for (; i < in; ++i) z += row[i] * x[i];
-    out[o] = kTanh ? std::tanh(z) : z;
+    out[o] = kTanh ? stats::tanh(z) : z;
   }
 }
 
@@ -243,12 +317,14 @@ const KernelTable kAvx2Plain{
     gemv_avx2<false>,          gemv_avx2<true>,
     gemm_rows_avx2<false>,     fne_row_update_avx2<false>,
     gemv_t_f32_avx2<false, false>, gemv_t_f32_avx2<true, false>,
+    tanh_avx2,
 };
 
 const KernelTable kAvx2FastMath{
     gemv_avx2_fm<false>,       gemv_avx2_fm<true>,
     gemm_rows_avx2<true>,      fne_row_update_avx2<true>,
     gemv_t_f32_avx2<false, true>, gemv_t_f32_avx2<true, true>,
+    tanh_avx2,
 };
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "stats/kernels.h"
 #include "stats/kernels_dispatch.h"
 
 namespace acbm::stats::detail {
@@ -57,8 +58,8 @@ void gemv_neon(const double* w, const double* bias, const double* x,
       acc = mul_acc<kFma>(acc, col, vdupq_n_f64(x[i]));
     }
     if constexpr (kTanh) {
-      out[o] = std::tanh(vgetq_lane_f64(acc, 0));
-      out[o + 1] = std::tanh(vgetq_lane_f64(acc, 1));
+      out[o] = stats::tanh(vgetq_lane_f64(acc, 0));
+      out[o + 1] = stats::tanh(vgetq_lane_f64(acc, 1));
     } else {
       vst1q_f64(out + o, acc);
     }
@@ -67,7 +68,7 @@ void gemv_neon(const double* w, const double* bias, const double* x,
     double z = bias[o];
     const double* row = w + o * in;
     for (std::size_t i = 0; i < in; ++i) z += row[i] * x[i];
-    out[o] = kTanh ? std::tanh(z) : z;
+    out[o] = kTanh ? stats::tanh(z) : z;
   }
 }
 
@@ -169,6 +170,8 @@ void gemv_t_f32_neon(const float* wt, const float* bias, const float* x,
   }
 }
 
+// No NEON tanh: the null entry makes the dispatcher run the scalar
+// reference per element, which is bit-identical by definition.
 const KernelTable kNeonPlain{
     gemv_neon<false, false>,      gemv_neon<true, false>,
     gemm_rows_neon<false>,        fne_row_update_neon<false>,

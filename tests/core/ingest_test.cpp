@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/durable.h"
 #include "core/parallel.h"
 #include "core/robust.h"
@@ -925,6 +926,48 @@ TEST(Ingestor, CorruptInputsStateForcesAFullButConvergentRefit) {
   // With no trusted hashes every stage counts as changed.
   EXPECT_EQ(result.stages_invalidated, families + 2);
   EXPECT_EQ(durable::read_file(ingestor.model_path()),
+            cold_fit_bytes(ingestor.log().cumulative(),
+                           ingest_world().world.ip_map));
+}
+
+TEST(Ingestor, CheckpointOfAnOlderNumericsVersionIsNotResumed) {
+  // Stages checkpointed under the key of a build whose fit numerics differ
+  // (here: the key before the fit-config tag named the tanh) must not be
+  // resumed. They are planted with a different model (fitted on half the
+  // data), so a resumed stage would show in the published bytes.
+  TempDir tmp;
+  Ingestor ingestor(options_for(tmp.path));
+  ingestor.init(ingest_world().world.dataset, ingest_world().world.ip_map);
+
+  std::uint64_t old_key = durable::fnv1a64("acbm-ingest-fit");
+  old_key = durable::fnv1a64(durable::read_file(tmp.path / "ipmap.art"),
+                             old_key);
+  old_key = durable::fnv1a64("grid_search=0", old_key);
+  const trace::Dataset& base = ingest_world().world.dataset;
+  std::vector<trace::Attack> half(
+      base.attacks().begin(),
+      base.attacks().begin() +
+          static_cast<std::ptrdiff_t>(base.attacks().size() / 2));
+  const trace::Dataset other(base.family_names(), std::move(half), {},
+                             base.window_start());
+  {
+    CheckpointDir::Options old_opts;
+    old_opts.config_hash = old_key;
+    CheckpointDir old_dir(tmp.path / "checkpoint", old_opts);
+    AdversaryModel planted(options_for(tmp.path).model);
+    planted.set_checkpoint(&old_dir);
+    planted.fit(other, ingest_world().world.ip_map);
+    ASSERT_FALSE(old_dir.completed_stages().empty());
+  }
+
+  // No input changed since init, so only the key keeps these stages out.
+  const RefitResult result = ingestor.check_and_refit(/*force=*/true);
+  ASSERT_TRUE(result.published) << result.error;
+  EXPECT_EQ(result.stages_invalidated, 0u);
+  EXPECT_EQ(durable::read_file(ingestor.model_path()),
+            cold_fit_bytes(ingestor.log().cumulative(),
+                           ingest_world().world.ip_map));
+  EXPECT_NE(cold_fit_bytes(other, ingest_world().world.ip_map),
             cold_fit_bytes(ingestor.log().cumulative(),
                            ingest_world().world.ip_map));
 }

@@ -31,6 +31,7 @@
 #include "core/evaluation.h"
 #include "core/pipeline.h"
 #include "core/spatiotemporal_model.h"
+#include "stats/kernels.h"
 #include "stats/rng.h"
 #include "trace/world.h"
 
@@ -279,6 +280,49 @@ TEST(NarF32View, MatchesNarModelWalkForward) {
     }
   }
   EXPECT_GT(checked, 0u) << "no fitted NAR in the fixture";
+}
+
+// Fast-math lets the gemv kernels take FMA and reordered sums once a row
+// has 4 or more inputs, but batch predict and f64 serving run the same MLP
+// forward pass (nn::forward_normalized), so they still agree bit for bit.
+// Five delays, so that a kernel-based forward pass would reorder.
+TEST(ServingModel, F64ByteIdenticalToBatchUnderFastMath) {
+  SpatiotemporalOptions opts = fast_options();
+  opts.spatial.fixed.delays = 5;
+  const trace::World world =
+      trace::build_world(trace::small_world_options(37));
+  AdversaryModel model{opts};
+  model.fit(world.dataset, world.ip_map);
+  const ServingModel serving =
+      ServingModel::from_image(armm::pack_model(model));
+  const bool was = stats::fast_math();
+  stats::set_fast_math(true);
+  std::size_t checked = 0;
+  for (net::Asn asn : serving.targets()) {
+    const auto want = model.predict_next_attack(asn);
+    const auto got = serving.predict(asn, Precision::kF64);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "AS" << asn;
+    if (want) expect_identical(*got, *want, asn);
+    const SpatialModel* spatial = model.spatiotemporal().spatial(asn);
+    if (spatial == nullptr) continue;
+    for (std::size_t s = 0; s < kSpatialSeriesCount; ++s) {
+      const auto which = static_cast<SpatialSeries>(s);
+      const auto& nar = spatial->nar(which);
+      if (!nar || nar->delays() != 5) continue;
+      const std::span<const double> series =
+          target_series(serving, asn, which);
+      for (std::size_t t = nar->delays(); t <= series.size(); ++t) {
+        const std::span<const double> history = series.first(t);
+        EXPECT_EQ(bits(serving.forecast_spatial(asn, which, history,
+                                                Precision::kF64)),
+                  bits(nar->forecast_one(history)))
+            << "AS" << asn << " series " << s << " t " << t;
+        ++checked;
+      }
+    }
+  }
+  stats::set_fast_math(was);
+  EXPECT_GT(checked, 0u) << "no five-delay NAR in the fixture";
 }
 
 TEST(TreeF32, MatchesModelTreeOnTrainingRows) {

@@ -23,7 +23,7 @@ TEST(Mlp, FitsLinearFunction) {
     y.push_back(3.0 * v - 1.0);
   }
   MlpOptions opts;
-  opts.hidden_layers = {6};
+  opts.hidden_units = 6;
   opts.max_epochs = 400;
   opts.seed = 3;
   Mlp net(opts);
@@ -44,7 +44,7 @@ TEST(Mlp, FitsSineWave) {
     y.push_back(std::sin(v));
   }
   MlpOptions opts;
-  opts.hidden_layers = {16};
+  opts.hidden_units = 16;
   opts.max_epochs = 800;
   opts.learning_rate = 5e-3;
   opts.seed = 7;
@@ -70,7 +70,7 @@ TEST(Mlp, LearnsXorPattern) {
     y.push_back(0.0);
   }
   MlpOptions opts;
-  opts.hidden_layers = {8};
+  opts.hidden_units = 8;
   opts.max_epochs = 1500;
   opts.learning_rate = 1e-2;
   opts.seed = 11;
@@ -85,7 +85,7 @@ TEST(Mlp, LearnsXorPattern) {
 
 TEST(Mlp, GradientMatchesNumericalDifferentiation) {
   MlpOptions opts;
-  opts.hidden_layers = {4};
+  opts.hidden_units = 4;
   opts.max_epochs = 1;  // We only need an initialized network.
   opts.seed = 13;
   Mlp net(opts);
@@ -204,7 +204,7 @@ TEST_P(MlpRegressionProperty, BeatsMeanBaselineOnSmoothFunction) {
     y.push_back(a * b + 0.5 * a - 0.2 * b * b);
   }
   MlpOptions opts;
-  opts.hidden_layers = {12};
+  opts.hidden_units = 12;
   opts.max_epochs = 600;
   opts.seed = GetParam();
   Mlp net(opts);

@@ -150,7 +150,7 @@ TEST(KernelsTest, GemvMatchesNaiveLoopBitForBit) {
     std::vector<double> got_tanh(out_dim);
     acbm::stats::gemv_tanh(weights, bias, x, got_tanh);
     for (std::size_t o = 0; o < out_dim; ++o) {
-      EXPECT_EQ(got_tanh[o], std::tanh(want[o]));
+      EXPECT_EQ(got_tanh[o], acbm::stats::tanh(want[o]));
     }
   }
 }

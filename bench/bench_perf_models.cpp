@@ -1,7 +1,8 @@
 // Performance microbenchmarks (google-benchmark): fitting and prediction
 // throughput of every model in the stack, plus the substrate hot paths
-// (LPM lookup, valley-free distance, A^s feature, Gao inference, trace
-// generation, dataset CSV writing and parsing).
+// (LPM lookup, the per-attack source table, valley-free distance, A^s
+// feature, Gao inference, trace generation, dataset CSV writing and
+// parsing).
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -248,6 +249,28 @@ void BM_SourceCoefficient(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SourceCoefficient);
+
+// Every bot of the shared world resolved to its AS once (the SourceTable
+// the fit and pack build), in bots per second. The arg pins the thread
+// count; Arg(1) is the serial baseline.
+void BM_SourceTable(benchmark::State& state) {
+  core::set_num_threads(static_cast<std::size_t>(state.range(0)));
+  const trace::World& world = shared_world();
+  std::int64_t bots = 0;
+  for (const trace::Attack& attack : world.dataset.attacks()) {
+    bots += static_cast<std::int64_t>(attack.bots.size());
+  }
+  for (auto _ : state) {
+    const core::SourceTable table(world.dataset, world.ip_map);
+    benchmark::DoNotOptimize(table.size());
+  }
+  state.SetItemsProcessed(state.iterations() * bots);
+  core::set_num_threads(0);
+}
+BENCHMARK(BM_SourceTable)
+    ->Arg(1)->Arg(4)
+    ->UseRealTime()  // The pool's CPU is not the calling thread's.
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GaoInference(benchmark::State& state) {
   const trace::World& world = shared_world();

@@ -22,6 +22,7 @@
 #include "core/checkpoint.h"
 #include "core/durable.h"
 #include "core/evaluation.h"
+#include "core/heap.h"
 #include "core/ingest.h"
 #include "core/observe.h"
 #include "core/pipeline.h"
@@ -483,6 +484,8 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
 
   core::AdversaryModel model(opts);
   model.fit(std::move(dataset), ip_map);
+  // The fit's freed scratch goes back before the body is formatted.
+  core::release_free_heap();
   {
     ACBM_SPAN("fit.save");
     durable::save_artifact(model_path, "adversary_model", 4,

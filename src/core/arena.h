@@ -1,7 +1,7 @@
-// Chunked bump allocator for fit-time scratch: recursive tree building and
-// MLP workspaces allocate thousands of short-lived index/scratch buffers
-// whose lifetimes nest perfectly — a mark/rewind arena turns each of those
-// heap round-trips into a pointer bump. Not thread-safe: one Arena per
+// Chunked bump allocator for fit-time scratch: the MLP workspaces allocate
+// many short-lived scratch buffers whose lifetimes nest perfectly — a
+// mark/rewind arena turns each of those heap round-trips into a pointer
+// bump. Not thread-safe: one Arena per
 // fitting call (or per thread), never shared concurrently. Allocation is
 // limited to trivially-destructible element types; rewinding never runs
 // destructors.

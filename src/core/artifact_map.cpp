@@ -9,6 +9,7 @@
 
 #include "core/durable.h"
 #include "core/features.h"
+#include "core/observe.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/spatial_model.h"
@@ -309,10 +310,15 @@ std::string pack_model(const SpatiotemporalModel& st,
     b.families.push_back(rec);
   }
 
-  // Targets, sorted by ASN for binary search at serve time. Each target's
-  // series and per-attack metadata are built on the pool (resolving its
-  // bots is most of pack's work), then appended in ASN order, so the image
-  // is the same at any thread count.
+  // Targets, sorted by ASN for binary search at serve time. Every bot is
+  // resolved once up front; each target's series and per-attack metadata
+  // are then built on the pool and appended in ASN order, so the image is
+  // the same at any thread count.
+  SourceTable sources;
+  {
+    ACBM_SPAN("pack.sources");
+    sources = SourceTable(dataset, ip_map);
+  }
   std::set<net::Asn> asn_set;
   for (const trace::Attack& attack : dataset.attacks()) {
     asn_set.insert(attack.target_asn);
@@ -337,15 +343,10 @@ std::string pack_model(const SpatiotemporalModel& st,
           const trace::Attack& attack = dataset.attacks()[idx];
           data.fams.push_back(attack.family);
           data.starts.push_back(attack.start);
-          std::vector<std::pair<net::Asn, double>> dist;
-          for (const auto& [src, share] :
-               source_asn_distribution(attack, ip_map)) {
-            dist.emplace_back(src, share);
-          }
-          std::sort(dist.begin(), dist.end());
-          for (const auto& [src, share] : dist) {
-            data.dist_asn.push_back(src);
-            data.dist_share.push_back(share);
+          const AttackSources row = sources[idx];
+          for (std::size_t i = 0; i < row.asns.size(); ++i) {
+            data.dist_asn.push_back(row.asns[i]);
+            data.dist_share.push_back(row.share(i));
           }
           data.dist_index.push_back(
               static_cast<std::uint32_t>(data.dist_asn.size()));

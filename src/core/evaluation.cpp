@@ -203,7 +203,7 @@ SpatialEvaluation evaluate_spatial_series(const trace::Dataset& dataset,
     train.day.resize(split);
 
     SpatialModel model(opts);
-    model.fit(train, dataset, ip_map);
+    model.fit(train, SourceTable(dataset, ip_map, train.attack_indices));
     const std::vector<double> pred =
         model.one_step_predictions(which, series, split);
     const std::vector<double> same = always_same_predictions(series, split);
@@ -294,7 +294,7 @@ SourceDistributionEvaluation evaluate_source_distribution(
     // The spatial model only needs attack_indices for share tracking here;
     // numeric series can stay empty (mean fallbacks are unused).
     SpatialModel model(opts);
-    model.fit(train, dataset, ip_map);
+    model.fit(train, SourceTable(dataset, ip_map, train.attack_indices));
 
     // Running historical mean distribution for the Always-Mean baseline.
     std::unordered_map<net::Asn, double> running_sum;

@@ -17,11 +17,20 @@
 // lookup also bumps the global feature_cache.hit / feature_cache.miss
 // counters.
 //
+// The cache also owns the dataset's SourceTable (every bot resolved to its
+// AS once), built on first use by sources(): the spatial stage reads its
+// tracked source ASes from it, and family series their A^s once it is
+// built (before that, a family extraction resolves only that family's
+// bots, so a worker fitting one family's stage resolves no other).
+// Nothing builds it before a reader asks, so a fit whose stages all
+// resume from a checkpoint resolves no bot.
+//
 // Invalidation contract: the cache holds references to the dataset/IP map
 // it was built over and must not outlive them. If the underlying dataset
 // mutates, call invalidate() while no other thread is using the cache —
-// it drops every cached series, but shared_ptrs already handed out stay
-// valid (they keep the old extraction alive and go stale, by design).
+// it drops every cached series and the source table, but shared_ptrs
+// already handed out stay valid (they keep the old extraction alive and go
+// stale, by design).
 #pragma once
 
 #include <cstddef>
@@ -53,8 +62,13 @@ class FeatureCache {
   /// The target series for `asn`, extracting on first use.
   [[nodiscard]] std::shared_ptr<const TargetSeries> target(net::Asn asn);
 
-  /// Drops every cached series (e.g. if the underlying dataset mutated).
-  /// Outstanding shared_ptrs stay valid.
+  /// Every attack's bots resolved to ASes, built on first use. The build
+  /// fans out over the thread pool, so ask for it before a fan-out whose
+  /// tasks read it: a first call from a pool worker builds serially.
+  [[nodiscard]] std::shared_ptr<const SourceTable> sources();
+
+  /// Drops every cached series and the source table (e.g. if the
+  /// underlying dataset mutated). Outstanding shared_ptrs stay valid.
   void invalidate();
 
   [[nodiscard]] std::size_t hits() const;
@@ -64,6 +78,10 @@ class FeatureCache {
   const trace::Dataset& dataset_;
   const net::IpToAsnMap& ip_map_;
   net::ValleyFreeDistance* distance_;
+
+  std::unique_ptr<std::once_flag> sources_once_ =
+      std::make_unique<std::once_flag>();
+  std::shared_ptr<const SourceTable> sources_;  ///< Set under mutex_.
 
   mutable std::mutex mutex_;
   std::map<std::uint32_t, std::shared_ptr<const FamilySeries>> families_;

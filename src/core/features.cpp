@@ -5,6 +5,8 @@
 #include <map>
 #include <stdexcept>
 
+#include "core/parallel.h"
+
 namespace acbm::core {
 
 std::unordered_map<net::Asn, double> source_asn_distribution(
@@ -23,33 +25,141 @@ std::unordered_map<net::Asn, double> source_asn_distribution(
   return counts;
 }
 
-double source_distribution_coefficient(const trace::Attack& attack,
+namespace {
+
+/// Tallies one attack's bots per AS into a dense per-ordinal array. The
+/// one resolution routine behind SourceTable and the single-attack A^s.
+/// The tally loop has no branch on the resolved ordinal: an unmapped bot
+/// counts into a sentinel slot past the last ordinal, and a first-seen
+/// ordinal is appended by always writing it and advancing only when new,
+/// so a bot's lookup never waits on a mispredicted branch of the last.
+class SourceCounter {
+ public:
+  explicit SourceCounter(const net::IpToAsnMap& ip_map)
+      : ip_map_(ip_map),
+        sentinel_(static_cast<std::uint32_t>(ip_map.asn_count())),
+        counts_(ip_map.asn_count() + 1, 0),
+        // Every ordinal and the sentinel, plus one slot for the write that
+        // tally() makes unconditionally once all of them are touched.
+        touched_(ip_map.asn_count() + 2, 0) {}
+
+  /// Resolves `bots`; distinct() and total() then describe them.
+  void tally(std::span<const net::Ipv4> bots) {
+    std::size_t n = 0;
+    for (const net::Ipv4& bot : bots) {
+      // kUnmapped is the largest uint32, so min() maps it to the sentinel.
+      const std::uint32_t ordinal =
+          std::min(ip_map_.ordinal_of(bot), sentinel_);
+      touched_[n] = ordinal;
+      n += counts_[ordinal]++ == 0 ? 1 : 0;
+    }
+    const std::uint32_t unmapped = counts_[sentinel_];
+    touched_count_ = n;
+    distinct_ = n - (unmapped > 0 ? 1 : 0);
+    total_ = static_cast<std::uint32_t>(bots.size()) - unmapped;
+  }
+
+  /// Number of distinct ASes tallied.
+  [[nodiscard]] std::size_t distinct() const noexcept { return distinct_; }
+  [[nodiscard]] std::uint32_t total() const noexcept { return total_; }
+
+  /// Writes the tallied ASes in ascending ASN order (ordinals rank by
+  /// ASN) with their bot counts, distinct() of each, and resets.
+  void drain(net::Asn* asns, std::uint32_t* bots) {
+    // The sentinel, if touched, sorts last and is left out.
+    std::sort(touched_.begin(),
+              touched_.begin() + static_cast<std::ptrdiff_t>(touched_count_));
+    for (std::size_t i = 0; i < distinct_; ++i) {
+      asns[i] = ip_map_.asn_at(touched_[i]);
+      bots[i] = counts_[touched_[i]];
+    }
+    clear();
+  }
+
+  void clear() {
+    for (std::size_t i = 0; i < touched_count_; ++i) counts_[touched_[i]] = 0;
+    touched_count_ = 0;
+    distinct_ = 0;
+    total_ = 0;
+  }
+
+ private:
+  const net::IpToAsnMap& ip_map_;
+  std::uint32_t sentinel_;
+  std::vector<std::uint32_t> counts_;
+  std::vector<std::uint32_t> touched_;  ///< Ordinals in first-seen order.
+  std::size_t touched_count_ = 0;       ///< Sentinel included.
+  std::size_t distinct_ = 0;            ///< Sentinel excluded.
+  std::uint32_t total_ = 0;
+};
+
+/// Attacks per parallel_for task of a SourceTable build.
+constexpr std::size_t kSourceChunk = 256;
+
+}  // namespace
+
+SourceTable::SourceTable(const trace::Dataset& dataset,
+                         const net::IpToAsnMap& ip_map)
+    : SourceTable(dataset, ip_map, [&dataset] {
+        std::vector<std::size_t> all(dataset.attacks().size());
+        for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+        return all;
+      }()) {}
+
+SourceTable::SourceTable(const trace::Dataset& dataset,
+                         const net::IpToAsnMap& ip_map,
+                         std::span<const std::size_t> attacks) {
+  const std::vector<trace::Attack>& all = dataset.attacks();
+  offsets_.assign(all.size() + 1, 0);
+  totals_.assign(all.size(), 0);
+  const std::size_t chunks = (attacks.size() + kSourceChunk - 1) / kSourceChunk;
+  const auto for_each_attack = [&](const auto& fn) {
+    parallel_for(0, chunks, [&](std::size_t c) {
+      SourceCounter counter(ip_map);
+      const std::size_t stop = std::min(attacks.size(), (c + 1) * kSourceChunk);
+      for (std::size_t k = c * kSourceChunk; k < stop; ++k) {
+        counter.tally(all[attacks[k]].bots);
+        fn(attacks[k], counter);
+      }
+    });
+  };
+  // Count pass: each row's width lands one slot ahead, so the prefix sum
+  // turns the widths into row offsets in place.
+  for_each_attack([&](std::size_t idx, SourceCounter& counter) {
+    offsets_[idx + 1] = counter.distinct();
+    totals_[idx] = counter.total();
+    counter.clear();
+  });
+  for (std::size_t i = 0; i < all.size(); ++i) offsets_[i + 1] += offsets_[i];
+  cells_.resize(2 * entries());
+  // Fill pass: every row straight into its final place.
+  for_each_attack([&](std::size_t idx, SourceCounter& counter) {
+    counter.drain(cells_.data() + offsets_[idx],
+                  cells_.data() + entries() + offsets_[idx]);
+  });
+}
+
+double source_distribution_coefficient(const AttackSources& sources,
                                        const net::IpToAsnMap& ip_map,
                                        net::ValleyFreeDistance* distance) {
-  // Eq. (4), numerator: sum over involved ASes of bots-in-AS / AS size.
-  std::unordered_map<net::Asn, double> bot_counts;
-  for (const net::Ipv4& bot : attack.bots) {
-    const auto asn = ip_map.lookup(bot);
-    if (asn) bot_counts[*asn] += 1.0;
-  }
-  if (bot_counts.empty()) return 0.0;
+  if (sources.asns.empty()) return 0.0;
 
+  // Eq. (4), numerator: sum over involved ASes of bots-in-AS / AS size,
+  // in ascending ASN order.
   double intra = 0.0;
-  for (const auto& [asn, bots_in_as] : bot_counts) {
-    const auto addresses = ip_map.address_count(asn);
+  for (std::size_t i = 0; i < sources.asns.size(); ++i) {
+    const auto addresses = ip_map.address_count(sources.asns[i]);
     if (addresses == 0) continue;
-    intra += bots_in_as / static_cast<double>(addresses);
+    intra += static_cast<double>(sources.bots[i]) /
+             static_cast<double>(addresses);
   }
 
   // Eq. (4), denominator: mean pairwise hop distance between involved ASes.
   // A single-AS attack (or no distance oracle) uses unit distance, so A^s
   // reduces to the intra-AS concentration.
   double dt = 1.0;
-  if (distance != nullptr && bot_counts.size() >= 2) {
-    std::vector<net::Asn> ases;
-    ases.reserve(bot_counts.size());
-    for (const auto& [asn, count] : bot_counts) ases.push_back(asn);
-    std::sort(ases.begin(), ases.end());  // Deterministic iteration.
+  if (distance != nullptr && sources.asns.size() >= 2) {
+    const std::span<const net::Asn> ases = sources.asns;
     double sum = 0.0;
     std::size_t pairs = 0;
     for (std::size_t i = 0; i < ases.size(); ++i) {
@@ -68,6 +178,19 @@ double source_distribution_coefficient(const trace::Attack& attack,
   // Scale the intra term to a per-mille concentration so A^s lives in a
   // numerically convenient range for the time-series models.
   return 1000.0 * intra / dt;
+}
+
+double source_distribution_coefficient(const trace::Attack& attack,
+                                       const net::IpToAsnMap& ip_map,
+                                       net::ValleyFreeDistance* distance) {
+  SourceCounter counter(ip_map);
+  counter.tally(attack.bots);
+  std::vector<net::Asn> asns(counter.distinct());
+  std::vector<std::uint32_t> bots(counter.distinct());
+  const std::uint32_t total = counter.total();
+  counter.drain(asns.data(), bots.data());
+  return source_distribution_coefficient(AttackSources{asns, bots, total},
+                                         ip_map, distance);
 }
 
 FamilySeries extract_family_series(const trace::Dataset& dataset,
@@ -118,15 +241,25 @@ FamilySeries extract_family_series(const trace::Dataset& dataset,
 
 FamilySeries extract_family_series(const trace::Dataset& dataset,
                                    std::uint32_t family,
+                                   const SourceTable& sources,
                                    const net::IpToAsnMap& ip_map,
                                    net::ValleyFreeDistance* distance) {
   FamilySeries out = extract_family_series(dataset, family);
   out.source_coeff.reserve(out.attack_indices.size());
   for (std::size_t idx : out.attack_indices) {
-    out.source_coeff.push_back(source_distribution_coefficient(
-        dataset.attacks()[idx], ip_map, distance));
+    out.source_coeff.push_back(
+        source_distribution_coefficient(sources[idx], ip_map, distance));
   }
   return out;
+}
+
+FamilySeries extract_family_series(const trace::Dataset& dataset,
+                                   std::uint32_t family,
+                                   const net::IpToAsnMap& ip_map,
+                                   net::ValleyFreeDistance* distance) {
+  const SourceTable sources(dataset, ip_map,
+                            dataset.attacks_of_family(family));
+  return extract_family_series(dataset, family, sources, ip_map, distance);
 }
 
 TargetSeries extract_target_series(const trace::Dataset& dataset,

@@ -31,6 +31,60 @@ struct FamilySeries {
   std::vector<double> duration_s;
 };
 
+/// One attack's mapped bot sources: the ASes its bots resolve to, in
+/// ascending ASN order, the bots resolved into each, and their total.
+/// Bots no prefix covers are dropped, as in practice.
+struct AttackSources {
+  std::span<const net::Asn> asns;
+  std::span<const std::uint32_t> bots;
+  std::uint32_t total = 0;  ///< Sum of `bots`.
+
+  /// The i-th AS's share of the mapped bots, bit for bit the value
+  /// source_asn_distribution gives it.
+  [[nodiscard]] double share(std::size_t i) const {
+    return static_cast<double>(bots[i]) / static_cast<double>(total);
+  }
+};
+
+/// Every attack's bots resolved to ASes once, for the readers on the
+/// fit and pack paths (A^s, the spatial model's tracked source ASes, the
+/// packed source distributions). Stored as CSR: the rows of all attacks
+/// back to back, indexed by the attack's position in dataset.attacks().
+/// Each row is a pure function of its attack's bots, so the table is
+/// identical at any thread count.
+class SourceTable {
+ public:
+  SourceTable() = default;
+
+  /// Resolves every attack of `dataset`.
+  SourceTable(const trace::Dataset& dataset, const net::IpToAsnMap& ip_map);
+
+  /// Resolves only the listed attacks (distinct indices into
+  /// dataset.attacks()); the rows of the others are empty.
+  SourceTable(const trace::Dataset& dataset, const net::IpToAsnMap& ip_map,
+              std::span<const std::size_t> attacks);
+
+  [[nodiscard]] AttackSources operator[](std::size_t attack) const {
+    const std::size_t first = offsets_[attack];
+    const std::size_t count = offsets_[attack + 1] - first;
+    const std::span<const std::uint32_t> cells(cells_);
+    return {cells.subspan(first, count),
+            cells.subspan(entries() + first, count), totals_[attack]};
+  }
+
+  /// Number of attacks (rows).
+  [[nodiscard]] std::size_t size() const noexcept { return totals_.size(); }
+
+ private:
+  [[nodiscard]] std::size_t entries() const noexcept { return offsets_.back(); }
+
+  std::vector<std::size_t> offsets_{0};
+  /// All rows' ASNs, then all rows' bot counts: one block of
+  /// 2 * entries() cells.
+  std::vector<std::uint32_t> cells_;
+  std::vector<std::uint32_t> totals_;
+};
+
 /// Extracts the family series. All series are aligned: entry k describes
 /// the k-th attack of the family. This overload leaves source_coeff empty
 /// and resolves no bot, for readers of the other series only (drift
@@ -44,6 +98,12 @@ struct FamilySeries {
 [[nodiscard]] FamilySeries extract_family_series(
     const trace::Dataset& dataset, std::uint32_t family,
     const net::IpToAsnMap& ip_map, net::ValleyFreeDistance* distance);
+
+/// The same, with the family's bots read from a table over `dataset`.
+[[nodiscard]] FamilySeries extract_family_series(
+    const trace::Dataset& dataset, std::uint32_t family,
+    const SourceTable& sources, const net::IpToAsnMap& ip_map,
+    net::ValleyFreeDistance* distance);
 
 /// Per-target-AS series (the spatial model's view, §V).
 struct TargetSeries {
@@ -65,7 +125,14 @@ struct TargetSeries {
 
 /// The paper's A^s coefficient (Eq. 3-4) for one attack: intra-AS
 /// concentration divided by mean pairwise inter-AS hop distance. Larger
-/// values mean bots packed densely into few, nearby ASes.
+/// values mean bots packed densely into few, nearby ASes. The intra-AS
+/// terms are summed in ascending ASN order.
+[[nodiscard]] double source_distribution_coefficient(
+    const AttackSources& sources, const net::IpToAsnMap& ip_map,
+    net::ValleyFreeDistance* distance);
+
+/// The same for an attack outside any table: resolves its bots, then
+/// delegates to the overload above.
 [[nodiscard]] double source_distribution_coefficient(
     const trace::Attack& attack, const net::IpToAsnMap& ip_map,
     net::ValleyFreeDistance* distance);

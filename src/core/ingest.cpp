@@ -14,7 +14,9 @@
 #include <thread>
 
 #include "core/checkpoint.h"
+#include "core/heap.h"
 #include "core/observe.h"
+#include "core/parallel.h"
 #include "core/robust.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -599,18 +601,42 @@ std::map<std::string, std::uint64_t> Ingestor::stage_input_hashes(
 
   // temporal/<family>: a family's temporal series is a function of only its
   // own attacks and the window start, so its stage survives appends that
-  // touch other families.
+  // touch other families. Each family hashes the text
+  // "temporal <name> ws=<window start>\n" then "id,start,duration,bots\n"
+  // per attack, the duration as %.17g.
+  const std::vector<std::uint64_t> family_hashes =
+      parallel_map(families.size(), [&](std::size_t f) {
+        const std::vector<std::size_t> attacks =
+            cumulative.attacks_of_family(static_cast<std::uint32_t>(f));
+        // FNV-1a runs byte by byte, so hashing line after line equals
+        // hashing the whole text.
+        std::uint64_t hash = durable::fnv1a64(
+            "temporal " + families[f] + " ws=" +
+            std::to_string(cumulative.window_start()) + "\n");
+        // Each field gets room for its widest rendering: 20 characters for
+        // an integer, 24 for a %.17g double.
+        constexpr std::ptrdiff_t kInt = 20;
+        constexpr std::ptrdiff_t kDouble = 24;
+        char line[3 * kInt + kDouble + 4];
+        for (const std::size_t i : attacks) {
+          const trace::Attack& a = cumulative.attacks()[i];
+          char* p = std::to_chars(line, line + kInt, a.id).ptr;
+          *p++ = ',';
+          p = std::to_chars(p, p + kInt, a.start).ptr;
+          *p++ = ',';
+          p = std::to_chars(p, p + kDouble, a.duration_s,
+                            std::chars_format::general, 17)
+                  .ptr;
+          *p++ = ',';
+          p = std::to_chars(p, p + kInt, a.magnitude()).ptr;
+          *p++ = '\n';
+          hash = durable::fnv1a64(
+              std::string_view(line, static_cast<std::size_t>(p - line)), hash);
+        }
+        return hash;
+      });
   for (std::uint32_t f = 0; f < families.size(); ++f) {
-    std::ostringstream rows;
-    rows << "temporal " << families[f] << " ws="
-         << cumulative.window_start() << "\n";
-    rows.precision(17);
-    for (const std::size_t i : cumulative.attacks_of_family(f)) {
-      const trace::Attack& a = cumulative.attacks()[i];
-      rows << a.id << ',' << a.start << ',' << a.duration_s << ','
-           << a.magnitude() << '\n';
-    }
-    hashes["temporal/" + families[f]] = durable::fnv1a64(rows.str());
+    hashes["temporal/" + families[f]] = family_hashes[f];
   }
 
   // spatial and tree both consume the whole dataset (spatial fits every
@@ -728,6 +754,8 @@ RefitResult Ingestor::refit(const trace::Dataset& cumulative,
       AdversaryModel model(opts_.model);
       model.set_checkpoint(&*ckpt);
       model.fit(cumulative, ip_map);
+      // The fit's freed scratch goes back before the body is formatted.
+      release_free_heap();
       publish(model, hashes, refit_hour);
       result.published = true;
       return result;

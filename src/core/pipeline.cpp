@@ -37,7 +37,9 @@ SpatiotemporalOptions default_cli_options() {
   return opts;
 }
 
-std::string_view fit_config_tag() { return "grid_search=0;tanh=acbm1"; }
+std::string_view fit_config_tag() {
+  return "grid_search=0;tanh=acbm1;as=asn-order";
+}
 
 void AdversaryModel::fit(const trace::Dataset& dataset,
                          const net::IpToAsnMap& ip_map) {

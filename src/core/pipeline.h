@@ -62,7 +62,8 @@ struct FamilyDriftBaseline {
 
 /// The configuration part of every checkpoint and shard-plan key, hashed
 /// beside the input bytes: the options above ("grid_search=0") and the
-/// numerics the fit runs on ("tanh=acbm1": stats::tanh, not libm's). A
+/// numerics the fit runs on ("tanh=acbm1": stats::tanh, not libm's;
+/// "as=asn-order": A^s sums its per-AS terms in ascending ASN order). A
 /// change that alters fitted bytes on purpose changes this tag, so a stage
 /// checkpointed by another version is never resumed into this one.
 [[nodiscard]] std::string_view fit_config_tag();

@@ -301,6 +301,7 @@ void ShardWorker::fit_stage(const std::string& stage,
   }
   if (stage == "spatial") {
     const std::vector<net::Asn> targets = train.target_asns();
+    (void)features.sources();  // On the whole pool, before the fan-out.
     std::vector<std::optional<SpatialModel>> fits = parallel_map(
         targets.size(), [&](std::size_t t) -> std::optional<SpatialModel> {
           return fit_target_spatial(train, ip_map, features, targets[t],

@@ -140,9 +140,7 @@ void SpatialModel::fit_one(SpatialSeries which,
   slot.record.rung = slot.rung;
 }
 
-void SpatialModel::fit(const TargetSeries& train,
-                       const trace::Dataset& dataset,
-                       const net::IpToAsnMap& ip_map) {
+void SpatialModel::fit(const TargetSeries& train, const SourceTable& sources) {
   asn_ = train.asn;
   // The three series models are independent (each writes its own slot and
   // every candidate network seeds its own Rng), so they fit concurrently.
@@ -162,9 +160,9 @@ void SpatialModel::fit(const TargetSeries& train,
   // attacks by total share.
   std::unordered_map<net::Asn, double> totals;
   for (std::size_t idx : train.attack_indices) {
-    for (const auto& [asn, share] :
-         source_asn_distribution(dataset.attacks()[idx], ip_map)) {
-      totals[asn] += share;
+    const AttackSources row = sources[idx];
+    for (std::size_t i = 0; i < row.asns.size(); ++i) {
+      totals[row.asns[i]] += row.share(i);
     }
   }
   std::vector<std::pair<net::Asn, double>> ranked(totals.begin(), totals.end());

@@ -67,9 +67,8 @@ class SpatialModel {
   explicit SpatialModel(SpatialModelOptions opts) : opts_(std::move(opts)) {}
 
   /// Fits on a target's training series; also learns the source-AS share
-  /// dynamics from the same attacks.
-  void fit(const TargetSeries& train, const trace::Dataset& dataset,
-           const net::IpToAsnMap& ip_map);
+  /// dynamics from the same attacks, whose bots `sources` holds resolved.
+  void fit(const TargetSeries& train, const SourceTable& sources);
 
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }
   [[nodiscard]] net::Asn target_asn() const noexcept { return asn_; }

@@ -78,7 +78,7 @@ std::optional<TemporalModel> fit_family_temporal(
 }
 
 std::optional<SpatialModel> fit_target_spatial(
-    const trace::Dataset& train, const net::IpToAsnMap& ip_map,
+    const trace::Dataset& /*train*/, const net::IpToAsnMap& /*ip_map*/,
     FeatureCache& features, net::Asn target,
     const SpatiotemporalOptions& opts) {
   const std::shared_ptr<const TargetSeries> shared = features.target(target);
@@ -104,9 +104,9 @@ std::optional<SpatialModel> fit_target_spatial(
     trim(series.hour);
     trim(series.day);
     trim(series.magnitude);
-    model.fit(series, train, ip_map);
+    model.fit(series, *features.sources());
   } else {
-    model.fit(*shared, train, ip_map);
+    model.fit(*shared, *features.sources());
   }
   return model;
 }
@@ -325,6 +325,12 @@ void SpatiotemporalModel::fit(const trace::Dataset& train,
                    });
   std::vector<std::optional<TemporalModel>> family_fits(n_families);
   std::vector<std::optional<SpatialModel>> target_fits(n_target_tasks);
+  // Every family and target stage that fits reads the source table; build
+  // it once here, on the whole pool, unless every stage resumes.
+  const bool any_family_fit =
+      std::any_of(cached_family.begin(), cached_family.end(),
+                  [](const std::optional<std::string>& c) { return !c; });
+  if (any_family_fit || n_target_tasks > 0) (void)features.sources();
   {
     ACBM_SPAN("fit.submodels");
     parallel_for(0, order.size(), [&](std::size_t k) {

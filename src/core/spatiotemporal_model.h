@@ -186,7 +186,9 @@ struct StRow {
 
 /// Fits one target's spatial model. Returns nullopt when the target has
 /// fewer than `opts.min_target_attacks` training attacks. Honors
-/// `opts.max_target_history` (limited-information trimming).
+/// `opts.max_target_history` (limited-information trimming). The series
+/// and the resolved bots come from `features`, which must be built over
+/// `train` and `ip_map`.
 [[nodiscard]] std::optional<SpatialModel> fit_target_spatial(
     const trace::Dataset& train, const net::IpToAsnMap& ip_map,
     FeatureCache& features, net::Asn target,

@@ -44,16 +44,22 @@ IpToAsnMap::IpToAsnMap(std::vector<std::pair<Prefix, Asn>> entries) {
     }
     return a->prefix.length < b->prefix.length;
   });
+  struct Range {
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+    Asn asn = 0;
+  };
+  std::vector<Range> ranges;
   // 64-bit so the sweep can step past 255.255.255.255.
   std::uint64_t cursor = 0;
-  const auto emit = [this, &cursor](std::uint64_t last, Asn asn) {
+  const auto emit = [&ranges, &cursor](std::uint64_t last, Asn asn) {
     if (cursor > last) return;
-    if (!ranges_.empty() && ranges_.back().asn == asn &&
-        std::uint64_t{ranges_.back().last} + 1 == cursor) {
-      ranges_.back().last = static_cast<std::uint32_t>(last);
+    if (!ranges.empty() && ranges.back().asn == asn &&
+        std::uint64_t{ranges.back().last} + 1 == cursor) {
+      ranges.back().last = static_cast<std::uint32_t>(last);
     } else {
-      ranges_.push_back({static_cast<std::uint32_t>(cursor),
-                         static_cast<std::uint32_t>(last), asn});
+      ranges.push_back({static_cast<std::uint32_t>(cursor),
+                        static_cast<std::uint32_t>(last), asn});
     }
     cursor = last + 1;
   };
@@ -72,17 +78,21 @@ IpToAsnMap::IpToAsnMap(std::vector<std::pair<Prefix, Asn>> entries) {
     emit(open.back()->prefix.last().value, open.back()->asn);
     open.pop_back();
   }
-}
 
-std::optional<Asn> IpToAsnMap::lookup(Ipv4 addr) const {
-  // The last range starting at or before addr is the only candidate.
-  auto it = std::upper_bound(
-      ranges_.begin(), ranges_.end(), addr.value,
-      [](std::uint32_t a, const Range& r) { return a < r.first; });
-  if (it == ranges_.begin()) return std::nullopt;
-  --it;
-  if (addr.value > it->last) return std::nullopt;
-  return it->asn;
+  // Split the ranges into the search array and their ends, and number the
+  // ASes that own a range densely in ASN order.
+  for (const Range& range : ranges) asns_.push_back(range.asn);
+  std::sort(asns_.begin(), asns_.end());
+  asns_.erase(std::unique(asns_.begin(), asns_.end()), asns_.end());
+  starts_.reserve(ranges.size());
+  ends_.reserve(ranges.size());
+  for (const Range& range : ranges) {
+    starts_.push_back(range.first);
+    const auto ordinal = static_cast<std::uint32_t>(
+        std::lower_bound(asns_.begin(), asns_.end(), range.asn) -
+        asns_.begin());
+    ends_.push_back({range.last, ordinal});
+  }
 }
 
 std::vector<Prefix> IpToAsnMap::prefixes_of(Asn asn) const {

@@ -25,9 +25,44 @@ class IpToAsnMap {
   /// different ASNs.
   explicit IpToAsnMap(std::vector<std::pair<Prefix, Asn>> entries);
 
-  /// Resolves an address; nullopt when no prefix covers it. One binary
-  /// search over the flattened range table.
-  [[nodiscard]] std::optional<Asn> lookup(Ipv4 addr) const;
+  /// What ordinal_of returns for an address no prefix covers.
+  static constexpr std::uint32_t kUnmapped = ~std::uint32_t{0};
+
+  /// Resolves an address; nullopt when no prefix covers it.
+  [[nodiscard]] std::optional<Asn> lookup(Ipv4 addr) const {
+    const std::uint32_t ordinal = ordinal_of(addr);
+    if (ordinal == kUnmapped) return std::nullopt;
+    return asns_[ordinal];
+  }
+
+  /// The dense ordinal of the AS an address resolves to, or kUnmapped when
+  /// no prefix covers it. One branchless binary search over the range
+  /// starts: the loop runs log2(ranges) times whatever the address, and
+  /// each step is a conditional move, so nothing mispredicts.
+  [[nodiscard]] std::uint32_t ordinal_of(Ipv4 addr) const {
+    const std::uint32_t value = addr.value;
+    std::size_t n = starts_.size();
+    if (n == 0 || value < starts_[0]) return kUnmapped;
+    const std::uint32_t* base = starts_.data();
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base = base[half] <= value ? base + half : base;
+      n -= half;
+    }
+    const RangeEnd& end =
+        ends_[static_cast<std::size_t>(base - starts_.data())];
+    return value <= end.last ? end.ordinal : kUnmapped;
+  }
+
+  /// Number of AS ordinals: every AS that owns at least one address once
+  /// longer prefixes have taken theirs.
+  [[nodiscard]] std::size_t asn_count() const noexcept { return asns_.size(); }
+
+  /// The AS of an ordinal. Ordinals rank ASes by ASN, so ascending
+  /// ordinals are ascending ASNs.
+  [[nodiscard]] Asn asn_at(std::uint32_t ordinal) const {
+    return asns_[ordinal];
+  }
 
   [[nodiscard]] std::size_t prefix_count() const noexcept {
     return entries_.size();
@@ -49,18 +84,22 @@ class IpToAsnMap {
     Prefix prefix;
     Asn asn = 0;
   };
-  /// A run of addresses whose longest matching prefix maps to `asn`.
-  struct Range {
-    std::uint32_t first = 0;
+  /// The end of a run of addresses whose longest matching prefix maps to
+  /// the AS of `ordinal`.
+  struct RangeEnd {
     std::uint32_t last = 0;
-    Asn asn = 0;
+    std::uint32_t ordinal = 0;
   };
   // The prefixes as given, sorted by (network, -length); kept for save()
   // and prefixes_of() only.
   std::vector<Entry> entries_;
-  // Disjoint ranges sorted by `first`, flattened from entries_ once at
-  // construction with longest-match semantics; lookup() searches these.
-  std::vector<Range> ranges_;
+  // Disjoint ranges, flattened from entries_ once at construction with
+  // longest-match semantics: their first addresses ascending in starts_
+  // (the dense array ordinal_of searches), their ends in ends_.
+  std::vector<std::uint32_t> starts_;
+  std::vector<RangeEnd> ends_;
+  // Ordinal -> ASN, ascending: the ASes that own at least one range.
+  std::vector<Asn> asns_;
   std::unordered_map<Asn, std::uint64_t> sizes_;
 };
 

@@ -4,49 +4,48 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace acbm::tree {
 
 namespace {
-double subset_mean(std::span<const double> y, std::span<const std::size_t> idx) {
+double subset_mean(std::span<const double> y,
+                   std::span<const std::uint32_t> idx) {
   double acc = 0.0;
-  for (std::size_t i : idx) acc += y[i];
+  for (std::uint32_t i : idx) acc += y[i];
   return idx.empty() ? 0.0 : acc / static_cast<double>(idx.size());
 }
 
-double subset_sd(std::span<const double> y, std::span<const std::size_t> idx) {
+double subset_sd(std::span<const double> y,
+                 std::span<const std::uint32_t> idx) {
   if (idx.size() < 2) return 0.0;
   const double m = subset_mean(y, idx);
   double acc = 0.0;
-  for (std::size_t i : idx) acc += (y[i] - m) * (y[i] - m);
+  for (std::uint32_t i : idx) acc += (y[i] - m) * (y[i] - m);
   return std::sqrt(acc / static_cast<double>(idx.size()));
 }
 }  // namespace
 
 RegressionTree::SplitChoice RegressionTree::best_split(
     const acbm::stats::Matrix& x, std::span<const double> y,
-    std::span<const std::size_t> idx, acbm::core::Arena& arena) const {
+    const Columns& cols, std::size_t lo, std::size_t n) const {
   SplitChoice best;
-  const std::size_t n = idx.size();
   if (n < 2) return best;
 
   // Parent sum of squared deviations, for the reduction computation.
   double sum = 0.0;
   double sum_sq = 0.0;
-  for (std::size_t i : idx) {
+  for (std::uint32_t i : cols.segment(cols.features, lo, n)) {
     sum += y[i];
     sum_sq += y[i] * y[i];
   }
   const double parent_sse = sum_sq - sum * sum / static_cast<double>(n);
 
-  const acbm::core::Arena::Mark mark = arena.mark();
-  const std::span<std::size_t> order = arena.alloc_span<std::size_t>(n);
-  std::copy(idx.begin(), idx.end(), order.begin());
-  for (std::size_t f = 0; f < x.cols(); ++f) {
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return x(a, f) < x(b, f);
-    });
+  for (std::size_t f = 0; f < cols.features; ++f) {
+    // The node's rows, already in (x, row index) order for this feature.
+    const std::span<const std::uint32_t> order = cols.segment(f, lo, n);
     // Prefix scan: evaluate the split after each position.
     double left_sum = 0.0;
     double left_sq = 0.0;
@@ -73,57 +72,58 @@ RegressionTree::SplitChoice RegressionTree::best_split(
       }
     }
   }
-  arena.rewind(mark);
   return best;
 }
 
 int RegressionTree::build(const acbm::stats::Matrix& x,
-                          std::span<const double> y,
-                          std::span<const std::size_t> idx, std::size_t depth,
-                          double root_sd, acbm::core::Arena& arena) {
+                          std::span<const double> y, Columns& cols,
+                          std::size_t lo, std::size_t n, std::size_t depth,
+                          double root_sd) {
+  const std::span<const std::uint32_t> idx =
+      cols.segment(cols.features, lo, n);
   const int node_id = static_cast<int>(nodes_.size());
   CartNode node;
-  node.n_samples = idx.size();
+  node.n_samples = n;
   node.mean = subset_mean(y, idx);
   node.sd = subset_sd(y, idx);
   nodes_.push_back(node);
   node_samples_.emplace_back(idx.begin(), idx.end());
 
   const bool too_deep = depth >= opts_.max_depth;
-  const bool too_small = idx.size() < opts_.min_samples_split;
+  const bool too_small = n < opts_.min_samples_split;
   const bool pure_enough = node.sd < opts_.sd_stop_fraction * root_sd;
   if (too_deep || too_small || pure_enough) return node_id;
 
-  const SplitChoice split = best_split(x, y, idx, arena);
+  const SplitChoice split = best_split(x, y, cols, lo, n);
   if (!split.found || split.variance_reduction <= 0.0) return node_id;
 
   std::size_t nl = 0;
-  for (std::size_t i : idx) {
-    if (x(i, split.feature) <= split.threshold) ++nl;
+  for (std::uint32_t i : idx) {
+    cols.goes_left[i] = x(i, split.feature) <= split.threshold ? 1 : 0;
+    nl += cols.goes_left[i];
   }
-  const std::size_t nr = idx.size() - nl;
-  if (nl == 0 || nr == 0) return node_id;
+  if (nl == 0 || nl == n) return node_id;
 
-  // The partitions live only while the two subtrees build; rewinding after
-  // the recursion returns makes the whole fit reuse one small footprint
-  // (O(n · depth) words at peak) instead of a heap pair per node.
-  const acbm::core::Arena::Mark mark = arena.mark();
-  const std::span<std::size_t> left_idx = arena.alloc_span<std::size_t>(nl);
-  const std::span<std::size_t> right_idx = arena.alloc_span<std::size_t>(nr);
-  std::size_t li = 0;
-  std::size_t ri = 0;
-  for (std::size_t i : idx) {
-    if (x(i, split.feature) <= split.threshold) {
-      left_idx[li++] = i;
-    } else {
-      right_idx[ri++] = i;
+  // Stable partition of every column segment, the row-order one included:
+  // the left child's rows come first, each side still in its column's
+  // order, so the children are segments [lo, lo + nl) and [lo + nl, lo + n).
+  for (std::size_t f = 0; f <= cols.features; ++f) {
+    const std::span<std::uint32_t> seg = cols.segment(f, lo, n);
+    std::size_t li = 0;
+    std::size_t ri = 0;
+    for (const std::uint32_t i : seg) {
+      if (cols.goes_left[i] != 0) {
+        seg[li++] = i;
+      } else {
+        cols.scratch[ri++] = i;
+      }
     }
+    std::copy_n(cols.scratch.begin(), ri, seg.begin() + li);
   }
 
   feature_importance_[split.feature] += split.variance_reduction;
-  const int left = build(x, y, left_idx, depth + 1, root_sd, arena);
-  const int right = build(x, y, right_idx, depth + 1, root_sd, arena);
-  arena.rewind(mark);
+  const int left = build(x, y, cols, lo, nl, depth + 1, root_sd);
+  const int right = build(x, y, cols, lo + nl, n - nl, depth + 1, root_sd);
   nodes_[static_cast<std::size_t>(node_id)].left = left;
   nodes_[static_cast<std::size_t>(node_id)].right = right;
   nodes_[static_cast<std::size_t>(node_id)].feature = split.feature;
@@ -139,16 +139,37 @@ void RegressionTree::fit(const acbm::stats::Matrix& x,
   if (y.size() != x.rows()) {
     throw std::invalid_argument("RegressionTree::fit: size mismatch");
   }
+  if (x.rows() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("RegressionTree::fit: too many rows");
+  }
   nodes_.clear();
   node_samples_.clear();
   n_features_ = x.cols();
   feature_importance_.assign(n_features_, 0.0);
 
-  acbm::core::Arena arena;
-  const std::span<std::size_t> idx = arena.alloc_span<std::size_t>(x.rows());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  const double root_sd = subset_sd(y, idx);
-  build(x, y, idx, 0, root_sd, arena);
+  // Each feature column sorted once, by the total order (x, row index),
+  // and after them the rows in index order; splits then only partition.
+  const std::size_t n = x.rows();
+  Columns cols;
+  cols.rows = n;
+  cols.features = n_features_;
+  cols.order.resize((n_features_ + 1) * n);
+  cols.scratch.resize(n);
+  cols.goes_left.resize(n);
+  for (std::size_t f = 0; f <= n_features_; ++f) {
+    const std::span<std::uint32_t> column = cols.segment(f, 0, n);
+    std::iota(column.begin(), column.end(), std::uint32_t{0});
+    if (f == n_features_) continue;  // The row-order column.
+    std::sort(column.begin(), column.end(),
+              [&x, f](std::uint32_t a, std::uint32_t b) {
+                const double xa = x(a, f);
+                const double xb = x(b, f);
+                return xa < xb || (xa == xb && a < b);
+              });
+  }
+
+  const double root_sd = subset_sd(y, cols.segment(n_features_, 0, n));
+  build(x, y, cols, 0, n, 0, root_sd);
 }
 
 std::size_t RegressionTree::leaf_index(std::span<const double> features) const {

@@ -6,11 +6,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <vector>
 
-#include "core/arena.h"
 #include "stats/matrix.h"
 
 namespace acbm::tree {
@@ -45,7 +45,7 @@ class RegressionTree {
   explicit RegressionTree(CartOptions opts) : opts_(opts) {}
 
   /// Fits on an n x k design matrix. Throws std::invalid_argument on empty
-  /// input or size mismatch.
+  /// input, size mismatch, or n >= 2^32.
   void fit(const acbm::stats::Matrix& x, std::span<const double> y);
 
   [[nodiscard]] double predict(std::span<const double> features) const;
@@ -91,16 +91,38 @@ class RegressionTree {
     double variance_reduction = 0.0;
   };
 
+  /// Every feature column's row indices, sorted once at the root by
+  /// (x, row index), then one more column of the rows in index order. Each
+  /// split stably partitions all of them, so a node's rows are one segment
+  /// [lo, lo + n) of every column, still in that column's order.
+  struct Columns {
+    std::size_t rows = 0;
+    std::size_t features = 0;
+    std::vector<std::uint32_t> order;  ///< Column-major, `rows` per column.
+    std::vector<std::uint32_t> scratch;  ///< Partition buffer, `rows` long.
+    std::vector<std::uint8_t> goes_left;  ///< Per row, the current split.
+
+    /// Column `column` (a feature, or `features` for the row order).
+    [[nodiscard]] std::span<std::uint32_t> segment(std::size_t column,
+                                                   std::size_t lo,
+                                                   std::size_t n) {
+      return std::span(order).subspan(column * rows + lo, n);
+    }
+    [[nodiscard]] std::span<const std::uint32_t> segment(
+        std::size_t column, std::size_t lo, std::size_t n) const {
+      return std::span(order).subspan(column * rows + lo, n);
+    }
+  };
+
   [[nodiscard]] SplitChoice best_split(const acbm::stats::Matrix& x,
                                        std::span<const double> y,
-                                       std::span<const std::size_t> idx,
-                                       acbm::core::Arena& arena) const;
+                                       const Columns& cols, std::size_t lo,
+                                       std::size_t n) const;
 
-  /// `idx` and all scratch (sort orders, partitions) live in `arena`;
-  /// each recursion level rewinds its own allocations on the way out.
+  /// Builds the subtree of the rows in segment [lo, lo + n) of the columns.
   int build(const acbm::stats::Matrix& x, std::span<const double> y,
-            std::span<const std::size_t> idx, std::size_t depth,
-            double root_sd, acbm::core::Arena& arena);
+            Columns& cols, std::size_t lo, std::size_t n, std::size_t depth,
+            double root_sd);
 
   CartOptions opts_;
   std::vector<CartNode> nodes_;

@@ -150,6 +150,11 @@ struct SpatialFixture {
                                    world.dataset.target_asns().front());
   }
 
+  /// The training attacks' bots resolved, for SpatialModel::fit.
+  [[nodiscard]] SourceTable sources_of(const TargetSeries& s) const {
+    return SourceTable(world.dataset, world.ip_map, s.attack_indices);
+  }
+
   [[nodiscard]] SpatialModelOptions fast_options() const {
     SpatialModelOptions opts;
     opts.grid_search = false;
@@ -164,7 +169,7 @@ TEST(SpatialDegradation, InjectedNonconvergenceTriggersSeededRetry) {
   // Fail every first attempt; the perturbed-seed retry must succeed.
   FaultInjector::instance().configure("nar.nonconvergence:attempt=0");
   SpatialModel model(fx.fast_options());
-  model.fit(fx.series, fx.world.dataset, fx.world.ip_map);
+  model.fit(fx.series, fx.sources_of(fx.series));
   ASSERT_TRUE(model.fitted());
   EXPECT_EQ(model.rung(SpatialSeries::kDuration), FitRung::kNarRetry);
   EXPECT_EQ(model.rung(SpatialSeries::kHour), FitRung::kNarRetry);
@@ -183,7 +188,7 @@ TEST(SpatialDegradation, PersistentNonconvergenceFallsToAr) {
   // No attempt filter: every NAR attempt fails, landing on the AR rung.
   FaultInjector::instance().configure("nar.nonconvergence");
   SpatialModel model(fx.fast_options());
-  model.fit(fx.series, fx.world.dataset, fx.world.ip_map);
+  model.fit(fx.series, fx.sources_of(fx.series));
   ASSERT_TRUE(model.fitted());
   EXPECT_EQ(model.rung(SpatialSeries::kDuration), FitRung::kAr);
   EXPECT_TRUE(std::isfinite(
@@ -196,7 +201,7 @@ TEST(SpatialDegradation, PersistentNonconvergenceFallsToAr) {
 TEST(SpatialDegradation, EmptyHistoryPredictsFromFallback) {
   SpatialFixture fx;
   SpatialModel model(fx.fast_options());
-  model.fit(fx.series, fx.world.dataset, fx.world.ip_map);
+  model.fit(fx.series, fx.sources_of(fx.series));
   // Empty target history must not crash any rung.
   const std::vector<double> empty;
   EXPECT_TRUE(std::isfinite(model.forecast_next(SpatialSeries::kDuration, empty)));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/feature_cache.h"
+#include "core/observe.h"
 #include "core/parallel.h"
 #include "trace/world.h"
 
@@ -97,6 +98,39 @@ TEST_F(FeatureCacheTest, ConcurrentAccessAgreesWithSerial) {
         world_->dataset, f, world_->ip_map, nullptr);
     EXPECT_EQ(sizes[f], direct.attack_indices.size());
   }
+}
+
+TEST_F(FeatureCacheTest, FamilyBeforeTheTableResolvesOnlyItsOwnBots) {
+  // A worker fitting one family's stage asks for no table; its series
+  // resolves that family's bots alone and matches the table-backed one.
+  namespace observe = acbm::core::observe;
+  struct ObserveGuard {
+    ObserveGuard() {
+      observe::Metrics::instance().reset();
+      observe::set_enabled(true);
+    }
+    ~ObserveGuard() {
+      observe::set_enabled(false);
+      observe::Metrics::instance().reset();
+    }
+  } guard;
+  const auto tables_built = [] {
+    return observe::Metrics::instance().counter_value(
+        "feature_cache.sources_built");
+  };
+  const auto n_families =
+      static_cast<std::uint32_t>(world_->dataset.family_names().size());
+  FeatureCache lone(world_->dataset, world_->ip_map);
+  FeatureCache shared(world_->dataset, world_->ip_map);
+  for (std::uint32_t f = 0; f < n_families; ++f) (void)lone.family(f);
+  EXPECT_EQ(tables_built(), 0u);
+  (void)shared.sources();
+  EXPECT_EQ(tables_built(), 1u);
+  for (std::uint32_t f = 0; f < n_families; ++f) {
+    EXPECT_EQ(lone.family(f)->source_coeff, shared.family(f)->source_coeff)
+        << "family " << f;
+  }
+  EXPECT_EQ(tables_built(), 1u);
 }
 
 }  // namespace

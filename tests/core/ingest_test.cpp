@@ -19,6 +19,7 @@
 
 #include "core/checkpoint.h"
 #include "core/durable.h"
+#include "core/observe.h"
 #include "core/parallel.h"
 #include "core/robust.h"
 #include "trace/world.h"
@@ -970,6 +971,74 @@ TEST(Ingestor, CheckpointOfAnOlderNumericsVersionIsNotResumed) {
   EXPECT_NE(cold_fit_bytes(other, ingest_world().world.ip_map),
             cold_fit_bytes(ingestor.log().cumulative(),
                            ingest_world().world.ip_map));
+}
+
+TEST(Ingestor, CheckpointOfThePreviousSourceOrderIsNotResumed) {
+  // A^s once summed its per-AS terms in hash-map order; stages checkpointed
+  // under that version's key ("grid_search=0;tanh=acbm1") hold other A^s
+  // bits and must not be resumed. They are planted with a model fitted on
+  // half the data, so a resumed stage would show in the published bytes.
+  TempDir tmp;
+  Ingestor ingestor(options_for(tmp.path));
+  ingestor.init(ingest_world().world.dataset, ingest_world().world.ip_map);
+
+  std::uint64_t old_key = durable::fnv1a64("acbm-ingest-fit");
+  old_key = durable::fnv1a64(durable::read_file(tmp.path / "ipmap.art"),
+                             old_key);
+  old_key = durable::fnv1a64("grid_search=0;tanh=acbm1", old_key);
+  const trace::Dataset& base = ingest_world().world.dataset;
+  std::vector<trace::Attack> half(
+      base.attacks().begin(),
+      base.attacks().begin() +
+          static_cast<std::ptrdiff_t>(base.attacks().size() / 2));
+  const trace::Dataset other(base.family_names(), std::move(half), {},
+                             base.window_start());
+  {
+    CheckpointDir::Options old_opts;
+    old_opts.config_hash = old_key;
+    CheckpointDir old_dir(tmp.path / "checkpoint", old_opts);
+    AdversaryModel planted(options_for(tmp.path).model);
+    planted.set_checkpoint(&old_dir);
+    planted.fit(other, ingest_world().world.ip_map);
+    ASSERT_FALSE(old_dir.completed_stages().empty());
+  }
+
+  const RefitResult result = ingestor.check_and_refit(/*force=*/true);
+  ASSERT_TRUE(result.published) << result.error;
+  EXPECT_EQ(result.stages_invalidated, 0u);
+  EXPECT_EQ(durable::read_file(ingestor.model_path()),
+            cold_fit_bytes(ingestor.log().cumulative(),
+                           ingest_world().world.ip_map));
+}
+
+TEST(Ingestor, FullyResumedRefitResolvesNoBot) {
+  // The source table (every bot resolved to its AS) is built only when a
+  // stage fits: the cold fit of init builds it once, a forced refit whose
+  // stages all resume from the checkpoint never.
+  struct ObserveGuard {
+    ObserveGuard() {
+      observe::Metrics::instance().reset();
+      observe::set_enabled(true);
+    }
+    ~ObserveGuard() {
+      observe::set_enabled(false);
+      observe::Metrics::instance().reset();
+    }
+  } guard;
+  const auto tables_built = [] {
+    return observe::Metrics::instance().counter_value(
+        "feature_cache.sources_built");
+  };
+  TempDir tmp;
+  Ingestor ingestor(options_for(tmp.path));
+  ingestor.init(ingest_world().world.dataset, ingest_world().world.ip_map);
+  EXPECT_EQ(tables_built(), 1u);
+
+  observe::Metrics::instance().reset();
+  const RefitResult result = ingestor.check_and_refit(/*force=*/true);
+  ASSERT_TRUE(result.published) << result.error;
+  EXPECT_EQ(result.stages_invalidated, 0u);
+  EXPECT_EQ(tables_built(), 0u);
 }
 
 }  // namespace

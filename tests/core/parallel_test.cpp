@@ -183,7 +183,8 @@ TEST(ParallelDeterminism, SpatialFitBitIdentical) {
   for (std::size_t threads : {1u, 3u, 8u}) {
     set_num_threads(threads);
     SpatialModel model(opts);
-    model.fit(series, world.dataset, world.ip_map);
+    model.fit(series, SourceTable(world.dataset, world.ip_map,
+                                  series.attack_indices));
     ASSERT_TRUE(model.fitted());
     std::ostringstream os;
     model.save(os);
@@ -235,7 +236,8 @@ TEST(ParallelDeterminism, FaultedSpatialFitBitIdentical) {
   for (std::size_t threads : {1u, 3u, 8u}) {
     set_num_threads(threads);
     SpatialModel model(opts);
-    model.fit(series, world.dataset, world.ip_map);
+    model.fit(series, SourceTable(world.dataset, world.ip_map,
+                                  series.attack_indices));
     ASSERT_TRUE(model.fitted());
     EXPECT_EQ(model.rung(SpatialSeries::kDuration), FitRung::kNarRetry);
     std::ostringstream os;

@@ -32,6 +32,11 @@ struct Fixture {
     out.magnitude.resize(n);
     return out;
   }
+
+  /// The training attacks' bots resolved, for SpatialModel::fit.
+  [[nodiscard]] SourceTable sources_of(const TargetSeries& s) const {
+    return SourceTable(world.dataset, world.ip_map, s.attack_indices);
+  }
 };
 
 SpatialModelOptions fast_options() {
@@ -45,7 +50,7 @@ TEST(SpatialModel, FitsOnBusiestTarget) {
   Fixture fx;
   ASSERT_GT(fx.series.attack_indices.size(), 30u);
   SpatialModel model(fast_options());
-  model.fit(fx.series, fx.world.dataset, fx.world.ip_map);
+  model.fit(fx.series, fx.sources_of(fx.series));
   EXPECT_TRUE(model.fitted());
   EXPECT_EQ(model.target_asn(), fx.busiest);
   EXPECT_FALSE(model.tracked_ases().empty());
@@ -66,7 +71,8 @@ TEST(SpatialModel, DurationForecastIsFiniteAndPositiveish) {
   Fixture fx;
   SpatialModel model(fast_options());
   const std::size_t split = fx.series.attack_indices.size() * 8 / 10;
-  model.fit(fx.train_prefix(split), fx.world.dataset, fx.world.ip_map);
+  const TargetSeries train = fx.train_prefix(split);
+  model.fit(train, fx.sources_of(train));
   const double f =
       model.forecast_next(SpatialSeries::kDuration, fx.series.duration_s);
   EXPECT_TRUE(std::isfinite(f));
@@ -80,7 +86,7 @@ TEST(SpatialModel, ShortSeriesUsesMeanFallback) {
   Fixture fx;
   SpatialModel model(fast_options());
   const TargetSeries tiny = fx.train_prefix(5);
-  model.fit(tiny, fx.world.dataset, fx.world.ip_map);
+  model.fit(tiny, fx.sources_of(tiny));
   const double expected_mean =
       acbm::stats::mean(std::span<const double>(tiny.duration_s));
   EXPECT_DOUBLE_EQ(
@@ -91,7 +97,7 @@ TEST(SpatialModel, ShortSeriesUsesMeanFallback) {
 TEST(SpatialModel, SourceDistributionIsNormalized) {
   Fixture fx;
   SpatialModel model(fast_options());
-  model.fit(fx.series, fx.world.dataset, fx.world.ip_map);
+  model.fit(fx.series, fx.sources_of(fx.series));
   std::vector<std::unordered_map<net::Asn, double>> history;
   for (std::size_t idx : fx.series.attack_indices) {
     history.push_back(source_asn_distribution(
@@ -110,7 +116,7 @@ TEST(SpatialModel, SourcePredictionTracksRecentShift) {
   // History shifts all mass from AS 1 to AS 2; the EWMA must follow.
   Fixture fx;
   SpatialModel model(fast_options());
-  model.fit(fx.series, fx.world.dataset, fx.world.ip_map);
+  model.fit(fx.series, fx.sources_of(fx.series));
   const net::Asn a = model.tracked_ases().size() > 0 ? model.tracked_ases()[0] : 1;
   const net::Asn b = model.tracked_ases().size() > 1 ? model.tracked_ases()[1] : 2;
   std::vector<std::unordered_map<net::Asn, double>> history;
@@ -125,7 +131,7 @@ TEST(SpatialModel, SourcePredictionTracksRecentShift) {
 TEST(SpatialModel, EmptyHistoryGivesUniformOverTracked) {
   Fixture fx;
   SpatialModel model(fast_options());
-  model.fit(fx.series, fx.world.dataset, fx.world.ip_map);
+  model.fit(fx.series, fx.sources_of(fx.series));
   const auto pred = model.predict_source_distribution(
       std::span<const std::unordered_map<net::Asn, double>>{});
   ASSERT_FALSE(pred.empty());
@@ -140,7 +146,7 @@ TEST(SpatialModel, GridSearchPathProducesFittedNar) {
   SpatialModelOptions opts;  // Grid search on (defaults are small).
   opts.grid.mlp.max_epochs = 60;
   SpatialModel model(opts);
-  model.fit(fx.series, fx.world.dataset, fx.world.ip_map);
+  model.fit(fx.series, fx.sources_of(fx.series));
   EXPECT_TRUE(model.fitted());
   const double f = model.forecast_next(SpatialSeries::kHour, fx.series.hour);
   EXPECT_TRUE(std::isfinite(f));
@@ -149,7 +155,7 @@ TEST(SpatialModel, GridSearchPathProducesFittedNar) {
 TEST(SpatialModel, BadStartThrows) {
   Fixture fx;
   SpatialModel model(fast_options());
-  model.fit(fx.series, fx.world.dataset, fx.world.ip_map);
+  model.fit(fx.series, fx.sources_of(fx.series));
   EXPECT_THROW((void)model.one_step_predictions(SpatialSeries::kHour,
                                                 fx.series.hour, 0),
                std::invalid_argument);

@@ -51,7 +51,8 @@ struct Fixture {
           core::extract_target_series(world.dataset, asn);
       if (series.attack_indices.size() < 8) continue;
       spatial = core::SpatialModel(sopts);
-      spatial.fit(series, world.dataset, world.ip_map);
+      spatial.fit(series, core::SourceTable(world.dataset, world.ip_map,
+                                            series.attack_indices));
       break;
     }
 

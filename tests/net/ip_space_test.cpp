@@ -157,6 +157,55 @@ TEST(IpToAsnMap, LoadRejectsMalformedLines) {
   std::stringstream ss("10.0.0.0/16;5\n");
   EXPECT_THROW((void)IpToAsnMap::load(ss), std::invalid_argument);
 }
+TEST(IpToAsnMap, EmptyMapHasNoOrdinals) {
+  const IpToAsnMap map;
+  EXPECT_EQ(map.asn_count(), 0u);
+  for (const std::uint32_t addr : {0u, 0x0A000001u, 0xFFFFFFFFu}) {
+    EXPECT_EQ(map.ordinal_of(Ipv4(addr)), IpToAsnMap::kUnmapped);
+  }
+}
+
+TEST(IpToAsnMap, SingleRangeEdges) {
+  const IpToAsnMap map({{parse_prefix("10.1.0.0/16"), 7}});
+  ASSERT_EQ(map.asn_count(), 1u);
+  EXPECT_EQ(map.asn_at(0), 7u);
+  EXPECT_FALSE(map.lookup(Ipv4(0u)).has_value());
+  EXPECT_FALSE(map.lookup(Ipv4(10, 0, 255, 255)).has_value());  // Below.
+  EXPECT_EQ(map.lookup(Ipv4(10, 1, 0, 0)), 7u);
+  EXPECT_EQ(map.lookup(Ipv4(10, 1, 255, 255)), 7u);
+  EXPECT_FALSE(map.lookup(Ipv4(10, 2, 0, 0)).has_value());  // Above.
+  EXPECT_FALSE(map.lookup(Ipv4(255, 255, 255, 255)).has_value());
+  EXPECT_EQ(map.ordinal_of(Ipv4(10, 0, 255, 255)), IpToAsnMap::kUnmapped);
+  EXPECT_EQ(map.ordinal_of(Ipv4(10, 1, 2, 3)), 0u);
+}
+
+TEST(IpToAsnMap, TopOfTheAddressSpace) {
+  const IpToAsnMap map({{parse_prefix("10.0.0.0/8"), 3},
+                        {parse_prefix("255.255.255.0/24"), 9},
+                        {parse_prefix("255.255.255.255/32"), 4}});
+  EXPECT_EQ(map.lookup(Ipv4(255, 255, 255, 255)), 4u);
+  EXPECT_EQ(map.lookup(Ipv4(255, 255, 255, 254)), 9u);
+  EXPECT_FALSE(map.lookup(Ipv4(9, 255, 255, 255)).has_value());
+  EXPECT_FALSE(map.lookup(Ipv4(0u)).has_value());
+}
+
+TEST(IpToAsnMap, OrdinalsRankAsesByAsn) {
+  // Entered out of order, and AS 5's prefix fully shadowed by AS 8's.
+  const IpToAsnMap map({{parse_prefix("10.2.0.0/16"), 30},
+                        {parse_prefix("10.1.0.0/16"), 12},
+                        {parse_prefix("10.3.0.0/24"), 5},
+                        {parse_prefix("10.3.0.0/24"), 5},
+                        {parse_prefix("10.3.0.0/25"), 8},
+                        {parse_prefix("10.3.0.128/25"), 8}});
+  ASSERT_EQ(map.asn_count(), 3u);
+  EXPECT_EQ(map.asn_at(0), 8u);
+  EXPECT_EQ(map.asn_at(1), 12u);
+  EXPECT_EQ(map.asn_at(2), 30u);
+  for (const Ipv4 addr : {Ipv4(10, 1, 0, 9), Ipv4(10, 2, 3, 4),
+                          Ipv4(10, 3, 0, 200)}) {
+    EXPECT_EQ(map.asn_at(map.ordinal_of(addr)), map.lookup(addr));
+  }
+}
 
 // Property: the sorted-interval LPM agrees with a brute-force longest-match
 // scan on random overlapping prefix sets.

@@ -309,10 +309,9 @@ std::optional<core::CheckpointDir> open_checkpoint(
     }
     return std::nullopt;
   }
-  core::CheckpointDir::Options opts;
-  opts.config_hash = config_hash();
-  opts.resume = args.has("resume");
-  return std::make_optional<core::CheckpointDir>(*dir, opts);
+  return std::make_optional<core::CheckpointDir>(
+      *dir, core::CheckpointDir::Options{.config_hash = config_hash(),
+                                         .resume = args.has("resume")});
 }
 
 int cmd_generate(const ArgMap& args, std::ostream& out, std::ostream&) {
@@ -469,10 +468,11 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
       return 5;
     }
     info << "workers: " << core::to_string(outcome) << "\n";
-    core::CheckpointDir::Options ckpt_opts;
-    ckpt_opts.config_hash = copts.config_hash;
-    ckpt_opts.shared = true;
-    checkpoint.emplace(*dir, ckpt_opts);
+    // Resume, whatever the flag: a fresh open would remove the markers the
+    // workers just published.
+    checkpoint.emplace(*dir, core::CheckpointDir::Options{
+                                 .config_hash = copts.config_hash,
+                                 .resume = true});
   } else {
     checkpoint = open_checkpoint(args, config_hash);
   }

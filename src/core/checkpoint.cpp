@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -17,46 +16,15 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr int kManifestFormat = 1;
 constexpr std::string_view kMarkerKind = "stage_done";
 constexpr std::string_view kMarkerSuffix = ".done";
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-/// Extracts the value of `"key": "<value>"` from a JSON line, unescaping
-/// \" and \\. Returns nullopt when the key is absent.
-std::optional<std::string> json_string_field(std::string_view line,
-                                             std::string_view key) {
-  std::string needle("\"");
-  needle += key;
-  needle += "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string_view::npos) return std::nullopt;
-  std::string out;
-  bool escaped = false;
-  for (std::size_t i = at + needle.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (escaped) {
-      out += c;
-      escaped = false;
-    } else if (c == '\\') {
-      escaped = true;
-    } else if (c == '"') {
-      return out;
-    } else {
-      out += c;
-    }
-  }
-  return std::nullopt;  // Unterminated string: treat as absent.
-}
+/// Prior artifact copies kept per stage for fallback.
+constexpr int kKeepGenerations = 2;
+/// Extra read attempts before a corrupt-looking artifact is condemned and
+/// quarantined: covers a reader racing a concurrent publisher.
+constexpr int kReadRetries = 2;
+/// Base backoff between read retries, doubled per attempt.
+constexpr int kRetryBackoffMs = 2;
 
 /// Extracts `key=<value>` from a marker payload of newline-separated pairs.
 std::optional<std::string> payload_field(std::string_view payload,
@@ -89,7 +57,7 @@ std::optional<std::pair<std::string, std::uint32_t>> parse_marker(
   if (size_ec || size == 0) return std::nullopt;
   std::string payload;
   try {
-    payload = durable::load_artifact(path, kMarkerKind, 1, 1, false, nullptr,
+    payload = durable::load_artifact(path, kMarkerKind, 1, 1, nullptr,
                                      /*quarantine_on_error=*/false);
   } catch (const durable::LoadFailure&) {
     return std::nullopt;
@@ -116,14 +84,16 @@ CheckpointDir::CheckpointDir(fs::path dir, Options opts)
     throw durable::WriteFailure("checkpoint: cannot create directory " +
                                 dir_.string() + ": " + ec.message());
   }
-  if (opts_.shared) {
+  if (opts_.resume) {
     refresh();
-    journal("open config_hash=" + durable::to_hex(opts_.config_hash) +
-            " shared stages=" + std::to_string(stages_.size()));
-    return;
+  } else {
+    // A fresh run: no stage is complete, whoever recorded it.
+    for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+      if (entry.path().extension() != kMarkerSuffix) continue;
+      std::error_code rm;
+      fs::remove(entry.path(), rm);
+    }
   }
-  if (opts_.resume) read_manifest();
-  write_manifest();
   journal("open config_hash=" + durable::to_hex(opts_.config_hash) +
           (opts_.resume ? " resume" : " fresh") + " stages=" +
           std::to_string(stages_.size()));
@@ -150,13 +120,11 @@ fs::path CheckpointDir::marker_path(std::string_view stage) const {
 }
 
 bool CheckpointDir::is_complete(std::string_view stage) {
-  if (stages_.find(std::string(stage)) != stages_.end()) return true;
-  if (opts_.shared) return read_marker(stage);
-  return false;
+  return stages_.find(std::string(stage)) != stages_.end() ||
+         read_marker(stage);
 }
 
 void CheckpointDir::refresh() {
-  if (!opts_.shared) return;
   // Rebuild from the markers so the scan is authoritative both ways: it
   // picks up stages other processes completed AND forgets stages another
   // process condemned (dropped marker after an unrecoverable artifact).
@@ -188,10 +156,8 @@ void CheckpointDir::write_marker(std::string_view stage, std::uint32_t crc) {
 }
 
 void CheckpointDir::invalidate(std::string_view stage) {
+  if (!is_complete(stage)) return;
   const std::string name(stage);
-  const bool known =
-      stages_.find(name) != stages_.end() || (opts_.shared && read_marker(stage));
-  if (!known) return;
   journal("invalidate " + name);
   drop_stage(name);
   ACBM_COUNT("checkpoint.invalidate", 1);
@@ -206,27 +172,22 @@ std::vector<std::string> CheckpointDir::completed_stages() const {
 
 void CheckpointDir::drop_stage(const std::string& stage) {
   stages_.erase(stage);
-  if (opts_.shared) {
-    // Remove the marker so every process (not just this one) reruns it.
-    std::error_code ec;
-    fs::remove(marker_path(stage), ec);
-  } else {
-    write_manifest();
-  }
+  // Remove the marker so every process (not just this one) reruns it.
+  std::error_code ec;
+  fs::remove(marker_path(stage), ec);
 }
 
 std::optional<std::string> CheckpointDir::load(std::string_view stage) {
-  if (stages_.find(std::string(stage)) == stages_.end()) {
-    if (!opts_.shared || !read_marker(stage)) {
-      ACBM_COUNT("checkpoint.load.miss", 1);
-      return std::nullopt;
-    }
+  if (!is_complete(stage)) {
+    ACBM_COUNT("checkpoint.load.miss", 1);
+    return std::nullopt;
   }
+  const std::uint32_t expected_crc = stages_.at(std::string(stage));
   FaultInjector& injector = FaultInjector::instance();
   const std::string kind = slug(stage);
   const fs::path primary = artifact_path(stage);
-  const int attempts = 1 + (opts_.read_retries > 0 ? opts_.read_retries : 0);
-  for (int gen = 0; gen <= opts_.keep_generations; ++gen) {
+  constexpr int kAttempts = 1 + kReadRetries;
+  for (int gen = 0; gen <= kKeepGenerations; ++gen) {
     const fs::path candidate =
         gen == 0 ? primary
                  : fs::path(primary.string() + ".g" + std::to_string(gen));
@@ -242,8 +203,8 @@ std::optional<std::string> CheckpointDir::load(std::string_view stage) {
               candidate.string() + "; skipping");
       continue;
     }
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-      const bool last = attempt + 1 == attempts;
+    for (int attempt = 0; attempt < kAttempts; ++attempt) {
+      const bool last = attempt + 1 == kAttempts;
       try {
         if (injector.enabled() && injector.fires("checkpoint.read", stage)) {
           throw durable::LoadFailure(durable::LoadError::kBadChecksum,
@@ -254,8 +215,17 @@ std::optional<std::string> CheckpointDir::load(std::string_view stage) {
         // be a racing publisher mid-rename. Only the final attempt condemns
         // the file (quarantine + report event).
         std::string payload = durable::load_artifact(
-            candidate, kind, 1, 1, false, last ? &report_ : nullptr,
+            candidate, kind, 1, 1, last ? &report_ : nullptr,
             /*quarantine_on_error=*/last);
+        if (durable::crc32c(payload) != expected_crc) {
+          // An intact artifact of another run, whose writer crashed before
+          // its own marker: not this stage's bytes, and no retry changes
+          // that.
+          ACBM_COUNT("checkpoint.load.foreign", 1);
+          journal("load " + std::string(stage) + " foreign file=" +
+                  candidate.string() + "; skipping");
+          break;
+        }
         if (gen > 0) {
           report_.generation = gen;
           journal("load " + std::string(stage) + " fallback-generation=" +
@@ -271,11 +241,8 @@ std::optional<std::string> CheckpointDir::load(std::string_view stage) {
           journal("load " + std::string(stage) + " retry attempt=" +
                   std::to_string(attempt + 1) + " file=" + candidate.string() +
                   " error=" + to_string(e.code()));
-          if (opts_.retry_backoff_ms > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(opts_.retry_backoff_ms
-                                          << attempt));
-          }
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(kRetryBackoffMs << attempt));
           continue;
         }
         journal("load " + std::string(stage) + " corrupt file=" +
@@ -302,9 +269,9 @@ void CheckpointDir::store(std::string_view stage, std::string_view payload) {
   // Rotate prior copies: art -> .g1 -> .g2 -> dropped.
   std::error_code ec;
   const fs::path oldest =
-      primary.string() + ".g" + std::to_string(opts_.keep_generations);
+      primary.string() + ".g" + std::to_string(kKeepGenerations);
   fs::remove(oldest, ec);
-  for (int gen = opts_.keep_generations - 1; gen >= 0; --gen) {
+  for (int gen = kKeepGenerations - 1; gen >= 0; --gen) {
     const fs::path from =
         gen == 0 ? primary
                  : fs::path(primary.string() + ".g" + std::to_string(gen));
@@ -315,93 +282,19 @@ void CheckpointDir::store(std::string_view stage, std::string_view payload) {
 
   durable::save_artifact(primary, slug(stage), 1, payload);
 
-  // Crash window between artifact and completion record: the artifact
-  // exists but neither the manifest nor the marker records completion, so
-  // resume reruns the stage.
+  // Crash window between artifact and marker: the artifact exists but its
+  // completion is not recorded, so resume reruns the stage.
   FaultInjector& injector = FaultInjector::instance();
   if (injector.enabled() && injector.fires("checkpoint.stage", stage)) {
     throw durable::WriteFailure("injected fault: checkpoint.stage " +
                                 std::string(stage));
   }
 
-  stages_[std::string(stage)] = durable::crc32c(payload);
-  if (opts_.shared) {
-    write_marker(stage, stages_[std::string(stage)]);
-  } else {
-    write_manifest();
-  }
+  const std::uint32_t crc = durable::crc32c(payload);
+  write_marker(stage, crc);
+  stages_[std::string(stage)] = crc;
   ACBM_COUNT("checkpoint.store", 1);
-  journal("store " + std::string(stage) + " crc32c=" +
-          durable::to_hex(stages_[std::string(stage)]));
-}
-
-void CheckpointDir::read_manifest() {
-  const fs::path manifest = dir_ / "run.json";
-  std::error_code ec;
-  if (!fs::exists(manifest, ec)) return;
-  std::string text;
-  try {
-    text = durable::read_file(manifest);
-  } catch (const durable::LoadFailure&) {
-    return;
-  }
-  // Line-oriented parse of our own writer's output. Any structural surprise
-  // quarantines the manifest and starts fresh — stage artifacts keep their
-  // own checksums, so the worst case is rerunning completed stages.
-  std::istringstream in(text);
-  std::string line;
-  bool saw_hash = false;
-  std::map<std::string, std::uint32_t> stages;
-  while (std::getline(in, line)) {
-    if (const auto hash = json_string_field(line, "config_hash")) {
-      saw_hash = true;
-      if (*hash != durable::to_hex(opts_.config_hash)) {
-        journal("manifest config_hash mismatch (" + *hash +
-                "); prior stages ignored");
-        return;
-      }
-      continue;
-    }
-    const auto name = json_string_field(line, "name");
-    const auto crc = json_string_field(line, "crc32c");
-    if (name && crc) {
-      try {
-        stages[*name] =
-            static_cast<std::uint32_t>(std::stoul(*crc, nullptr, 16));
-      } catch (const std::exception&) {
-        saw_hash = false;  // Malformed entry: treat the manifest as corrupt.
-        break;
-      }
-    }
-  }
-  if (!saw_hash) {
-    const fs::path dest = durable::quarantine(manifest);
-    report_.events.push_back({manifest.string(), durable::LoadError::kParse,
-                              "unparseable run manifest", dest.string()});
-    journal("manifest corrupt; quarantined to " + dest.string());
-    return;
-  }
-  stages_ = std::move(stages);
-}
-
-void CheckpointDir::write_manifest() {
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"format\": " << kManifestFormat << ",\n";
-  json << "  \"config_hash\": \"" << durable::to_hex(opts_.config_hash)
-       << "\",\n";
-  json << "  \"stages\": [";
-  bool first = true;
-  for (const auto& [stage, crc] : stages_) {
-    json << (first ? "\n" : ",\n");
-    first = false;
-    json << "    {\"name\": \"" << json_escape(stage) << "\", \"file\": \""
-         << json_escape(slug(stage) + ".art") << "\", \"crc32c\": \""
-         << durable::to_hex(crc) << "\"}";
-  }
-  json << (first ? "]\n" : "\n  ]\n");
-  json << "}\n";
-  durable::atomic_write_file(dir_ / "run.json", json.str());
+  journal("store " + std::string(stage) + " crc32c=" + durable::to_hex(crc));
 }
 
 void CheckpointDir::journal(std::string_view line) {

@@ -520,7 +520,6 @@ void LoadReport::write(std::ostream& os) const {
     }
     os << '\n';
   }
-  if (legacy) os << "loaded legacy unframed artifact\n";
   if (generation > 0) {
     os << "fell back to checkpoint generation " << generation << '\n';
   }
@@ -541,14 +540,10 @@ std::filesystem::path quarantine(const std::filesystem::path& path) {
 
 std::string load_artifact(const std::filesystem::path& path,
                           std::string_view kind, int min_version,
-                          int max_version, bool legacy_ok, LoadReport* report,
+                          int max_version, LoadReport* report,
                           bool quarantine_on_error) {
   const std::string data = read_file(path);
   if (!looks_framed(data)) {
-    if (legacy_ok) {
-      if (report != nullptr) report->legacy = true;
-      return data;
-    }
     throw LoadFailure(LoadError::kBadMagic,
                       "durable: " + path.string() + " is not a framed " +
                           std::string(kind) + " artifact");

@@ -65,7 +65,7 @@ enum class LoadError {
   kIo,                  ///< File missing/unreadable or a write failed.
   kTruncated,           ///< Fewer bytes than the frame header promised.
   kBadChecksum,         ///< Payload CRC32C mismatch (bit rot, partial write).
-  kBadMagic,            ///< Not a framed artifact (and legacy not allowed).
+  kBadMagic,            ///< Not a framed artifact.
   kVersionUnsupported,  ///< Framed, intact, but a schema we cannot read.
   kParse,               ///< Frame/payload intact but contents unparseable.
 };
@@ -115,8 +115,8 @@ struct Frame {
 [[nodiscard]] std::string frame_header(std::string_view kind, int version,
                                        std::span<const std::string_view> parts);
 
-/// True when `data` begins with the frame magic (cheap pre-check used to
-/// route legacy unframed artifacts to their old parser).
+/// True when `data` begins with the frame magic (cheap pre-check for
+/// inputs that may also be bare text, e.g. the CLI's dataset files).
 [[nodiscard]] bool looks_framed(std::string_view data) noexcept;
 
 /// Parses a framed blob. Throws LoadFailure with kBadMagic / kTruncated /
@@ -259,11 +259,10 @@ struct LoadEvent {
 /// What recovery did while loading an artifact (or a checkpoint run).
 struct LoadReport {
   std::vector<LoadEvent> events;  ///< Corrupt files, in encounter order.
-  bool legacy = false;       ///< Parsed as a legacy unframed artifact.
   int generation = 0;        ///< 0 = primary file; N = fell back N gens.
 
   [[nodiscard]] bool clean() const noexcept {
-    return events.empty() && !legacy && generation == 0;
+    return events.empty() && generation == 0;
   }
   /// One human-readable line per event/flag.
   void write(std::ostream& os) const;
@@ -289,23 +288,19 @@ auto parse_payload(std::string_view context, Parse&& parse) {
   }
 }
 
-/// Shared framed-or-legacy stream loader used by every model's
-/// load_framed(): unwraps a framed stream (kind policing, supported
-/// [min_version, max_version]) or passes legacy unframed bytes straight
-/// through, then invokes `parse(std::string_view)` on the payload. Any
-/// parse exception surfaces as LoadFailure(kParse) — corruption or schema
-/// drift is always a typed error, never a crash.
+/// Shared framed stream loader used by every model's load_framed():
+/// unwraps a framed stream (kind policing, supported [min_version,
+/// max_version]; unframed bytes are kBadMagic), then invokes
+/// `parse(std::string_view)` on the payload. Any parse exception surfaces
+/// as LoadFailure(kParse) — corruption or schema drift is always a typed
+/// error, never a crash.
 template <typename Parse>
 auto load_framed_text(std::istream& is, std::string_view kind,
                       int min_version, int max_version, Parse&& parse) {
   const std::string data = read_stream(is);
-  const bool legacy = !looks_framed(data);
   const std::string_view payload =
-      legacy ? std::string_view(data)
-             : unwrap_view(data, kind, min_version, max_version).payload;
-  return parse_payload(
-      std::string(kind) + (legacy ? " (legacy format)" : ""),
-      [&] { return parse(payload); });
+      unwrap_view(data, kind, min_version, max_version).payload;
+  return parse_payload(kind, [&] { return parse(payload); });
 }
 
 /// load_framed_text for parsers that read a `std::istream&`.
@@ -322,15 +317,14 @@ auto load_framed_stream(std::istream& is, std::string_view kind,
 
 /// Reads and verifies a framed artifact file. On corruption the file is
 /// quarantined, the event is recorded in `report`, and a typed LoadFailure
-/// is thrown. When `legacy_ok`, unframed content is returned as-is with
-/// `report->legacy` set (for pre-framing v2 artifacts); intact files with a
-/// merely unsupported version are NOT quarantined. Pass
+/// is thrown. Unframed files (kBadMagic) and intact files of a merely
+/// unsupported version are NOT quarantined. Pass
 /// `quarantine_on_error = false` to leave a corrupt file in place (readers
 /// that retry a possibly-transient bad read before condemning the artifact,
 /// e.g. CheckpointDir::load racing a concurrent publisher).
 [[nodiscard]] std::string load_artifact(const std::filesystem::path& path,
                                         std::string_view kind, int min_version,
-                                        int max_version, bool legacy_ok,
+                                        int max_version,
                                         LoadReport* report = nullptr,
                                         bool quarantine_on_error = true);
 

@@ -653,8 +653,7 @@ std::map<std::string, std::uint64_t> Ingestor::stage_input_hashes(
 
 net::IpToAsnMap Ingestor::load_ipmap() const {
   const std::string payload =
-      durable::load_artifact(opts_.dir / "ipmap.art", "ipmap", 1, 1,
-                             /*legacy_ok=*/false);
+      durable::load_artifact(opts_.dir / "ipmap.art", "ipmap", 1, 1);
   std::istringstream is(payload);
   return net::IpToAsnMap::load(is);
 }
@@ -675,8 +674,7 @@ Ingestor::InputsState Ingestor::read_inputs_state() const {
   const fs::path path = opts_.dir / "inputs.state";
   std::string payload;
   try {
-    payload = durable::load_artifact(path, "ingest_inputs", 1, 1,
-                                     /*legacy_ok=*/false);
+    payload = durable::load_artifact(path, "ingest_inputs", 1, 1);
   } catch (const durable::LoadFailure&) {
     // Missing or corrupt (the corrupt copy is quarantined by the loader):
     // with no recorded hashes every stage counts as changed, so the next
@@ -740,10 +738,10 @@ RefitResult Ingestor::refit(const trace::Dataset& cumulative,
       std::optional<CheckpointDir> ckpt;
       {
         ACBM_SPAN("ingest.checkpoint_open");
-        CheckpointDir::Options ckpt_opts;
-        ckpt_opts.config_hash = checkpoint_config_hash();
-        ckpt_opts.resume = true;
-        ckpt.emplace(opts_.dir / "checkpoint", ckpt_opts);
+        ckpt.emplace(opts_.dir / "checkpoint",
+                     CheckpointDir::Options{
+                         .config_hash = checkpoint_config_hash(),
+                         .resume = true});
         if (!invalidated) {
           for (const std::string& stage : changed) {
             if (ckpt->is_complete(stage)) ckpt->invalidate(stage);

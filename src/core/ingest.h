@@ -254,7 +254,8 @@ struct RefitResult {
 ///   snapshots.log          the append-only snapshot log
 ///   quarantine/            rejected snapshot bytes
 ///   ipmap.art              the IP->ASN map, fixed at init
-///   checkpoint/            stage checkpoints (CheckpointDir)
+///   checkpoint/            stage checkpoints (CheckpointDir): one framed
+///                          artifact and one `.done` marker per stage
 ///   model.art              the live model ("adversary_model" framed v4 —
 ///                          byte-identical to `acbm fit` on the cumulative
 ///                          dataset)

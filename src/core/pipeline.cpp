@@ -143,12 +143,6 @@ std::vector<std::string> AdversaryModel::body_parts() const {
   return parts;
 }
 
-std::string AdversaryModel::body() const {
-  std::string out;
-  for (const std::string& part : body_parts()) out += part;
-  return out;
-}
-
 void AdversaryModel::save(std::ostream& os) const {
   for (const std::string& part : body_parts()) {
     os.write(part.data(), static_cast<std::streamsize>(part.size()));
@@ -157,8 +151,7 @@ void AdversaryModel::save(std::ostream& os) const {
 
 namespace {
 
-/// The body fields ahead of the sub-models. Body v2 adds the drift-baseline
-/// block; v1 bodies (pre-drift artifacts) have none.
+/// The body fields ahead of the sub-models.
 struct BodyHead {
   bool fitted = false;
   std::size_t magnitude_window = 0;
@@ -171,30 +164,24 @@ BodyHead read_body_head(std::istream& is) {
   if (!std::getline(is, header)) {
     throw std::invalid_argument("AdversaryModel::load: missing header");
   }
-  int body_version = 0;
-  if (header == "acbm:adversary_model:v1") body_version = 1;
-  else if (header == "acbm:adversary_model:v2") body_version = 2;
-  else {
+  if (header != "acbm:adversary_model:v2") {
     throw std::invalid_argument("AdversaryModel::load: unexpected header '" +
                                 header + "'");
   }
   BodyHead head;
   head.fitted = io::read_scalar<int>(is, "fitted") != 0;
   head.magnitude_window = io::read_scalar<std::size_t>(is, "magnitude_window");
-  if (body_version >= 2) {
-    const auto count = io::read_scalar<std::size_t>(is, "drift_families");
-    head.drift_baselines.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      auto ss = io::expect_tag(is, "drift");
-      FamilyDriftBaseline base;
-      if (!(ss >> base.family >> base.hours >> base.rate_mean >>
-            base.rate_std >> base.magnitude_mean >> base.magnitude_std >>
-            base.interval_mean >> base.interval_residual_std)) {
-        throw std::invalid_argument(
-            "AdversaryModel::load: bad drift baseline");
-      }
-      head.drift_baselines.push_back(base);
+  const auto count = io::read_scalar<std::size_t>(is, "drift_families");
+  head.drift_baselines.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    auto ss = io::expect_tag(is, "drift");
+    FamilyDriftBaseline base;
+    if (!(ss >> base.family >> base.hours >> base.rate_mean >>
+          base.rate_std >> base.magnitude_mean >> base.magnitude_std >>
+          base.interval_mean >> base.interval_residual_std)) {
+      throw std::invalid_argument("AdversaryModel::load: bad drift baseline");
     }
+    head.drift_baselines.push_back(base);
   }
   return head;
 }
@@ -258,15 +245,13 @@ void AdversaryModel::save_framed(std::ostream& os) const {
 }
 
 AdversaryModel AdversaryModel::load_framed(std::istream& is) {
-  // Framed v3 wraps a v1 body (no drift block), v4 a v2 body; the body
-  // loader branches on its own header, so both unwrap the same way.
-  return durable::load_framed_text(is, "adversary_model", 3, 4, load_body);
+  return durable::load_framed_text(is, "adversary_model", 4, 4, load_body);
 }
 
 std::vector<FamilyDriftBaseline> AdversaryModel::load_drift_baselines(
     const std::filesystem::path& path) {
   const durable::FramedView framed =
-      durable::load_framed_view(path, "adversary_model", 3, 4);
+      durable::load_framed_view(path, "adversary_model", 4, 4);
   return durable::parse_payload(path.string(), [&framed] {
     durable::SpanBuf buf(framed.payload);
     std::istream body(&buf);

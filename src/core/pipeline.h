@@ -113,8 +113,8 @@ class AdversaryModel {
   }
 
   /// Fit-time drift baselines, one per family with >= 2 attacks, ordered by
-  /// family index. Empty on an unfitted model or one loaded from a pre-v2
-  /// body (drift monitoring then has no reference and never trips).
+  /// family index. Empty on an unfitted model (drift monitoring then has
+  /// no reference and never trips).
   [[nodiscard]] const std::vector<FamilyDriftBaseline>& drift_baselines()
       const noexcept {
     return drift_baselines_;
@@ -126,35 +126,31 @@ class AdversaryModel {
   /// as ordered parts: the head and sub-models, the dataset CSV's parts
   /// (Dataset::csv_parts, formatted in chunks concurrently), then the IP
   /// map; a writer hands them to durable::save_artifact without joining
-  /// them. body() is their concatenation; save writes them to a stream.
-  /// load_body is the one body parser: it accepts v1 bodies (no drift
-  /// block) as well, parses the dataset and IP-map blocks in place in
-  /// `body`, and throws on a malformed body. load reads the stream to its
-  /// end, then parses it.
+  /// them; save writes them to a stream. load_body is the one body parser:
+  /// it parses the dataset and IP-map blocks in place in `body`, and
+  /// throws on a malformed body. load reads the stream to its end, then
+  /// parses it.
   [[nodiscard]] std::vector<std::string> body_parts() const;
-  [[nodiscard]] std::string body() const;
   void save(std::ostream& os) const;
   [[nodiscard]] static AdversaryModel load_body(std::string_view body);
   [[nodiscard]] static AdversaryModel load(std::istream& is);
 
   /// Framed (v4) serialization: the v2 body wrapped in durable.h's
   /// magic/version/CRC32C envelope, written part by part after
-  /// durable::frame_header. load_framed also accepts framed v3
-  /// (v1 body) and legacy bare streams; corruption throws a typed
-  /// durable::LoadFailure.
+  /// durable::frame_header. load_framed takes framed v4 only; corruption
+  /// throws a typed durable::LoadFailure.
   void save_framed(std::ostream& os) const;
   [[nodiscard]] static AdversaryModel load_framed(std::istream& is);
 
   /// drift_baselines() of the framed artifact at `path` without loading
   /// the model: the CRC is checked over the whole mapped payload, then only
-  /// the body head up to the drift block is parsed (empty for a framed v3,
-  /// v1-body artifact). Throws durable::LoadFailure; unlike load_framed it
-  /// takes no legacy unframed body (kBadMagic).
+  /// the body head up to the drift block is parsed. Throws
+  /// durable::LoadFailure, like load_framed.
   [[nodiscard]] static std::vector<FamilyDriftBaseline> load_drift_baselines(
       const std::filesystem::path& path);
 
   /// Stage checkpointing for fit() (see SpatiotemporalOptions::checkpoint).
-  void set_checkpoint(StageStore* store) { opts_.checkpoint = store; }
+  void set_checkpoint(CheckpointDir* store) { opts_.checkpoint = store; }
 
  private:
   void compute_drift_baselines();

@@ -139,7 +139,7 @@ void check_shard_plan(const fs::path& checkpoint_dir,
   std::string payload;
   try {
     payload = durable::load_artifact(plan_path(checkpoint_dir), kPlanKind, 1,
-                                     1, false, nullptr,
+                                     1, nullptr,
                                      /*quarantine_on_error=*/false);
   } catch (const durable::LoadFailure&) {
     return;  // No (readable) plan: workers may run coordinator-less.
@@ -332,10 +332,8 @@ int ShardWorker::run(const trace::Dataset& train,
                      const SpatiotemporalOptions& model_opts) {
   ACBM_SPAN_KV("worker.run", "worker=" + std::to_string(opts_.worker_id));
   check_shard_plan(opts_.checkpoint_dir, opts_.config_hash);
-  CheckpointDir::Options ckpt_opts;
-  ckpt_opts.config_hash = opts_.config_hash;
-  ckpt_opts.shared = true;
-  CheckpointDir ckpt(opts_.checkpoint_dir, ckpt_opts);
+  CheckpointDir ckpt(opts_.checkpoint_dir,
+                     {.config_hash = opts_.config_hash, .resume = true});
   LeaseTable leases(coord_dir(opts_.checkpoint_dir), opts_.lease_ttl_ms);
   FeatureCache features(train, ip_map, nullptr);
   const std::vector<std::string> stages = shard_stages(train);
@@ -454,18 +452,13 @@ CoordinationOutcome ShardCoordinator::run(
   const fs::path coord = coord_dir(opts_.checkpoint_dir);
   std::error_code ec;
   if (opts_.fresh) {
-    // A fresh run starts from a clean slate: no stage markers, no leases,
-    // no stale inbox. Stage artifacts stay (they rotate to generations on
-    // the refit, like a non-resume single-process fit).
+    // A fresh run starts from a clean slate: no leases, no stale inbox, and
+    // no stage markers (a fresh CheckpointDir open removes them). Stage
+    // artifacts stay (they rotate to generations on the refit, like a
+    // non-resume single-process fit).
     fs::remove_all(coord, ec);
-    if (fs::exists(opts_.checkpoint_dir, ec)) {
-      for (const auto& entry : fs::directory_iterator(opts_.checkpoint_dir, ec)) {
-        if (entry.path().extension() == ".done") {
-          std::error_code rm;
-          fs::remove(entry.path(), rm);
-        }
-      }
-    }
+    CheckpointDir(opts_.checkpoint_dir,
+                  {.config_hash = opts_.config_hash, .resume = false});
   }
   fs::create_directories(coord / "leases", ec);
   fs::create_directories(coord / "inbox", ec);
@@ -534,10 +527,8 @@ CoordinationOutcome ShardCoordinator::run(
     // Did the workers finish the plan? Check the markers, not exit codes:
     // a clean-exit worker guarantees completion, but exhausted budgets
     // leave the plan partial and the caller's merge fit picks it up.
-    CheckpointDir::Options ckpt_opts;
-    ckpt_opts.config_hash = opts_.config_hash;
-    ckpt_opts.shared = true;
-    CheckpointDir ckpt(opts_.checkpoint_dir, ckpt_opts);
+    CheckpointDir ckpt(opts_.checkpoint_dir,
+                       {.config_hash = opts_.config_hash, .resume = true});
     const bool complete =
         std::all_of(stages.begin(), stages.end(),
                     [&](const std::string& s) { return ckpt.is_complete(s); });
@@ -560,8 +551,8 @@ void ShardCoordinator::aggregate_inbox() {
   for (const fs::path& file : files) {
     std::string payload;
     try {
-      payload = durable::load_artifact(file, kMetricsKind, 1, 1, false,
-                                       nullptr, /*quarantine_on_error=*/false);
+      payload = durable::load_artifact(file, kMetricsKind, 1, 1, nullptr,
+                                       /*quarantine_on_error=*/false);
     } catch (const durable::LoadFailure&) {
       continue;  // A torn snapshot costs observability, never correctness.
     }

@@ -6,7 +6,7 @@
 // cached. Because workers fit stages through the exact code the
 // single-process fit uses (fit_family_temporal / fit_target_spatial /
 // SpatiotemporalModel::fit) and publish deterministic bytes through
-// CheckpointDir's shared marker mode, an N-process fit is byte-identical
+// CheckpointDir's per-stage markers, an N-process fit is byte-identical
 // to a 1-process fit — including after any worker is SIGKILLed mid-stage.
 //
 // Coordination is filesystem-only (no sockets, no shared memory):

@@ -125,8 +125,8 @@ class SpatialModel {
   [[nodiscard]] static SpatialModel load(std::istream& is);
 
   /// Framed (v3) serialization: the v2 body wrapped in durable.h's
-  /// magic/version/CRC32C envelope. load_framed also accepts legacy bare
-  /// v2 streams; corruption throws a typed durable::LoadFailure.
+  /// magic/version/CRC32C envelope. load_framed takes framed v3 only;
+  /// corruption throws a typed durable::LoadFailure.
   void save_framed(std::ostream& os) const;
   [[nodiscard]] static SpatialModel load_framed(std::istream& is);
 

@@ -271,7 +271,7 @@ void SpatiotemporalModel::fit(const trace::Dataset& train,
   spatial_.clear();
   report_.clear();
   FaultInjector& injector = FaultInjector::instance();
-  StageStore* checkpoint = opts_.checkpoint;
+  CheckpointDir* checkpoint = opts_.checkpoint;
 
   // One extraction pass shared by the temporal stage, the spatial stage,
   // and row assembly for the combining tree (each used to re-extract the

@@ -22,7 +22,7 @@
 
 namespace acbm::core {
 
-class StageStore;  // checkpoint.h
+class CheckpointDir;  // checkpoint.h
 
 struct SpatiotemporalOptions {
   TemporalModelOptions temporal;
@@ -57,7 +57,7 @@ struct SpatiotemporalOptions {
   /// of refitting them, and records each stage as it completes. Non-owning;
   /// the store must outlive the fit. Fits are bit-identical with or without
   /// resume at any thread count.
-  StageStore* checkpoint = nullptr;
+  CheckpointDir* checkpoint = nullptr;
 };
 
 /// Inputs to the combining trees for one prediction.
@@ -132,8 +132,8 @@ class SpatiotemporalModel {
   [[nodiscard]] static SpatiotemporalModel load(std::istream& is);
 
   /// Framed (v3) serialization: the v2 body wrapped in durable.h's
-  /// magic/version/CRC32C envelope. load_framed also accepts legacy bare
-  /// v2 streams; corruption throws a typed durable::LoadFailure.
+  /// magic/version/CRC32C envelope. load_framed takes framed v3 only;
+  /// corruption throws a typed durable::LoadFailure.
   void save_framed(std::ostream& os) const;
   [[nodiscard]] static SpatiotemporalModel load_framed(std::istream& is);
 

@@ -105,8 +105,8 @@ class TemporalModel {
 
   /// Framed (v3) serialization: the v2 body wrapped in durable.h's
   /// magic/version/CRC32C envelope, so truncation and bit flips are caught
-  /// before parsing. load_framed also accepts legacy bare v2 streams;
-  /// corruption throws a typed durable::LoadFailure, never a crash.
+  /// before parsing. load_framed takes framed v3 only; corruption throws
+  /// a typed durable::LoadFailure, never a crash.
   void save_framed(std::ostream& os) const;
   [[nodiscard]] static TemporalModel load_framed(std::istream& is);
 

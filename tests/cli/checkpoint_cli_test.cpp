@@ -121,6 +121,55 @@ TEST(CheckpointCli, CrashResumeIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(CheckpointCli, OtherDatasetsCrashedFitIsNotResumedIntoTheFirst) {
+  // Fit dataset A into a checkpoint dir; a --resume fit of dataset B into
+  // the same dir crashes between its spatial artifact and marker. A's
+  // --resume must still reproduce a clean fit of A byte for byte.
+  FaultGuard guard;
+  TempDir tmp;
+  // The shared world lives in the same scratch directory and clears it when
+  // first generated, so it comes before this test's own files.
+  (void)world();
+  std::string err;
+  const std::string dataset_b = tmp.file("b.csv");
+  const std::string ipmap_b = tmp.file("b_ipmap.txt");
+  ASSERT_EQ(run_cli({"generate", "--seed", "6", "--days", "20", "--dataset",
+                     dataset_b, "--ipmap", ipmap_b},
+                    nullptr, &err),
+            0)
+      << err;
+  const std::string clean_model = tmp.file("clean.model");
+  ASSERT_EQ(run_cli({"fit", "--dataset", world().dataset, "--ipmap",
+                     world().ipmap, "--model", clean_model},
+                    nullptr, &err),
+            0)
+      << err;
+
+  const std::string ckpt = tmp.file("ckpt");
+  const std::string model = tmp.file("a.model");
+  ASSERT_EQ(run_cli({"fit", "--dataset", world().dataset, "--ipmap",
+                     world().ipmap, "--model", model, "--checkpoint-dir",
+                     ckpt},
+                    nullptr, &err),
+            0)
+      << err;
+  core::FaultInjector::instance().configure("checkpoint.stage:spatial");
+  EXPECT_EQ(run_cli({"fit", "--dataset", dataset_b, "--ipmap", ipmap_b,
+                     "--model", tmp.file("b.model"), "--checkpoint-dir", ckpt,
+                     "--resume"},
+                    nullptr, &err),
+            3);
+  core::FaultInjector::instance().clear();
+
+  ASSERT_EQ(run_cli({"fit", "--dataset", world().dataset, "--ipmap",
+                     world().ipmap, "--model", model, "--checkpoint-dir", ckpt,
+                     "--resume"},
+                    nullptr, &err),
+            0)
+      << err;
+  EXPECT_EQ(durable::read_file(model), durable::read_file(clean_model));
+}
+
 TEST(CheckpointCli, EvaluateCrashResumeReproducesTheCleanArtifact) {
   FaultGuard guard;
   TempDir tmp;
@@ -186,12 +235,13 @@ TEST(CheckpointCli, EvaluatePrecisionsStoreDistinctStages) {
       << err;
   EXPECT_EQ(f32_text, f32_fresh);
 
-  const std::string manifest = durable::read_file(ckpt + "/run.json");
-  EXPECT_NE(manifest.find("\"name\": \"eval/h=0.8\""), std::string::npos)
-      << manifest;
-  EXPECT_NE(manifest.find("\"name\": \"eval/h=0.8/f32\""),
-            std::string::npos)
-      << manifest;
+  // Each stage has its own completion marker, naming the stage.
+  EXPECT_NE(durable::read_file(ckpt + "/eval-h=0.8.done")
+                .find("stage=eval/h=0.8\n"),
+            std::string::npos);
+  EXPECT_NE(durable::read_file(ckpt + "/eval-h=0.8-f32.done")
+                .find("stage=eval/h=0.8/f32\n"),
+            std::string::npos);
   EXPECT_TRUE(fs::exists(ckpt + "/eval-h=0.8.art"));
   EXPECT_TRUE(fs::exists(ckpt + "/eval-h=0.8-f32.art"));
 }

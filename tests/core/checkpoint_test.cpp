@@ -68,7 +68,7 @@ TEST(CheckpointDirTest, StoreThenLoadWithinOneRun) {
   ckpt.store("temporal/BotA", "payload bytes");
   EXPECT_TRUE(ckpt.is_complete("temporal/BotA"));
   EXPECT_EQ(ckpt.load("temporal/BotA"), "payload bytes");
-  EXPECT_TRUE(fs::exists(tmp.path / "run" / "run.json"));
+  EXPECT_TRUE(fs::exists(tmp.path / "run" / "temporal-BotA.done"));
   EXPECT_TRUE(fs::exists(tmp.path / "run" / "journal.log"));
 }
 
@@ -116,9 +116,11 @@ TEST(CheckpointDirTest, CorruptArtifactFallsBackToPriorGeneration) {
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
   {
+    // A rerun of the same config stores the same bytes again, so g1 holds
+    // a copy of the stage's payload.
     CheckpointDir ckpt(dir, opts_with(7, false));
-    ckpt.store("spatial", "generation one");
-    ckpt.store("spatial", "generation two");  // g1 now holds "generation one".
+    ckpt.store("spatial", "stage payload");
+    ckpt.store("spatial", "stage payload");
   }
   // Bit-flip the primary artifact's payload.
   const fs::path primary = dir / "spatial.art";
@@ -129,7 +131,7 @@ TEST(CheckpointDirTest, CorruptArtifactFallsBackToPriorGeneration) {
   CheckpointDir resumed(dir, opts_with(7, true));
   const auto loaded = resumed.load("spatial");
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, "generation one");
+  EXPECT_EQ(*loaded, "stage payload");
   EXPECT_EQ(resumed.report().generation, 1);
   ASSERT_EQ(resumed.report().events.size(), 1U);
   EXPECT_EQ(resumed.report().events[0].error, durable::LoadError::kBadChecksum);
@@ -150,10 +152,31 @@ TEST(CheckpointDirTest, AllGenerationsCorruptRerunsTheStage) {
 
   CheckpointDir resumed(dir, opts_with(7, true));
   EXPECT_FALSE(resumed.load("tree").has_value());
-  // The stage was dropped from the manifest: a rerun can store it again.
+  // The stage was dropped (its marker removed): a rerun can store it again.
   EXPECT_FALSE(resumed.is_complete("tree"));
   resumed.store("tree", "rebuilt");
   EXPECT_EQ(resumed.load("tree"), "rebuilt");
+}
+
+TEST(CheckpointDirTest, GenerationOfOtherBytesIsNeverServed) {
+  // g1 holds the stage's previous payload (its inputs have changed since):
+  // when the primary is corrupt, that stale copy is not this stage's bytes
+  // and the stage reruns.
+  TempDir tmp;
+  const fs::path dir = tmp.path / "run";
+  {
+    CheckpointDir ckpt(dir, opts_with(7, false));
+    ckpt.store("spatial", "stale inputs");
+    ckpt.store("spatial", "current inputs");
+  }
+  const fs::path primary = dir / "spatial.art";
+  std::string bytes = durable::read_file(primary);
+  bytes.back() ^= 0x20;
+  std::ofstream(primary, std::ios::binary | std::ios::trunc) << bytes;
+
+  CheckpointDir resumed(dir, opts_with(7, true));
+  EXPECT_FALSE(resumed.load("spatial").has_value());
+  EXPECT_FALSE(resumed.is_complete("spatial"));
 }
 
 TEST(CheckpointDirTest, GenerationRotationKeepsABoundedSet) {
@@ -170,23 +193,28 @@ TEST(CheckpointDirTest, GenerationRotationKeepsABoundedSet) {
 }
 
 TEST(CheckpointDirTest, CorruptManifestIsQuarantinedAndRunStartsFresh) {
+  // The completion record is the stage's marker: a corrupt one reads as
+  // "not done", and the resumed run reruns (and re-records) the stage.
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
   {
     CheckpointDir ckpt(dir, opts_with(5, false));
     ckpt.store("spatial", "payload");
+    ckpt.store("tree", "tree payload");
   }
-  std::ofstream(dir / "run.json", std::ios::trunc) << "{ not json at all";
+  std::ofstream(dir / "spatial.done", std::ios::trunc) << "{ not a marker";
 
   CheckpointDir resumed(dir, opts_with(5, true));
   EXPECT_FALSE(resumed.is_complete("spatial"));
-  EXPECT_FALSE(resumed.report().clean());
-  EXPECT_TRUE(fs::exists(dir / "run.json.corrupt-1"));
-  // A fresh, valid manifest was rewritten in its place.
-  EXPECT_TRUE(fs::exists(dir / "run.json"));
+  EXPECT_FALSE(resumed.load("spatial").has_value());
+  EXPECT_TRUE(resumed.is_complete("tree"));  // Other stages are untouched.
+  resumed.store("spatial", "rerun payload");
+  CheckpointDir again(dir, opts_with(5, true));
+  EXPECT_EQ(again.load("spatial"), "rerun payload");
 }
 
 TEST(CheckpointDirTest, StageFaultCrashesBeforeTheManifestUpdate) {
+  // The "manifest" is the stage's marker: the fault fires before it lands.
   FaultGuard guard;
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
@@ -198,24 +226,20 @@ TEST(CheckpointDirTest, StageFaultCrashesBeforeTheManifestUpdate) {
   FaultInjector::instance().clear();
   // The artifact landed but completion was never recorded: resume reruns.
   EXPECT_TRUE(fs::exists(dir / "spatial.art"));
+  EXPECT_FALSE(fs::exists(dir / "spatial.done"));
   CheckpointDir resumed(dir, opts_with(9, true));
   EXPECT_FALSE(resumed.is_complete("spatial"));
   EXPECT_FALSE(resumed.load("spatial").has_value());
 }
 
-CheckpointDir::Options shared_opts(std::uint64_t hash) {
-  CheckpointDir::Options opts;
-  opts.config_hash = hash;
-  opts.shared = true;
-  opts.retry_backoff_ms = 0;  // Keep the retry tests fast.
-  return opts;
-}
+// Processes sharing one directory open it with resume, so each honours the
+// markers the others publish.
 
 TEST(CheckpointSharedTest, MarkersPublishCompletionAcrossInstances) {
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
-  CheckpointDir writer(dir, shared_opts(11));
-  CheckpointDir reader(dir, shared_opts(11));
+  CheckpointDir writer(dir, opts_with(11, true));
+  CheckpointDir reader(dir, opts_with(11, true));
   EXPECT_FALSE(reader.is_complete("spatial"));
   writer.store("spatial", "published by another process");
   // No refresh needed: is_complete re-checks the on-disk marker.
@@ -228,10 +252,10 @@ TEST(CheckpointSharedTest, MarkersIgnoreAForeignConfigHash) {
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
   {
-    CheckpointDir writer(dir, shared_opts(11));
+    CheckpointDir writer(dir, opts_with(11, true));
     writer.store("spatial", "payload");
   }
-  CheckpointDir other(dir, shared_opts(12));
+  CheckpointDir other(dir, opts_with(12, true));
   EXPECT_FALSE(other.is_complete("spatial"));
   EXPECT_FALSE(other.load("spatial").has_value());
 }
@@ -239,11 +263,10 @@ TEST(CheckpointSharedTest, MarkersIgnoreAForeignConfigHash) {
 TEST(CheckpointSharedTest, RefreshPicksUpMarkersAndDropRemovesThem) {
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
-  CheckpointDir a(dir, shared_opts(11));
+  CheckpointDir a(dir, opts_with(11, true));
   a.store("tree", "payload");
-  // A shared dir opened later honors existing markers regardless of the
-  // resume flag (a fresh run's coordinator wipes them explicitly).
-  CheckpointDir b(dir, shared_opts(11));
+  // A dir opened later with resume honours the existing markers.
+  CheckpointDir b(dir, opts_with(11, true));
   EXPECT_TRUE(b.is_complete("tree"));
   b.refresh();
   EXPECT_TRUE(b.is_complete("tree"));
@@ -299,9 +322,7 @@ TEST(CheckpointRetryTest, RepeatedCorruptionWalksBackTwoGenerations) {
   const fs::path dir = tmp.path / "run";
   {
     CheckpointDir ckpt(dir, opts_with(7, false));
-    ckpt.store("spatial", "generation one");
-    ckpt.store("spatial", "generation two");
-    ckpt.store("spatial", "generation three");  // .g2 holds "generation one".
+    for (int i = 0; i < 3; ++i) ckpt.store("spatial", "stage payload");
   }
   // Payload bit-flips (the frame header survives, so both copies fail with
   // bad_checksum — the error class that quarantines).
@@ -315,10 +336,10 @@ TEST(CheckpointRetryTest, RepeatedCorruptionWalksBackTwoGenerations) {
   CheckpointDir resumed(dir, opts_with(7, true));
   const auto loaded = resumed.load("spatial");
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, "generation one");
+  EXPECT_EQ(*loaded, "stage payload");
   EXPECT_EQ(resumed.report().generation, 2);
   // Exactly the two corrupt copies were quarantined, after each exhausted
-  // its bounded retry (read_retries=2 -> two retry bumps per copy).
+  // its bounded retry (two retries, so two retry bumps per copy).
   observe::Metrics& reg = observe::Metrics::instance();
   EXPECT_EQ(reg.counter("checkpoint.quarantine").value(), 2U);
   EXPECT_EQ(reg.counter("checkpoint.load.retry").value(), 4U);
@@ -342,14 +363,14 @@ TEST(CheckpointSharedTest, ZeroLengthMarkerReadsAsStageNotDone) {
   MetricsGuard metrics;
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
-  CheckpointDir writer(dir, shared_opts(11));
+  CheckpointDir writer(dir, opts_with(11, true));
   writer.store("temporal/BotA", "payload");
   // A crashed writer that opened its marker but never wrote a byte leaves a
   // zero-length .done file. That must read as "stage not done" — not as a
   // bad_magic corruption event, and without disturbing intact stages.
   std::ofstream(dir / (CheckpointDir::slug("temporal/BotB") + ".done"),
                 std::ios::binary | std::ios::trunc);
-  CheckpointDir reader(dir, shared_opts(11));
+  CheckpointDir reader(dir, opts_with(11, true));
   EXPECT_FALSE(reader.is_complete("temporal/BotB"));
   EXPECT_FALSE(reader.load("temporal/BotB").has_value());
   EXPECT_TRUE(reader.is_complete("temporal/BotA"));
@@ -364,15 +385,16 @@ TEST(CheckpointDirTest, ZeroLengthArtifactSkipsRetriesAndQuarantine) {
   const fs::path dir = tmp.path / "run";
   {
     CheckpointDir ckpt(dir, opts_with(5, false));
-    ckpt.store("spatial", "generation one");
-    ckpt.store("spatial", "generation two");
+    ckpt.store("spatial", "stage payload");
+    ckpt.store("spatial", "stage payload");
   }
   // Truncate the primary to zero bytes (crashed writer, lost data blocks).
   std::ofstream(dir / "spatial.art", std::ios::binary | std::ios::trunc);
   CheckpointDir resumed(dir, opts_with(5, true));
   const auto loaded = resumed.load("spatial");
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, "generation one");  // Fell straight through to .g1.
+  EXPECT_EQ(*loaded, "stage payload");
+  EXPECT_EQ(resumed.report().generation, 1);  // Fell straight through.
   observe::Metrics& reg = observe::Metrics::instance();
   EXPECT_EQ(reg.counter("checkpoint.load.retry").value(), 0U);
   EXPECT_EQ(reg.counter("checkpoint.quarantine").value(), 0U);
@@ -405,14 +427,69 @@ TEST(CheckpointDirTest, InvalidateForgetsAStageUntilItIsStoredAgain) {
 TEST(CheckpointSharedTest, InvalidateRemovesTheMarkerForEveryProcess) {
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
-  CheckpointDir a(dir, shared_opts(13));
-  CheckpointDir b(dir, shared_opts(13));
+  CheckpointDir a(dir, opts_with(13, true));
+  CheckpointDir b(dir, opts_with(13, true));
   a.store("tree", "payload");
   ASSERT_TRUE(b.is_complete("tree"));
   a.invalidate("tree");
   EXPECT_FALSE(fs::exists(dir / "tree.done"));
   b.refresh();
   EXPECT_FALSE(b.is_complete("tree"));
+}
+
+TEST(CheckpointSharedTest, FreshOpenRemovesEveryMarker) {
+  TempDir tmp;
+  const fs::path dir = tmp.path / "run";
+  {
+    CheckpointDir a(dir, opts_with(11, true));
+    a.store("tree", "payload");
+    CheckpointDir other(dir, opts_with(12, true));
+    other.store("spatial", "payload");
+  }
+  CheckpointDir fresh(dir, opts_with(11, false));
+  EXPECT_FALSE(fs::exists(dir / "tree.done"));
+  EXPECT_FALSE(fs::exists(dir / "spatial.done"));
+  EXPECT_TRUE(fs::exists(dir / "tree.art"));  // Artifacts stay.
+  EXPECT_FALSE(fresh.is_complete("tree"));
+}
+
+TEST(CheckpointSharedTest, ForeignRunsArtifactIsNeverResumed) {
+  // Run A stores "spatial"; run B (another config hash) overwrites the
+  // artifact and crashes before its marker. A's marker still names A's
+  // payload CRC, so A's resume must skip B's intact bytes and fall back
+  // to the generation holding its own.
+  FaultGuard guard;
+  MetricsGuard metrics;
+  TempDir tmp;
+  const fs::path dir = tmp.path / "run";
+  {
+    CheckpointDir a(dir, opts_with(1, true));
+    a.store("spatial", "bytes of run A");
+  }
+  {
+    CheckpointDir b(dir, opts_with(2, true));
+    FaultInjector::instance().configure("checkpoint.stage:spatial");
+    EXPECT_THROW(b.store("spatial", "bytes of run B"), durable::WriteFailure);
+    FaultInjector::instance().clear();
+  }
+  CheckpointDir resumed(dir, opts_with(1, true));
+  EXPECT_TRUE(resumed.is_complete("spatial"));
+  EXPECT_EQ(resumed.load("spatial"), "bytes of run A");
+  observe::Metrics& reg = observe::Metrics::instance();
+  EXPECT_EQ(reg.counter("checkpoint.load.foreign").value(), 1U);
+  // Skipped without a retry or a quarantine: the file is intact.
+  EXPECT_EQ(reg.counter("checkpoint.load.retry").value(), 0U);
+  EXPECT_EQ(reg.counter("checkpoint.quarantine").value(), 0U);
+  EXPECT_TRUE(resumed.report().events.empty());
+  EXPECT_NE(durable::read_file(dir / "spatial.art").find("bytes of run B"),
+            std::string::npos);  // Left in place.
+
+  // With no generation left holding A's bytes the stage reruns.
+  fs::remove(dir / "spatial.art.g1");
+  CheckpointDir rerun(dir, opts_with(1, true));
+  EXPECT_FALSE(rerun.load("spatial").has_value());
+  EXPECT_FALSE(rerun.is_complete("spatial"));
+  EXPECT_FALSE(fs::exists(dir / "spatial.done"));
 }
 
 }  // namespace

@@ -357,8 +357,7 @@ TEST(LoadArtifactTest, RoundTripsWithCleanReport) {
   const fs::path target = tmp.file("model.art");
   save_artifact(target, "model", 2, "the payload");
   LoadReport report;
-  EXPECT_EQ(load_artifact(target, "model", 1, 3, false, &report),
-            "the payload");
+  EXPECT_EQ(load_artifact(target, "model", 1, 3, &report), "the payload");
   EXPECT_TRUE(report.clean());
 }
 
@@ -372,7 +371,7 @@ TEST(LoadArtifactTest, CorruptFileIsQuarantinedAndTyped) {
 
   LoadReport report;
   try {
-    (void)load_artifact(target, "model", 1, 3, false, &report);
+    (void)load_artifact(target, "model", 1, 3, &report);
     FAIL() << "expected LoadFailure";
   } catch (const LoadFailure& e) {
     EXPECT_EQ(e.code(), LoadError::kBadChecksum);
@@ -386,22 +385,22 @@ TEST(LoadArtifactTest, CorruptFileIsQuarantinedAndTyped) {
 }
 
 TEST(LoadArtifactTest, LegacyPassthroughOnlyWhenAllowed) {
+  // No loader passes unframed bytes through any more: a bare pre-framing
+  // body is kBadMagic, and the file is left where it is.
   TempDir tmp;
   const fs::path target = tmp.file("legacy.art");
   std::ofstream(target) << "acbm:model:v2\nold body\n";
 
   LoadReport report;
-  EXPECT_EQ(load_artifact(target, "model", 1, 3, true, &report),
-            "acbm:model:v2\nold body\n");
-  EXPECT_TRUE(report.legacy);
-  EXPECT_TRUE(fs::exists(target));  // Legacy reads never quarantine.
-
   try {
-    (void)load_artifact(target, "model", 1, 3, false);
+    (void)load_artifact(target, "model", 1, 3, &report);
     FAIL() << "expected LoadFailure";
   } catch (const LoadFailure& e) {
     EXPECT_EQ(e.code(), LoadError::kBadMagic);
   }
+  EXPECT_TRUE(fs::exists(target));
+  EXPECT_FALSE(fs::exists(tmp.file("legacy.art.corrupt-1")));
+  EXPECT_TRUE(report.clean());
 }
 
 TEST(LoadArtifactTest, NewerSchemaIsReportedButNotQuarantined) {
@@ -409,7 +408,7 @@ TEST(LoadArtifactTest, NewerSchemaIsReportedButNotQuarantined) {
   const fs::path target = tmp.file("model.art");
   save_artifact(target, "model", 9, "from the future");
   try {
-    (void)load_artifact(target, "model", 1, 3, false);
+    (void)load_artifact(target, "model", 1, 3);
     FAIL() << "expected LoadFailure";
   } catch (const LoadFailure& e) {
     EXPECT_EQ(e.code(), LoadError::kVersionUnsupported);
@@ -421,15 +420,13 @@ TEST(LoadReportTest, WriteListsEventsAndFlags) {
   LoadReport report;
   report.events.push_back({"/tmp/x.art", LoadError::kBadChecksum, "crc",
                            "/tmp/x.art.corrupt-1"});
-  report.legacy = true;
   report.generation = 2;
   std::ostringstream os;
   report.write(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("bad_checksum"), std::string::npos);
-  EXPECT_NE(text.find("corrupt-1"), std::string::npos);
-  EXPECT_NE(text.find("legacy"), std::string::npos);
-  EXPECT_NE(text.find("generation 2"), std::string::npos);
+  EXPECT_EQ(os.str(),
+            "corrupt artifact: /tmp/x.art (bad_checksum: crc) quarantined to "
+            "/tmp/x.art.corrupt-1\nfell back to checkpoint generation 2\n");
+  EXPECT_FALSE(report.clean());
 }
 
 }  // namespace

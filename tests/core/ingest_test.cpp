@@ -1011,6 +1011,62 @@ TEST(Ingestor, CheckpointOfThePreviousSourceOrderIsNotResumed) {
                            ingest_world().world.ip_map));
 }
 
+TEST(Ingestor, CheckpointRecordedOnlyInARunManifestIsNotResumed) {
+  // Stage completion was once recorded in a `run.json` manifest. A
+  // checkpoint dir holding only that record (here under the current key,
+  // with stages planted from a fit on half the data) resumes nothing: the
+  // refit reruns every stage and publishes a cold fit's bytes.
+  TempDir tmp;
+  Ingestor ingestor(options_for(tmp.path));
+  ingestor.init(ingest_world().world.dataset, ingest_world().world.ip_map);
+
+  std::uint64_t key = durable::fnv1a64("acbm-ingest-fit");
+  key = durable::fnv1a64(durable::read_file(tmp.path / "ipmap.art"), key);
+  key = durable::fnv1a64(fit_config_tag(), key);
+  const trace::Dataset& base = ingest_world().world.dataset;
+  std::vector<trace::Attack> half(
+      base.attacks().begin(),
+      base.attacks().begin() +
+          static_cast<std::ptrdiff_t>(base.attacks().size() / 2));
+  const trace::Dataset other(base.family_names(), std::move(half), {},
+                             base.window_start());
+  const fs::path dir = tmp.path / "checkpoint";
+  std::vector<std::string> stages;
+  {
+    CheckpointDir planted_dir(dir, {.config_hash = key, .resume = false});
+    AdversaryModel planted(options_for(tmp.path).model);
+    planted.set_checkpoint(&planted_dir);
+    planted.fit(other, ingest_world().world.ip_map);
+    stages = planted_dir.completed_stages();
+  }
+  ASSERT_FALSE(stages.empty());
+  std::string manifest = "{\n  \"format\": 1,\n  \"config_hash\": \"" +
+                         durable::to_hex(key) + "\",\n  \"stages\": [";
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    const std::string slug = CheckpointDir::slug(stages[i]);
+    const std::string payload =
+        durable::load_artifact(dir / (slug + ".art"), slug, 1, 1);
+    manifest += std::string(i == 0 ? "\n" : ",\n") + "    {\"name\": \"" +
+                stages[i] + "\", \"file\": \"" + slug +
+                ".art\", \"crc32c\": \"" +
+                durable::to_hex(durable::crc32c(payload)) + "\"}";
+    fs::remove(dir / (slug + ".done"));
+  }
+  manifest += "\n  ]\n}\n";
+  durable::atomic_write_file(dir / "run.json", manifest);
+
+  const RefitResult result = ingestor.check_and_refit(/*force=*/true);
+  ASSERT_TRUE(result.published) << result.error;
+  EXPECT_EQ(result.stages_invalidated, 0u);
+  EXPECT_EQ(durable::read_file(ingestor.model_path()),
+            cold_fit_bytes(ingestor.log().cumulative(),
+                           ingest_world().world.ip_map));
+  for (const std::string& stage : stages) {
+    EXPECT_TRUE(fs::exists(dir / (CheckpointDir::slug(stage) + ".done")))
+        << stage << " was not refit";
+  }
+}
+
 TEST(Ingestor, FullyResumedRefitResolvesNoBot) {
   // The source table (every bot resolved to its AS) is built only when a
   // stage fits: the cold fit of init builds it once, a forced refit whose

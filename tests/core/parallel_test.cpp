@@ -334,7 +334,6 @@ TEST(ParallelDeterminism, DatasetCsvCodecBitIdentical) {
     const std::vector<std::string> body_parts = model.body_parts();
     EXPECT_GT(body_parts.size(), parts.size());
     EXPECT_EQ(join(body_parts), serial_body) << threads << " threads";
-    EXPECT_EQ(model.body(), serial_body) << threads << " threads";
     std::ostringstream framed;
     model.save_framed(framed);
     EXPECT_EQ(framed.str(),

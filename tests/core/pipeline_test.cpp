@@ -13,6 +13,7 @@
 
 #include "cli/cli.h"
 #include "core/durable.h"
+#include "core/serving.h"
 #include "trace/world.h"
 
 namespace acbm::core {
@@ -31,6 +32,13 @@ struct Fixture {
 
   Fixture() { model.fit(world.dataset, world.ip_map); }
 };
+
+/// The model's body (what framed v4 wraps), as save() writes it.
+std::string body_of(const AdversaryModel& model) {
+  std::ostringstream os;
+  model.save(os);
+  return os.str();
+}
 
 /// A scratch file removed on scope exit.
 struct TempFile {
@@ -78,11 +86,11 @@ TEST(AdversaryModel, DriftBaselinesLoadWithoutTheModel) {
 }
 
 TEST(AdversaryModel, DriftBaselinesOfAV1BodyAreEmpty) {
+  // Framed v3 (a v1 body, with no drift block) is no longer read: every
+  // loader reports it as an unsupported version and leaves the file, which
+  // is intact, in place.
   Fixture fx;
-  // Rewrite the v2 body as a v1 body (no drift block) framed as v3.
-  std::ostringstream os;
-  fx.model.save(os);
-  std::istringstream v2(os.str());
+  std::istringstream v2(body_of(fx.model));
   std::string v1;
   std::string line;
   while (std::getline(v2, line)) {
@@ -94,9 +102,27 @@ TEST(AdversaryModel, DriftBaselinesOfAV1BodyAreEmpty) {
   std::ofstream(file.path, std::ios::binary)
       << durable::frame_payload("adversary_model", 3, v1);
 
-  EXPECT_TRUE(AdversaryModel::load_drift_baselines(file.path).empty());
-  std::ifstream in(file.path, std::ios::binary);
-  EXPECT_TRUE(AdversaryModel::load_framed(in).drift_baselines().empty());
+  const auto expect_unsupported = [](const auto& load, const char* what) {
+    try {
+      load();
+      ADD_FAILURE() << what << " loaded a framed v3 model";
+    } catch (const durable::LoadFailure& e) {
+      EXPECT_EQ(e.code(), durable::LoadError::kVersionUnsupported) << what;
+    }
+  };
+  expect_unsupported(
+      [&] { (void)AdversaryModel::load_drift_baselines(file.path); },
+      "load_drift_baselines");
+  expect_unsupported(
+      [&] {
+        std::ifstream in(file.path, std::ios::binary);
+        (void)AdversaryModel::load_framed(in);
+      },
+      "load_framed");
+  expect_unsupported([&] { (void)ServingModel::load_any(file.path); },
+                     "load_any");
+  EXPECT_TRUE(std::filesystem::exists(file.path));
+  EXPECT_FALSE(std::filesystem::exists(file.path.string() + ".corrupt-1"));
 }
 
 TEST(AdversaryModel, DriftBaselinesOfAnUnframedFileAreALoadFailure) {
@@ -117,11 +143,11 @@ TEST(AdversaryModel, DriftBaselinesOfAnUnframedFileAreALoadFailure) {
 
 TEST(AdversaryModel, BodyRoundTripsByteForByte) {
   Fixture fx;
-  const std::string body = fx.model.body();
-  std::ostringstream os;
-  fx.model.save(os);
-  EXPECT_EQ(os.str(), body);
-  EXPECT_EQ(AdversaryModel::load_body(body).body(), body);
+  const std::string body = body_of(fx.model);
+  std::string joined;
+  for (const std::string& part : fx.model.body_parts()) joined += part;
+  EXPECT_EQ(joined, body);
+  EXPECT_EQ(body_of(AdversaryModel::load_body(body)), body);
 }
 
 /// Frames `body` with a valid CRC, then checks that the framed loader and
@@ -150,7 +176,7 @@ void expect_body_parse_failure(const std::string& body,
 
 TEST(AdversaryModel, MalformedBodyBlocksAreTypedParseErrors) {
   Fixture fx;
-  const std::string body = fx.model.body();
+  const std::string body = body_of(fx.model);
   const std::size_t count_at = body.find("\ndataset_lines ") + 1;
   const std::size_t block_at = body.find('\n', count_at) + 1;
   const std::size_t ipmap_at = body.find("\nipmap_lines ") + 1;

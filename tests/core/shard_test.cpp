@@ -111,10 +111,7 @@ int run_worker(ShardWorkerOptions opts) {
 /// The coordinator-side merge: an ordinary fit with the shared store wired
 /// in, consuming whatever stages the workers published.
 std::string merge_bytes(const fs::path& dir) {
-  CheckpointDir::Options copts;
-  copts.config_hash = kHash;
-  copts.shared = true;
-  CheckpointDir ckpt(dir, copts);
+  CheckpointDir ckpt(dir, {.config_hash = kHash, .resume = true});
   SpatiotemporalOptions opts = fast_options();
   opts.checkpoint = &ckpt;
   SpatiotemporalModel model(opts);
@@ -282,10 +279,7 @@ TEST(ShardWorkerTest, BlockedWorkerBacksOffThenFinishes) {
 
   std::thread worker([&] { run_worker(worker_options(dir, 0)); });
 
-  CheckpointDir::Options copts;
-  copts.config_hash = kHash;
-  copts.shared = true;
-  CheckpointDir watch(dir, copts);
+  CheckpointDir watch(dir, {.config_hash = kHash, .resume = true});
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::minutes(2);
   bool others_done = false;

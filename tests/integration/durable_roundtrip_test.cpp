@@ -1,7 +1,7 @@
 // Durability round trips: every framed model format must (a) load back
 // bit-equal through save_framed/load_framed, (b) detect any single flipped
 // payload byte as a typed checksum failure — never a crash, never a silently
-// wrong model — and (c) still accept the legacy unframed v2/v1 streams.
+// wrong model — and (c) reject bare unframed text as kBadMagic.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -69,6 +69,18 @@ const Fixture& fixture() {
   return f;
 }
 
+/// Loading `data` fails with LoadFailure(kBadMagic): it is not framed.
+template <typename LoadFn>
+void expect_bad_magic(const std::string& data, LoadFn load) {
+  std::istringstream in(data);
+  try {
+    load(in);
+    FAIL() << "unframed bytes loaded";
+  } catch (const durable::LoadFailure& e) {
+    EXPECT_EQ(e.code(), durable::LoadError::kBadMagic);
+  }
+}
+
 /// The property: flipping any payload byte of a framed artifact makes the
 /// loader throw LoadFailure(kBadChecksum). Sampled at the payload's start,
 /// middle, and end; header corruption and truncation must also stay typed.
@@ -94,10 +106,7 @@ void expect_corruption_detected(const std::string& framed, LoadFn load) {
 
   std::string bad_magic = framed;
   bad_magic[2] ^= 0x01;
-  std::istringstream magic_in(bad_magic);
-  // A mangled magic demotes the file to "legacy" bytes, which then fail to
-  // parse as the inner format — still a typed error, never a crash.
-  EXPECT_THROW(load(magic_in), durable::LoadFailure);
+  expect_bad_magic(bad_magic, load);
 
   std::string truncated = framed.substr(0, framed.size() - 7);
   std::istringstream trunc_in(truncated);
@@ -121,16 +130,14 @@ TEST(DurableRoundTrip, TemporalModelFramedAndLegacy) {
   back.save_framed(again);
   EXPECT_EQ(again.str(), framed);  // Bit-stable round trip.
 
-  // Legacy bare v2 text still loads.
-  std::ostringstream legacy_os;
-  model.save(legacy_os);
-  std::istringstream legacy_in(legacy_os.str());
-  const core::TemporalModel legacy = core::TemporalModel::load_framed(legacy_in);
-  EXPECT_EQ(legacy.fitted(), model.fitted());
-
-  expect_corruption_detected(framed, [](std::istream& is) {
+  const auto load = [](std::istream& is) {
     (void)core::TemporalModel::load_framed(is);
-  });
+  };
+  // Bare v2 text (the pre-framing format) is no longer read.
+  std::ostringstream bare;
+  model.save(bare);
+  expect_bad_magic(bare.str(), load);
+  expect_corruption_detected(framed, load);
 }
 
 TEST(DurableRoundTrip, SpatialModelFramedAndLegacy) {
@@ -146,15 +153,13 @@ TEST(DurableRoundTrip, SpatialModelFramedAndLegacy) {
   back.save_framed(again);
   EXPECT_EQ(again.str(), framed);
 
-  std::ostringstream legacy_os;
-  model.save(legacy_os);
-  std::istringstream legacy_in(legacy_os.str());
-  const core::SpatialModel legacy = core::SpatialModel::load_framed(legacy_in);
-  EXPECT_EQ(legacy.target_asn(), model.target_asn());
-
-  expect_corruption_detected(framed, [](std::istream& is) {
+  const auto load = [](std::istream& is) {
     (void)core::SpatialModel::load_framed(is);
-  });
+  };
+  std::ostringstream bare;
+  model.save(bare);
+  expect_bad_magic(bare.str(), load);
+  expect_corruption_detected(framed, load);
 }
 
 TEST(DurableRoundTrip, SpatiotemporalModelFramedAndLegacy) {
@@ -170,16 +175,13 @@ TEST(DurableRoundTrip, SpatiotemporalModelFramedAndLegacy) {
   back.save_framed(again);
   EXPECT_EQ(again.str(), framed);
 
-  std::ostringstream legacy_os;
-  model.save(legacy_os);
-  std::istringstream legacy_in(legacy_os.str());
-  const core::SpatiotemporalModel legacy =
-      core::SpatiotemporalModel::load_framed(legacy_in);
-  EXPECT_EQ(legacy.fitted(), model.fitted());
-
-  expect_corruption_detected(framed, [](std::istream& is) {
+  const auto load = [](std::istream& is) {
     (void)core::SpatiotemporalModel::load_framed(is);
-  });
+  };
+  std::ostringstream bare;
+  model.save(bare);
+  expect_bad_magic(bare.str(), load);
+  expect_corruption_detected(framed, load);
 }
 
 TEST(DurableRoundTrip, AdversaryModelFramedPredictsIdentically) {
@@ -201,16 +203,14 @@ TEST(DurableRoundTrip, AdversaryModelFramedPredictsIdentically) {
     EXPECT_EQ(a->start, b->start) << "AS " << asn;
   }
 
-  // Legacy bare v1 text still loads.
-  std::ostringstream legacy_os;
-  model.save(legacy_os);
-  std::istringstream legacy_in(legacy_os.str());
-  const core::AdversaryModel legacy = core::AdversaryModel::load_framed(legacy_in);
-  EXPECT_TRUE(legacy.fitted());
-
-  expect_corruption_detected(framed, [](std::istream& is) {
+  const auto load = [](std::istream& is) {
     (void)core::AdversaryModel::load_framed(is);
-  });
+  };
+  // The bare body (what framed v4 wraps) is no longer read on its own.
+  std::ostringstream bare;
+  model.save(bare);
+  expect_bad_magic(bare.str(), load);
+  expect_corruption_detected(framed, load);
 }
 
 TEST(DurableRoundTrip, DirsyncFaultLeavesOldOrNewContentNeverPartial) {
@@ -234,14 +234,14 @@ TEST(DurableRoundTrip, DirsyncFaultLeavesOldOrNewContentNeverPartial) {
   injector.clear();
   durable::LoadReport report;
   const std::string payload =
-      durable::load_artifact(target, "model", 1, 1, false, &report);
+      durable::load_artifact(target, "model", 1, 1, &report);
   EXPECT_TRUE(payload == "generation one" || payload == "generation two");
   EXPECT_TRUE(report.clean());
   EXPECT_FALSE(fs::exists(dir / "model.art.tmp"));
 
   // Retrying the same write converges: the new generation publishes.
   durable::save_artifact(target, "model", 1, "generation two");
-  EXPECT_EQ(durable::load_artifact(target, "model", 1, 1, false),
+  EXPECT_EQ(durable::load_artifact(target, "model", 1, 1),
             "generation two");
   std::error_code ec;
   fs::remove_all(dir, ec);

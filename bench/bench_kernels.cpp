@@ -188,42 +188,6 @@ BenchResult bench_gemm(const BenchConfig& config) {
   });
 }
 
-/// Dense gemv at a SIMD-eligible shape, pinned to one ISA. The scalar and
-/// SIMD variants share the workload (and, fast-math off, the checksum:
-/// the vectorized kernels are lane-stable).
-BenchResult bench_gemv_isa(const BenchConfig& config,
-                           acbm::stats::SimdIsa isa) {
-  const std::size_t rows = config.tiny ? 16 : 64;
-  const std::size_t cols = config.tiny ? 16 : 64;
-  const std::size_t iters = config.tiny ? 50 : 20000;
-  acbm::stats::Rng rng(91);
-  std::vector<double> weights(rows * cols);
-  std::vector<double> bias(rows);
-  std::vector<double> x(cols);
-  std::vector<double> out(rows);
-  for (double& w : weights) w = rng.normal(0.0, 1.0);
-  for (double& b : bias) b = rng.normal(0.0, 0.1);
-  for (double& v : x) v = rng.normal(0.0, 1.0);
-  const std::vector<double> x_init = x;
-  const std::string name =
-      std::string("gemv_") + acbm::stats::isa_name(isa);
-  const acbm::stats::SimdIsa saved = acbm::stats::active_isa();
-  acbm::stats::set_active_isa(isa);
-  BenchResult result = run_bench(name, config, [&]() {
-    double acc = 0.0;
-    for (std::size_t it = 0; it < iters; ++it) {
-      acbm::stats::gemv_tanh(weights, bias, x, out);
-      acc += out[0] + out[rows - 1];
-      x[it % cols] = out[it % rows];  // Keep iterations data-dependent.
-    }
-    x = x_init;  // Every run sees identical data.
-    return acc;
-  });
-  acbm::stats::set_active_isa(saved);
-  result.ops = static_cast<double>(iters);
-  return result;
-}
-
 /// tanh over a block of hidden-unit-sized inputs in [-4, 4]: "std" is
 /// libm's std::tanh per element, "scalar" the stats::tanh reference per
 /// element, and an ISA name the block kernel dispatched at that ISA.
@@ -451,10 +415,8 @@ int main(int argc, char** argv) {
   std::vector<BenchResult> results;
   results.push_back(bench_gemm(config));
   results.push_back(bench_gemm_isa(config, acbm::stats::SimdIsa::kScalar));
-  results.push_back(bench_gemv_isa(config, acbm::stats::SimdIsa::kScalar));
   if (acbm::stats::detected_isa() != acbm::stats::SimdIsa::kScalar) {
     results.push_back(bench_gemm_isa(config, acbm::stats::detected_isa()));
-    results.push_back(bench_gemv_isa(config, acbm::stats::detected_isa()));
   }
   results.push_back(bench_tanh(config, "std"));
   results.push_back(bench_tanh(config, "scalar"));

@@ -30,7 +30,6 @@
 #include "core/server.h"
 #include "core/serving.h"
 #include "core/shard.h"
-#include "stats/kernels.h"
 #include "trace/generator.h"
 #include "trace/scenario.h"
 #include "trace/world.h"
@@ -189,8 +188,6 @@ void print_usage(std::ostream& out) {
          "performance (any command; see DESIGN.md §6):\n"
          "  --precision f32  serve predictions from a float32 inference view\n"
          "                   (predict/evaluate; f64 models stay the default)\n"
-         "  --fast-math      allow reordered/FMA SIMD reductions\n"
-         "                   (env ACBM_FAST_MATH=1; off = bit-identical)\n"
          "\n"
          "observability (any command; see OBSERVABILITY.md):\n"
          "  --trace FILE     write a Chrome trace_event JSON of the run\n"
@@ -1204,14 +1201,6 @@ int run(std::span<const std::string> args_in, std::ostream& out,
   }
   try {
     std::vector<std::string> args(args_in.begin(), args_in.end());
-    // --fast-math (any command): opt into the reordered/FMA SIMD kernel
-    // variants, giving up bit-identity with the scalar reference for a
-    // documented tolerance (DESIGN.md §6). Equivalent to ACBM_FAST_MATH=1.
-    if (const auto it = std::find(args.begin(), args.end(), "--fast-math");
-        it != args.end()) {
-      args.erase(it);
-      acbm::stats::set_fast_math(true);
-    }
     // A malformed ACBM_FAULTS spec parsed lazily inside the injector's
     // constructor cannot throw there; surface it as a usage error before
     // running anything under a half-configured fault set.

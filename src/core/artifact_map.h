@@ -140,7 +140,8 @@ struct FamilyRec {
 static_assert(sizeof(FamilyRec) == 72);
 
 /// One MLP layer: f64 row-major [out x in] (bit-identical forward via
-/// stats::gemv) and the transposed f32 layout [in x out] for gemv_t_f32.
+/// nn::forward_normalized) and the transposed f32 layout [in x out] for
+/// gemv_t_f32.
 struct MlpLayerRec {
   std::uint64_t in = 0;
   std::uint64_t out = 0;

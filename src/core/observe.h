@@ -78,8 +78,9 @@ inline std::size_t counter_shard() noexcept {
 /// Monotonic event count. add() is wait-free and may race freely. Each
 /// thread adds into its own cache-line-sized shard (threads beyond
 /// kCounterShards share one), so a counter every pool worker bumps
-/// (gemv.calls on each kernel call) does not bounce one line between cores;
-/// value() and reset() cover every shard, so totals stay exact.
+/// (kernels.dispatch.* on each kernel call) does not bounce one line
+/// between cores; value() and reset() cover every shard, so totals stay
+/// exact.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {

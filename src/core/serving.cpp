@@ -193,7 +193,7 @@ double arima_forecast_f32(const ArimaRec& rec, const ArtifactView& view,
 /// nn::Mlp::predict over the mapped f64 layers: ZScore transform, then
 /// nn::forward_normalized, the forward pass Mlp itself runs (one copy of
 /// the code, compiled with -ffp-contract=off), then ZScore inverse. So the
-/// forecast equals the batch model's bit for bit, with fast-math on or off.
+/// forecast equals the batch model's bit for bit.
 /// The loader (artifact_map.cpp) admits only one-hidden-layer networks.
 double mlp_predict_f64(const MlpRec& mlp, const ArtifactView& view,
                        std::span<const double> features, Scratch& s) {

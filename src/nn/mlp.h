@@ -118,8 +118,7 @@ struct MlpLayerView {
 /// then b2 + w2 . hidden, returned. `hidden` receives the activations
 /// (hidden_layer.out values). Mlp (fit, predict) and the f64 serving path
 /// (core::ServingModel) all run this code, and mlp.cpp is compiled with
-/// -ffp-contract=off, so their values agree bit for bit on every CPU;
-/// stats::fast_math() does not reach it.
+/// -ffp-contract=off, so their values agree bit for bit on every CPU.
 [[nodiscard]] double forward_normalized(const MlpLayerView& hidden_layer,
                                         const MlpLayerView& output_layer,
                                         std::span<const double> x_norm,

@@ -25,36 +25,10 @@ namespace {
   return p < q + m && q < p + n;
 }
 
-/// Single-accumulator 4-wide unrolled dot seeded with `acc` (the bias, so
-/// the accumulation order matches the reference `z = b; z += w*x` loop
-/// exactly): the same sequential term order as the scalar loop
-/// (bit-identical), with the loop overhead amortized.
-double dot_unrolled(double acc, const double* a, const double* b,
-                    std::size_t n) {
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    acc += a[k] * b[k];
-    acc += a[k + 1] * b[k + 1];
-    acc += a[k + 2] * b[k + 2];
-    acc += a[k + 3] * b[k + 3];
-  }
-  for (; k < n; ++k) acc += a[k] * b[k];
-  return acc;
-}
-
 // ---------------------------------------------------------------------------
 // Scalar reference kernels (the 0-ULP ground truth every SIMD variant is
 // tested against).
 // ---------------------------------------------------------------------------
-
-template <bool kTanh>
-void gemv_scalar(const double* w, const double* bias, const double* x,
-                 double* out, std::size_t out_dim, std::size_t in) {
-  for (std::size_t o = 0; o < out_dim; ++o) {
-    const double z = dot_unrolled(bias[o], w + o * in, x, in);
-    out[o] = kTanh ? stats::tanh(z) : z;
-  }
-}
 
 void gemm_rows_scalar(const double* a, const double* b, double* c,
                       std::size_t row_begin, std::size_t row_end,
@@ -124,35 +98,20 @@ bool env_flag_off(const char* name) noexcept {
   return s == "0" || s == "off" || s == "OFF" || s == "scalar";
 }
 
-bool env_flag_on(const char* name) noexcept {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return false;
-  const std::string_view s{v};
-  return s == "1" || s == "on" || s == "ON" || s == "true";
-}
-
 std::atomic<SimdIsa>& active_state() noexcept {
   static std::atomic<SimdIsa> state{env_flag_off("ACBM_SIMD") ? SimdIsa::kScalar
                                                               : detect()};
   return state;
 }
 
-std::atomic<bool>& fast_math_state() noexcept {
-  static std::atomic<bool> state{env_flag_on("ACBM_FAST_MATH")};
-  return state;
-}
-
 /// Table for the active ISA, or nullptr when scalar is active (or the
-/// arch TU was not built). Fast-math tables carry bit-identical entries
-/// for kernels without a reordering variant, so one lookup suffices.
+/// arch TU was not built).
 const detail::KernelTable* active_table() noexcept {
-  const SimdIsa isa = active_state().load(std::memory_order_relaxed);
-  const bool fm = fast_math_state().load(std::memory_order_relaxed);
-  switch (isa) {
+  switch (active_state().load(std::memory_order_relaxed)) {
     case SimdIsa::kAvx2:
-      return detail::avx2_table(fm);
+      return detail::avx2_table();
     case SimdIsa::kNeon:
-      return detail::neon_table(fm);
+      return detail::neon_table();
     case SimdIsa::kScalar:
       break;
   }
@@ -180,7 +139,6 @@ void count_dispatch(bool vectorized) {
 /// Below these shapes the SIMD setup cost outweighs the win; the scalar
 /// reference is used regardless of the active ISA (results are identical
 /// either way — this is purely a performance cutoff).
-constexpr std::size_t kMinSimdGemvRows = 4;
 constexpr std::size_t kMinSimdFneCols = 8;
 constexpr std::size_t kMinSimdGemvF32Rows = 8;
 
@@ -261,59 +219,6 @@ SimdIsa active_isa() noexcept {
 void set_active_isa(SimdIsa isa) noexcept {
   if (isa != SimdIsa::kScalar && isa != detected_isa()) isa = SimdIsa::kScalar;
   active_state().store(isa, std::memory_order_relaxed);
-}
-
-bool fast_math() noexcept {
-  return fast_math_state().load(std::memory_order_relaxed);
-}
-
-void set_fast_math(bool on) noexcept {
-  fast_math_state().store(on, std::memory_order_relaxed);
-}
-
-void gemv(std::span<const double> weights, std::span<const double> bias,
-          std::span<const double> x, std::span<double> out) {
-  ACBM_COUNT("gemv.calls", 1);
-  ACBM_COUNT("gemv.flops", 2 * out.size() * x.size());
-  assert(weights.size() == out.size() * x.size());
-  assert(bias.size() == out.size());
-  assert(!ranges_overlap(out.data(), out.size(), weights.data(),
-                         weights.size()) &&
-         !ranges_overlap(out.data(), out.size(), bias.data(), bias.size()) &&
-         !ranges_overlap(out.data(), out.size(), x.data(), x.size()));
-  const detail::KernelTable* t = active_table();
-  if (t != nullptr && t->gemv != nullptr && out.size() >= kMinSimdGemvRows) {
-    count_dispatch(true);
-    t->gemv(weights.data(), bias.data(), x.data(), out.data(), out.size(),
-            x.size());
-    return;
-  }
-  count_dispatch(false);
-  gemv_scalar<false>(weights.data(), bias.data(), x.data(), out.data(),
-                     out.size(), x.size());
-}
-
-void gemv_tanh(std::span<const double> weights, std::span<const double> bias,
-               std::span<const double> x, std::span<double> out) {
-  ACBM_COUNT("gemv.calls", 1);
-  ACBM_COUNT("gemv.flops", 2 * out.size() * x.size());
-  assert(weights.size() == out.size() * x.size());
-  assert(bias.size() == out.size());
-  assert(!ranges_overlap(out.data(), out.size(), weights.data(),
-                         weights.size()) &&
-         !ranges_overlap(out.data(), out.size(), bias.data(), bias.size()) &&
-         !ranges_overlap(out.data(), out.size(), x.data(), x.size()));
-  const detail::KernelTable* t = active_table();
-  if (t != nullptr && t->gemv_tanh != nullptr &&
-      out.size() >= kMinSimdGemvRows) {
-    count_dispatch(true);
-    t->gemv_tanh(weights.data(), bias.data(), x.data(), out.data(), out.size(),
-                 x.size());
-    return;
-  }
-  count_dispatch(false);
-  gemv_scalar<true>(weights.data(), bias.data(), x.data(), out.data(),
-                    out.size(), x.size());
 }
 
 void gemm_row_range(const double* a, const double* b, double* c,
@@ -397,10 +302,10 @@ double dot(std::span<const double> a, std::span<const double> b,
 // Fallback definitions when the arch-specific TU is not part of the build
 // (non-matching target, or -DACBM_DISABLE_SIMD=ON).
 #ifndef ACBM_HAVE_AVX2_TU
-const detail::KernelTable* detail::avx2_table(bool) noexcept { return nullptr; }
+const detail::KernelTable* detail::avx2_table() noexcept { return nullptr; }
 #endif
 #ifndef ACBM_HAVE_NEON_TU
-const detail::KernelTable* detail::neon_table(bool) noexcept { return nullptr; }
+const detail::KernelTable* detail::neon_table() noexcept { return nullptr; }
 #endif
 
 }  // namespace acbm::stats

@@ -1,19 +1,16 @@
-// Small fused dense kernels for the model-fitting and serving hot loops:
-// the repository's own f64 tanh, GEMV (optionally fused with tanh),
-// row-range GEMM, the streamed normal-equations row update, and f32
-// inference GEMV. Each kernel has a scalar reference implementation plus
-// runtime-dispatched SIMD variants (AVX2 on x86-64, NEON on aarch64)
-// selected per call by `active_isa()`.
+// Small dense kernels for the model-fitting and serving hot loops: the
+// repository's own f64 tanh, row-range GEMM, the streamed normal-equations
+// row update, and f32 inference GEMV (optionally fused with tanh). Each
+// kernel has a scalar reference implementation plus runtime-dispatched
+// SIMD variants (AVX2 on x86-64, NEON on aarch64) selected per call by
+// `active_isa()`.
 //
-// Bit-identity contract: with fast_math() off (the default), every SIMD
-// variant performs the exact same IEEE-754 operations in the exact same
-// per-element order as the scalar reference — vectorization happens across
-// independent accumulators (output lanes), never by splitting one
-// accumulation chain. Results are bit-identical across scalar/AVX2/NEON.
-// With ACBM_FAST_MATH opted in (env or --fast-math), kernels may use FMA
-// and in-register horizontal reductions, which reorders accumulation; the
-// results then agree with scalar only to rounding tolerance (property
-// tests in tests/stats/ bound the error).
+// Bit-identity contract: every SIMD variant performs the exact same
+// IEEE-754 operations in the exact same per-element order as the scalar
+// reference — vectorization happens across independent accumulators
+// (output lanes), never by splitting one accumulation chain, and no
+// multiply-add is fused. Results are bit-identical across
+// scalar/AVX2/NEON; there is no reordering mode.
 #pragma once
 
 #include <cstddef>
@@ -42,18 +39,6 @@ enum class SimdIsa { kScalar, kAvx2, kNeon };
 /// in-binary benchmark comparisons.
 void set_active_isa(SimdIsa isa) noexcept;
 
-/// Whether reordering (FMA / horizontal-reduction) kernel variants are
-/// enabled. Defaults from the ACBM_FAST_MATH environment variable ("1",
-/// "on", "true"); the CLI exposes --fast-math. Off = bit-identity.
-[[nodiscard]] bool fast_math() noexcept;
-void set_fast_math(bool on) noexcept;
-
-/// out[o] = bias[o] + sum_i weights[o * x.size() + i] * x[i].
-/// weights is row-major [out.size() x x.size()]. `out` must not alias
-/// `weights`, `bias`, or `x` (asserted in debug builds).
-void gemv(std::span<const double> weights, std::span<const double> bias,
-          std::span<const double> x, std::span<double> out);
-
 /// Hyperbolic tangent, computed with IEEE add, mul, div and compare only —
 /// no libm call, so its bits do not depend on the C library or on which
 /// libm code path the CPU selects. Within 2 ULP of the exact value;
@@ -63,19 +48,11 @@ void gemv(std::span<const double> weights, std::span<const double> bias,
 [[nodiscard]] double tanh(double x) noexcept;
 
 /// out[i] = tanh(x[i]) through the active ISA's version (AVX2: 4 lanes at
-/// a time), bit-identical to the scalar reference at every ISA and with
-/// fast-math on or off. `out` may be `x` itself; otherwise they must not
-/// overlap. Not counted in `kernels.dispatch.*`: the MLP forward pass calls
-/// it once per mini-batch and once per prediction.
+/// a time), bit-identical to the scalar reference at every ISA. `out` may
+/// be `x` itself; otherwise they must not overlap. Not counted in
+/// `kernels.dispatch.*`: the MLP forward pass calls it once per mini-batch
+/// and once per prediction.
 void tanh(std::span<const double> x, std::span<double> out) noexcept;
-
-/// Fused GEMV + tanh: out[o] = tanh(bias[o] + sum_i w[o][i] * x[i]), with
-/// the tanh above in every variant (fast-math included). Identical
-/// accumulation order to gemv; the activation is applied to the finished
-/// accumulator, so the result is bit-identical to gemv-then-tanh without
-/// the intermediate store/reload pass.
-void gemv_tanh(std::span<const double> weights, std::span<const double> bias,
-               std::span<const double> x, std::span<double> out);
 
 /// Computes rows [row_begin, row_end) of C = A·B over row-major buffers:
 /// A is [m x cols_a], B is [cols_a x cols_b], C is [m x cols_b]. Each
@@ -101,7 +78,7 @@ void fne_row_update(double* ata, double* atb, const double* a_row, double yr,
 /// The transposed layout makes the output lanes contiguous, so SIMD
 /// vectorizes across outputs with unit-stride loads while each lane keeps
 /// the scalar ascending-i accumulation order (bit-identical to the scalar
-/// reference, fast-math off). `out` must not alias the inputs.
+/// reference). `out` must not alias the inputs.
 void gemv_t_f32(std::span<const float> weights_t, std::span<const float> bias,
                 std::span<const float> x, std::span<float> out);
 
@@ -111,10 +88,10 @@ void gemv_t_tanh_f32(std::span<const float> weights_t,
                      std::span<float> out);
 
 /// Sequential dot product: start + sum_i a[i] * b[i] in ascending-i order,
-/// one accumulator. This IS the bit-identity reference (never vectorized;
-/// fast-math has no effect), shared by the serving-path mirrors of
-/// LinearRegression::predict and the ARIMA forecast recurrences so their
-/// accumulation order provably matches the fitting-side code.
+/// one accumulator. This IS the bit-identity reference (never vectorized),
+/// shared by the serving-path mirrors of LinearRegression::predict and the
+/// ARIMA forecast recurrences so their accumulation order provably matches
+/// the fitting-side code.
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b,
                          double start = 0.0) noexcept;
 

@@ -1,16 +1,11 @@
-// AVX2 microkernels. This TU is compiled with -mavx2 -mfma and, crucially,
-// -ffp-contract=off: the default-path kernels below keep multiply and add
-// as separate IEEE operations so every output lane reproduces the scalar
-// reference's accumulation chain exactly (bit-identity with fast-math off).
-// Letting the compiler contract mul+add intrinsics into FMA would silently
-// break that contract. The explicitly-FMA variants live in the fast-math
-// table and are only reachable through the ACBM_FAST_MATH opt-in.
+// AVX2 microkernels. This TU is compiled with -mavx2 and, crucially,
+// -ffp-contract=off: the kernels below keep multiply and add as separate
+// IEEE operations so every output lane reproduces the scalar reference's
+// accumulation chain exactly (bit-identity). Letting the compiler contract
+// mul+add intrinsics into FMA would silently break that contract.
 //
 // Vectorization strategy for bit-identity: vectorize ACROSS independent
 // accumulators, never within one accumulation chain.
-//  - gemv/gemv_tanh: 4 output rows per register; a 4x4 in-register
-//    transpose of the weight rows turns each input index i into one vector
-//    column, accumulated in ascending-i order per lane.
 //  - gemm_rows: k-outer broadcast of a(i,k) against contiguous B rows;
 //    each C element accumulates in ascending-k order.
 //  - fne_row_update: broadcast a_row[i] against the j-contiguous tail; each
@@ -26,7 +21,6 @@
 #include <cmath>
 #include <cstddef>
 
-#include "stats/kernels.h"
 #include "stats/kernels_dispatch.h"
 
 namespace acbm::stats::detail {
@@ -113,106 +107,13 @@ void tanh_avx2(const double* x, double* out, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// f64 gemv: 4 outputs per vector, lane-stable.
-// ---------------------------------------------------------------------------
-
-/// Accumulates 4 output rows r0..r3 over all inputs, starting from the
-/// bias vector; returns {z0, z1, z2, z3}.
-inline __m256d gemv4_accumulate(const double* r0, const double* r1,
-                                const double* r2, const double* r3,
-                                const double* x, std::size_t in,
-                                __m256d acc) {
-  std::size_t i = 0;
-  for (; i + 4 <= in; i += 4) {
-    const __m256d a0 = _mm256_loadu_pd(r0 + i);
-    const __m256d a1 = _mm256_loadu_pd(r1 + i);
-    const __m256d a2 = _mm256_loadu_pd(r2 + i);
-    const __m256d a3 = _mm256_loadu_pd(r3 + i);
-    // 4x4 transpose: column c holds {r0[i+c], r1[i+c], r2[i+c], r3[i+c]}.
-    const __m256d t0 = _mm256_unpacklo_pd(a0, a1);
-    const __m256d t1 = _mm256_unpackhi_pd(a0, a1);
-    const __m256d t2 = _mm256_unpacklo_pd(a2, a3);
-    const __m256d t3 = _mm256_unpackhi_pd(a2, a3);
-    const __m256d c0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-    const __m256d c1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-    const __m256d c2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-    const __m256d c3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(c0, _mm256_set1_pd(x[i])));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(c1, _mm256_set1_pd(x[i + 1])));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(c2, _mm256_set1_pd(x[i + 2])));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(c3, _mm256_set1_pd(x[i + 3])));
-  }
-  for (; i < in; ++i) {
-    const __m256d col = _mm256_set_pd(r3[i], r2[i], r1[i], r0[i]);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(col, _mm256_set1_pd(x[i])));
-  }
-  return acc;
-}
-
-/// Scalar tail for the < 4 leftover output rows; same sequential
-/// accumulation as the scalar reference.
-inline double dot_seq(double acc, const double* a, const double* b,
-                      std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) acc += a[k] * b[k];
-  return acc;
-}
-
-template <bool kTanh>
-void gemv_avx2(const double* w, const double* bias, const double* x,
-               double* out, std::size_t out_dim, std::size_t in) {
-  std::size_t o = 0;
-  for (; o + 4 <= out_dim; o += 4) {
-    const double* r0 = w + o * in;
-    const __m256d acc = gemv4_accumulate(r0, r0 + in, r0 + 2 * in, r0 + 3 * in,
-                                         x, in, _mm256_loadu_pd(bias + o));
-    _mm256_storeu_pd(out + o, kTanh ? tanh4(acc) : acc);
-  }
-  for (; o < out_dim; ++o) {
-    const double z = dot_seq(bias[o], w + o * in, x, in);
-    out[o] = kTanh ? stats::tanh(z) : z;
-  }
-}
-
-/// Fast-math gemv: per-row dot with two FMA accumulators and a horizontal
-/// reduction — reorders the accumulation chain (opt-in only).
-template <bool kTanh>
-void gemv_avx2_fm(const double* w, const double* bias, const double* x,
-                  double* out, std::size_t out_dim, std::size_t in) {
-  for (std::size_t o = 0; o < out_dim; ++o) {
-    const double* row = w + o * in;
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= in; i += 8) {
-      acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(row + i), _mm256_loadu_pd(x + i),
-                             acc0);
-      acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(row + i + 4),
-                             _mm256_loadu_pd(x + i + 4), acc1);
-    }
-    for (; i + 4 <= in; i += 4) {
-      acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(row + i), _mm256_loadu_pd(x + i),
-                             acc0);
-    }
-    acc0 = _mm256_add_pd(acc0, acc1);
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc0);
-    double z = bias[o] + (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    for (; i < in; ++i) z += row[i] * x[i];
-    out[o] = kTanh ? stats::tanh(z) : z;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // f64 gemm row range: k-outer broadcast, register-blocked over j.
 // ---------------------------------------------------------------------------
 
-template <bool kFma>
 inline __m256d mul_acc(__m256d acc, __m256d a, __m256d b) {
-  if constexpr (kFma) return _mm256_fmadd_pd(a, b, acc);
   return _mm256_add_pd(acc, _mm256_mul_pd(a, b));
 }
 
-template <bool kFma>
 void gemm_rows_avx2(const double* a, const double* b, double* c,
                     std::size_t row_begin, std::size_t row_end,
                     std::size_t cols_a, std::size_t cols_b) {
@@ -228,10 +129,10 @@ void gemm_rows_avx2(const double* a, const double* b, double* c,
       for (std::size_t k = 0; k < cols_a; ++k) {
         const __m256d av = _mm256_set1_pd(a_row[k]);
         const double* b_row = b + k * cols_b + j;
-        acc0 = mul_acc<kFma>(acc0, av, _mm256_loadu_pd(b_row));
-        acc1 = mul_acc<kFma>(acc1, av, _mm256_loadu_pd(b_row + 4));
-        acc2 = mul_acc<kFma>(acc2, av, _mm256_loadu_pd(b_row + 8));
-        acc3 = mul_acc<kFma>(acc3, av, _mm256_loadu_pd(b_row + 12));
+        acc0 = mul_acc(acc0, av, _mm256_loadu_pd(b_row));
+        acc1 = mul_acc(acc1, av, _mm256_loadu_pd(b_row + 4));
+        acc2 = mul_acc(acc2, av, _mm256_loadu_pd(b_row + 8));
+        acc3 = mul_acc(acc3, av, _mm256_loadu_pd(b_row + 12));
       }
       _mm256_storeu_pd(c_row + j, acc0);
       _mm256_storeu_pd(c_row + j + 4, acc1);
@@ -241,8 +142,8 @@ void gemm_rows_avx2(const double* a, const double* b, double* c,
     for (; j + 4 <= cols_b; j += 4) {
       __m256d acc = _mm256_setzero_pd();
       for (std::size_t k = 0; k < cols_a; ++k) {
-        acc = mul_acc<kFma>(acc, _mm256_set1_pd(a_row[k]),
-                            _mm256_loadu_pd(b + k * cols_b + j));
+        acc = mul_acc(acc, _mm256_set1_pd(a_row[k]),
+                      _mm256_loadu_pd(b + k * cols_b + j));
       }
       _mm256_storeu_pd(c_row + j, acc);
     }
@@ -260,7 +161,6 @@ void gemm_rows_avx2(const double* a, const double* b, double* c,
 // Fused normal equations: broadcast rank-1 row update on the upper triangle.
 // ---------------------------------------------------------------------------
 
-template <bool kFma>
 void fne_row_update_avx2(double* ata, double* atb, const double* a_row,
                          double yr, std::size_t k) {
   for (std::size_t i = 0; i < k; ++i) {
@@ -272,7 +172,7 @@ void fne_row_update_avx2(double* ata, double* atb, const double* a_row,
     for (; j + 4 <= k; j += 4) {
       const __m256d cur = _mm256_loadu_pd(ata_row + j);
       const __m256d arj = _mm256_loadu_pd(a_row + j);
-      _mm256_storeu_pd(ata_row + j, mul_acc<kFma>(cur, av, arj));
+      _mm256_storeu_pd(ata_row + j, mul_acc(cur, av, arj));
     }
     for (; j < k; ++j) ata_row[j] += ai * a_row[j];
   }
@@ -282,13 +182,11 @@ void fne_row_update_avx2(double* ata, double* atb, const double* a_row,
 // f32 inference gemv over transposed weights: 8 output lanes per register.
 // ---------------------------------------------------------------------------
 
-template <bool kFma>
 inline __m256 mul_acc_f32(__m256 acc, __m256 a, __m256 b) {
-  if constexpr (kFma) return _mm256_fmadd_ps(a, b, acc);
   return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
 }
 
-template <bool kTanh, bool kFma>
+template <bool kTanh>
 void gemv_t_f32_avx2(const float* wt, const float* bias, const float* x,
                      float* out, std::size_t out_dim, std::size_t in) {
   std::size_t o = 0;
@@ -296,7 +194,7 @@ void gemv_t_f32_avx2(const float* wt, const float* bias, const float* x,
     __m256 acc = _mm256_loadu_ps(bias + o);
     for (std::size_t i = 0; i < in; ++i) {
       const __m256 w = _mm256_loadu_ps(wt + i * out_dim + o);
-      acc = mul_acc_f32<kFma>(acc, _mm256_set1_ps(x[i]), w);
+      acc = mul_acc_f32(acc, _mm256_set1_ps(x[i]), w);
     }
     if constexpr (kTanh) {
       alignas(32) float z[8];
@@ -313,24 +211,14 @@ void gemv_t_f32_avx2(const float* wt, const float* bias, const float* x,
   }
 }
 
-const KernelTable kAvx2Plain{
-    gemv_avx2<false>,          gemv_avx2<true>,
-    gemm_rows_avx2<false>,     fne_row_update_avx2<false>,
-    gemv_t_f32_avx2<false, false>, gemv_t_f32_avx2<true, false>,
-    tanh_avx2,
-};
-
-const KernelTable kAvx2FastMath{
-    gemv_avx2_fm<false>,       gemv_avx2_fm<true>,
-    gemm_rows_avx2<true>,      fne_row_update_avx2<true>,
-    gemv_t_f32_avx2<false, true>, gemv_t_f32_avx2<true, true>,
+const KernelTable kAvx2{
+    gemm_rows_avx2,         fne_row_update_avx2,
+    gemv_t_f32_avx2<false>, gemv_t_f32_avx2<true>,
     tanh_avx2,
 };
 
 }  // namespace
 
-const KernelTable* avx2_table(bool fast_math) noexcept {
-  return fast_math ? &kAvx2FastMath : &kAvx2Plain;
-}
+const KernelTable* avx2_table() noexcept { return &kAvx2; }
 
 }  // namespace acbm::stats::detail

@@ -45,17 +45,12 @@ inline constexpr double kS2 = 2.27265548208155028766e-1;
 inline constexpr double kS3 = 2.00000000000000000009e0;
 }  // namespace tanh_coef
 
-/// Function-pointer table for one ISA flavor. A null entry means "no
-/// vectorized version for this kernel" and the dispatcher falls back to the
-/// scalar reference for that kernel only (partial tables are how NEON ships
-/// a subset without faking the rest).
+/// Function-pointer table for one ISA. A null entry means "no vectorized
+/// version for this kernel" and the dispatcher falls back to the scalar
+/// reference for that kernel only (partial tables are how NEON ships a
+/// subset without faking the rest). Every entry is bit-identical to its
+/// scalar reference.
 struct KernelTable {
-  /// Dense f64 gemv: out[o] = bias[o] + sum_i w[o*in+i] * x[i].
-  void (*gemv)(const double* w, const double* bias, const double* x,
-               double* out, std::size_t out_dim, std::size_t in) = nullptr;
-  void (*gemv_tanh)(const double* w, const double* bias, const double* x,
-                    double* out, std::size_t out_dim,
-                    std::size_t in) = nullptr;
   /// Rows [row_begin,row_end) of C = A*B, row-major, k-ascending per element.
   void (*gemm_rows)(const double* a, const double* b, double* c,
                     std::size_t row_begin, std::size_t row_end,
@@ -76,10 +71,8 @@ struct KernelTable {
 };
 
 /// Tables provided by the arch-specific TUs; null when the TU is not built
-/// for this target. `fast_math` selects the variant that may reorder FP
-/// accumulation (FMA, horizontal reductions) — see ACBM_FAST_MATH in
-/// DESIGN.md §6. The default (false) variants are bit-identical to scalar.
-[[nodiscard]] const KernelTable* avx2_table(bool fast_math) noexcept;
-[[nodiscard]] const KernelTable* neon_table(bool fast_math) noexcept;
+/// for this target.
+[[nodiscard]] const KernelTable* avx2_table() noexcept;
+[[nodiscard]] const KernelTable* neon_table() noexcept;
 
 }  // namespace acbm::stats::detail

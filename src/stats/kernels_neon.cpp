@@ -1,82 +1,33 @@
 // NEON microkernels (aarch64). Same bit-identity discipline as
-// kernels_avx2.cpp: the default-path kernels vectorize across independent
-// output accumulators with separate multiply and add (this TU is built
-// with -ffp-contract=off so the compiler cannot fuse them), keeping every
-// accumulation chain in the scalar reference's order. Explicit-FMA
-// variants are reachable only through the ACBM_FAST_MATH opt-in.
+// kernels_avx2.cpp: the kernels vectorize across independent output
+// accumulators with separate multiply and add (this TU is built with
+// -ffp-contract=off so the compiler cannot fuse them), keeping every
+// accumulation chain in the scalar reference's order.
 
 #include <arm_neon.h>
 
 #include <cmath>
 #include <cstddef>
 
-#include "stats/kernels.h"
 #include "stats/kernels_dispatch.h"
 
 namespace acbm::stats::detail {
 
 namespace {
 
-template <bool kFma>
 inline float64x2_t mul_acc(float64x2_t acc, float64x2_t a, float64x2_t b) {
-  if constexpr (kFma) return vfmaq_f64(acc, a, b);
   return vaddq_f64(acc, vmulq_f64(a, b));
 }
 
-template <bool kFma>
 inline float32x4_t mul_acc_f32(float32x4_t acc, float32x4_t a,
                                float32x4_t b) {
-  if constexpr (kFma) return vfmaq_f32(acc, a, b);
   return vaddq_f32(acc, vmulq_f32(a, b));
-}
-
-// ---------------------------------------------------------------------------
-// f64 gemv: 2 output rows per vector, lane-stable.
-// ---------------------------------------------------------------------------
-
-template <bool kTanh, bool kFma>
-void gemv_neon(const double* w, const double* bias, const double* x,
-               double* out, std::size_t out_dim, std::size_t in) {
-  std::size_t o = 0;
-  for (; o + 2 <= out_dim; o += 2) {
-    const double* r0 = w + o * in;
-    const double* r1 = r0 + in;
-    float64x2_t acc = vld1q_f64(bias + o);
-    std::size_t i = 0;
-    for (; i + 2 <= in; i += 2) {
-      const float64x2_t a0 = vld1q_f64(r0 + i);
-      const float64x2_t a1 = vld1q_f64(r1 + i);
-      // Columns: {r0[i], r1[i]} and {r0[i+1], r1[i+1]}.
-      const float64x2_t c0 = vzip1q_f64(a0, a1);
-      const float64x2_t c1 = vzip2q_f64(a0, a1);
-      acc = mul_acc<kFma>(acc, c0, vdupq_n_f64(x[i]));
-      acc = mul_acc<kFma>(acc, c1, vdupq_n_f64(x[i + 1]));
-    }
-    for (; i < in; ++i) {
-      const float64x2_t col =
-          vsetq_lane_f64(r1[i], vdupq_n_f64(r0[i]), 1);
-      acc = mul_acc<kFma>(acc, col, vdupq_n_f64(x[i]));
-    }
-    if constexpr (kTanh) {
-      out[o] = stats::tanh(vgetq_lane_f64(acc, 0));
-      out[o + 1] = stats::tanh(vgetq_lane_f64(acc, 1));
-    } else {
-      vst1q_f64(out + o, acc);
-    }
-  }
-  for (; o < out_dim; ++o) {
-    double z = bias[o];
-    const double* row = w + o * in;
-    for (std::size_t i = 0; i < in; ++i) z += row[i] * x[i];
-    out[o] = kTanh ? stats::tanh(z) : z;
-  }
 }
 
 // ---------------------------------------------------------------------------
 // f64 gemm row range: k-outer broadcast, register-blocked over j.
 // ---------------------------------------------------------------------------
 
-template <bool kFma>
 void gemm_rows_neon(const double* a, const double* b, double* c,
                     std::size_t row_begin, std::size_t row_end,
                     std::size_t cols_a, std::size_t cols_b) {
@@ -92,10 +43,10 @@ void gemm_rows_neon(const double* a, const double* b, double* c,
       for (std::size_t k = 0; k < cols_a; ++k) {
         const float64x2_t av = vdupq_n_f64(a_row[k]);
         const double* b_row = b + k * cols_b + j;
-        acc0 = mul_acc<kFma>(acc0, av, vld1q_f64(b_row));
-        acc1 = mul_acc<kFma>(acc1, av, vld1q_f64(b_row + 2));
-        acc2 = mul_acc<kFma>(acc2, av, vld1q_f64(b_row + 4));
-        acc3 = mul_acc<kFma>(acc3, av, vld1q_f64(b_row + 6));
+        acc0 = mul_acc(acc0, av, vld1q_f64(b_row));
+        acc1 = mul_acc(acc1, av, vld1q_f64(b_row + 2));
+        acc2 = mul_acc(acc2, av, vld1q_f64(b_row + 4));
+        acc3 = mul_acc(acc3, av, vld1q_f64(b_row + 6));
       }
       vst1q_f64(c_row + j, acc0);
       vst1q_f64(c_row + j + 2, acc1);
@@ -105,8 +56,8 @@ void gemm_rows_neon(const double* a, const double* b, double* c,
     for (; j + 2 <= cols_b; j += 2) {
       float64x2_t acc = vdupq_n_f64(0.0);
       for (std::size_t k = 0; k < cols_a; ++k) {
-        acc = mul_acc<kFma>(acc, vdupq_n_f64(a_row[k]),
-                            vld1q_f64(b + k * cols_b + j));
+        acc = mul_acc(acc, vdupq_n_f64(a_row[k]),
+                      vld1q_f64(b + k * cols_b + j));
       }
       vst1q_f64(c_row + j, acc);
     }
@@ -124,7 +75,6 @@ void gemm_rows_neon(const double* a, const double* b, double* c,
 // Fused normal equations row update.
 // ---------------------------------------------------------------------------
 
-template <bool kFma>
 void fne_row_update_neon(double* ata, double* atb, const double* a_row,
                          double yr, std::size_t k) {
   for (std::size_t i = 0; i < k; ++i) {
@@ -135,7 +85,7 @@ void fne_row_update_neon(double* ata, double* atb, const double* a_row,
     std::size_t j = i;
     for (; j + 2 <= k; j += 2) {
       const float64x2_t cur = vld1q_f64(ata_row + j);
-      vst1q_f64(ata_row + j, mul_acc<kFma>(cur, av, vld1q_f64(a_row + j)));
+      vst1q_f64(ata_row + j, mul_acc(cur, av, vld1q_f64(a_row + j)));
     }
     for (; j < k; ++j) ata_row[j] += ai * a_row[j];
   }
@@ -145,7 +95,7 @@ void fne_row_update_neon(double* ata, double* atb, const double* a_row,
 // f32 inference gemv over transposed weights: 4 output lanes per register.
 // ---------------------------------------------------------------------------
 
-template <bool kTanh, bool kFma>
+template <bool kTanh>
 void gemv_t_f32_neon(const float* wt, const float* bias, const float* x,
                      float* out, std::size_t out_dim, std::size_t in) {
   std::size_t o = 0;
@@ -153,7 +103,7 @@ void gemv_t_f32_neon(const float* wt, const float* bias, const float* x,
     float32x4_t acc = vld1q_f32(bias + o);
     for (std::size_t i = 0; i < in; ++i) {
       const float32x4_t w = vld1q_f32(wt + i * out_dim + o);
-      acc = mul_acc_f32<kFma>(acc, vdupq_n_f32(x[i]), w);
+      acc = mul_acc_f32(acc, vdupq_n_f32(x[i]), w);
     }
     if constexpr (kTanh) {
       float z[4];
@@ -172,22 +122,13 @@ void gemv_t_f32_neon(const float* wt, const float* bias, const float* x,
 
 // No NEON tanh: the null entry makes the dispatcher run the scalar
 // reference per element, which is bit-identical by definition.
-const KernelTable kNeonPlain{
-    gemv_neon<false, false>,      gemv_neon<true, false>,
-    gemm_rows_neon<false>,        fne_row_update_neon<false>,
-    gemv_t_f32_neon<false, false>, gemv_t_f32_neon<true, false>,
-};
-
-const KernelTable kNeonFastMath{
-    gemv_neon<false, true>,       gemv_neon<true, true>,
-    gemm_rows_neon<true>,         fne_row_update_neon<true>,
-    gemv_t_f32_neon<false, true>, gemv_t_f32_neon<true, true>,
+const KernelTable kNeon{
+    gemm_rows_neon,         fne_row_update_neon,
+    gemv_t_f32_neon<false>, gemv_t_f32_neon<true>,
 };
 
 }  // namespace
 
-const KernelTable* neon_table(bool fast_math) noexcept {
-  return fast_math ? &kNeonFastMath : &kNeonPlain;
-}
+const KernelTable* neon_table() noexcept { return &kNeon; }
 
 }  // namespace acbm::stats::detail

@@ -6,7 +6,9 @@
 #include "cli/cli.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -31,11 +33,16 @@ struct FaultGuard {
   }
 };
 
+/// A fresh directory per instance: the pid keeps concurrent ctest processes
+/// apart, the counter keeps a test's directory apart from the shared
+/// World's when the whole binary runs as one process.
 struct TempDir {
   fs::path path;
   TempDir() {
+    static std::atomic<int> counter{0};
     path = fs::temp_directory_path() /
-           ("acbm_ckpt_cli_test_" + std::to_string(::getpid()));
+           ("acbm_ckpt_cli_test_" + std::to_string(::getpid()) + "_" +
+            std::to_string(counter.fetch_add(1)));
     fs::remove_all(path);
     fs::create_directories(path);
   }

@@ -62,10 +62,14 @@ TEST(Cli, UnknownCommandFails) {
 }
 
 TEST(Cli, UnknownOptionFails) {
-  std::string out;
-  std::string err;
-  EXPECT_EQ(run_cli({"stats", "--bogus", "1"}, &out, &err), 2);
-  EXPECT_NE(err.find("unknown option"), std::string::npos);
+  for (const char* option : {"--bogus", "--fast-math"}) {
+    std::string out;
+    std::string err;
+    EXPECT_EQ(run_cli({"stats", option, "1"}, &out, &err), 2) << option;
+    EXPECT_NE(err.find("unknown option " + std::string(option)),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(Cli, MissingRequiredOptionFails) {

@@ -31,7 +31,6 @@
 #include "core/evaluation.h"
 #include "core/pipeline.h"
 #include "core/spatiotemporal_model.h"
-#include "stats/kernels.h"
 #include "stats/rng.h"
 #include "trace/world.h"
 
@@ -135,7 +134,7 @@ TEST(ServingModel, F32PredictionsArePinned) {
   // targets() order. Pinned so a change to the f32 arithmetic cannot land
   // silently; a deliberate change must update the constant. The kernels
   // are bit-identical across scalar/AVX2/NEON (stats/kernels.h), so one
-  // constant holds at every ISA unless ACBM_FAST_MATH is on.
+  // constant holds at every ISA.
   const Fixture& f = fx();
   std::uint64_t hash = 0xcbf29ce484222325ull;
   for (net::Asn asn : f.serving.targets()) {
@@ -282,11 +281,11 @@ TEST(NarF32View, MatchesNarModelWalkForward) {
   EXPECT_GT(checked, 0u) << "no fitted NAR in the fixture";
 }
 
-// Fast-math lets the gemv kernels take FMA and reordered sums once a row
-// has 4 or more inputs, but batch predict and f64 serving run the same MLP
-// forward pass (nn::forward_normalized), so they still agree bit for bit.
-// Five delays, so that a kernel-based forward pass would reorder.
-TEST(ServingModel, F64ByteIdenticalToBatchUnderFastMath) {
+// Batch predict and f64 serving run the same MLP forward pass
+// (nn::forward_normalized), so they agree bit for bit. Five delays give
+// each hidden unit an input dot longer than one 4-wide vector, and every
+// history prefix is served, not only the full series.
+TEST(ServingModel, F64ByteIdenticalToBatchAtFiveDelays) {
   SpatiotemporalOptions opts = fast_options();
   opts.spatial.fixed.delays = 5;
   const trace::World world =
@@ -295,8 +294,6 @@ TEST(ServingModel, F64ByteIdenticalToBatchUnderFastMath) {
   model.fit(world.dataset, world.ip_map);
   const ServingModel serving =
       ServingModel::from_image(armm::pack_model(model));
-  const bool was = stats::fast_math();
-  stats::set_fast_math(true);
   std::size_t checked = 0;
   for (net::Asn asn : serving.targets()) {
     const auto want = model.predict_next_attack(asn);
@@ -321,7 +318,6 @@ TEST(ServingModel, F64ByteIdenticalToBatchUnderFastMath) {
       }
     }
   }
-  stats::set_fast_math(was);
   EXPECT_GT(checked, 0u) << "no five-delay NAR in the fixture";
 }
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/kernels.h"
 #include "stats/matrix.h"
 #include "stats/rng.h"
 
@@ -117,40 +116,6 @@ TEST(KernelsTest, FusedNormalEquationsRidgeOnDiagonalOnly) {
       } else {
         EXPECT_EQ(ridged.ata(i, j), plain.ata(i, j));
       }
-    }
-  }
-}
-
-TEST(KernelsTest, GemvMatchesNaiveLoopBitForBit) {
-  Rng rng(11);
-  // in-dims cover every mod-4 remainder of the unrolled dot.
-  const std::size_t dims[][2] = {{1, 1}, {4, 3}, {5, 8}, {7, 2}, {16, 16}};
-  for (const auto& d : dims) {
-    const std::size_t in = d[0];
-    const std::size_t out_dim = d[1];
-    std::vector<double> weights(out_dim * in);
-    std::vector<double> bias(out_dim);
-    std::vector<double> x(in);
-    for (double& v : weights) v = rng.normal(0.0, 1.0);
-    for (double& v : bias) v = rng.normal(0.0, 0.5);
-    for (double& v : x) v = rng.normal(0.0, 1.0);
-
-    // Reference: the per-neuron loop the MLP forward pass used to run.
-    std::vector<double> want(out_dim);
-    for (std::size_t o = 0; o < out_dim; ++o) {
-      double z = bias[o];
-      for (std::size_t i = 0; i < in; ++i) z += weights[o * in + i] * x[i];
-      want[o] = z;
-    }
-
-    std::vector<double> got(out_dim);
-    acbm::stats::gemv(weights, bias, x, got);
-    for (std::size_t o = 0; o < out_dim; ++o) EXPECT_EQ(got[o], want[o]);
-
-    std::vector<double> got_tanh(out_dim);
-    acbm::stats::gemv_tanh(weights, bias, x, got_tanh);
-    for (std::size_t o = 0; o < out_dim; ++o) {
-      EXPECT_EQ(got_tanh[o], acbm::stats::tanh(want[o]));
     }
   }
 }

@@ -1,76 +1,27 @@
 // Scenario-generation perf harness: times `build_world` for every scenario
 // in the adversary catalog (SCENARIOS.md) at millions-of-attacks scale and
-// reports attacks/sec, emitting a machine-readable JSON report on stdout
-// (scripts/bench.sh captures it into results/BENCH_generate.json).
-//
-// Output contract matches bench_kernels/bench_ingest: stdout carries
-// exactly one JSON document, progress goes to stderr, each benchmark runs
-// `repeat` times after one warmup, and the report records per-run wall
-// times plus the median. `--tiny` shrinks every workload to smoke-test
-// size for the `trace`-labeled sanitizer sweep. The checksum is an FNV-1a
-// hash over the generated trace, so a nondeterministic generator (the
-// catalog's cardinal sin) shows up as a checksum warning right here.
-#include <algorithm>
-#include <chrono>
+// reports attacks/sec as ops_per_sec (scripts/bench.sh captures the
+// report into results/BENCH_generate.json; bench_util.h has the output
+// contract). `--tiny` doubles as the `trace`-labeled sanitizer sweep. The
+// checksum is an FNV-1a hash over the generated trace, so a
+// nondeterministic generator (the catalog's cardinal sin) fails the run
+// right here.
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <ctime>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "core/parallel.h"
+#include "bench_util.h"
 #include "trace/scenario.h"
 #include "trace/world.h"
 
 namespace {
 
-struct BenchConfig {
-  std::size_t repeat = 5;
-  bool tiny = false;
-  std::string sha = "unknown";
-  std::string cpu = "unknown";
-};
+using acbm::bench::BenchConfig;
+using acbm::bench::BenchResult;
+using acbm::bench::run_bench;
 
-struct BenchResult {
-  std::string name;
-  std::vector<double> runs_ms;
-  double checksum = 0.0;  // Trace hash; warns when runs disagree.
-  double ops = 0.0;       // Attacks generated per run.
-};
-
-double median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  if (n == 0) return 0.0;
-  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
-BenchResult run_bench(const std::string& name, const BenchConfig& config,
-                      const std::function<double()>& fn) {
-  BenchResult result;
-  result.name = name;
-  std::fprintf(stderr, "[bench_generate] %s: warmup...\n", name.c_str());
-  result.checksum = fn();
-  for (std::size_t r = 0; r < config.repeat; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const double check = fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    result.runs_ms.push_back(ms);
-    std::fprintf(stderr, "[bench_generate] %s: run %zu/%zu %.3f ms\n",
-                 name.c_str(), r + 1, config.repeat, ms);
-    if (check != result.checksum) {
-      std::fprintf(stderr,
-                   "[bench_generate] %s: WARNING nondeterministic checksum "
-                   "(%.17g vs %.17g)\n",
-                   name.c_str(), check, result.checksum);
-    }
-  }
-  return result;
-}
+constexpr const char* kSuite = "generate";
 
 /// FNV-1a over every semantically meaningful attack field (same shape as
 /// the scenario thread-invariance test's hash); folded to 32 bits so the
@@ -121,8 +72,8 @@ BenchResult bench_scenario(const char* scenario_name,
   const acbm::trace::WorldOptions opts =
       bench_world_options(scenario_name, config.tiny);
   std::size_t attacks = 0;
-  BenchResult result =
-      run_bench(std::string("generate_") + scenario_name, config, [&]() {
+  BenchResult result = run_bench(
+      kSuite, std::string("generate_") + scenario_name, config, [&]() {
         const acbm::trace::World world = acbm::trace::build_world(opts);
         attacks = world.dataset.size();
         return dataset_checksum(world.dataset);
@@ -131,68 +82,16 @@ BenchResult bench_scenario(const char* scenario_name,
   return result;
 }
 
-void print_json(const BenchConfig& config,
-                const std::vector<BenchResult>& results) {
-  std::printf("{\n");
-  std::printf("  \"schema\": \"acbm-bench-generate-v1\",\n");
-  std::printf("  \"git_sha\": \"%s\",\n", config.sha.c_str());
-  std::printf("  \"cpu\": \"%s\",\n", config.cpu.c_str());
-  std::printf("  \"threads\": %zu,\n", acbm::core::num_threads());
-  std::printf("  \"repeat\": %zu,\n", config.repeat);
-  std::printf("  \"tiny\": %s,\n", config.tiny ? "true" : "false");
-  std::printf("  \"unix_time\": %lld,\n",
-              static_cast<long long>(std::time(nullptr)));
-  std::printf("  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BenchResult& r = results[i];
-    const double med = median(r.runs_ms);
-    std::printf("    {\"name\": \"%s\", \"median_ms\": %.3f, "
-                "\"min_ms\": %.3f, \"checksum\": %.17g, ",
-                r.name.c_str(), med,
-                *std::min_element(r.runs_ms.begin(), r.runs_ms.end()),
-                r.checksum);
-    if (r.ops > 0.0 && med > 0.0) {
-      std::printf("\"attacks_per_run\": %.0f, \"attacks_per_sec\": %.0f, ",
-                  r.ops, r.ops / (med / 1000.0));
-    }
-    std::printf("\"runs_ms\": [");
-    for (std::size_t j = 0; j < r.runs_ms.size(); ++j) {
-      std::printf("%s%.3f", j == 0 ? "" : ", ", r.runs_ms[j]);
-    }
-    std::printf("]}%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchConfig config;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tiny") {
-      config.tiny = true;
-    } else if (arg == "--repeat" && i + 1 < argc) {
-      config.repeat =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--sha" && i + 1 < argc) {
-      config.sha = argv[++i];
-    } else if (arg == "--cpu" && i + 1 < argc) {
-      config.cpu = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_generate [--tiny] [--repeat N] [--sha SHA] "
-                   "[--cpu NAME]\n");
-      return 2;
-    }
-  }
-  if (config.repeat == 0) config.repeat = 1;
-
-  std::vector<BenchResult> results;
-  for (const acbm::trace::Scenario& scenario :
-       acbm::trace::scenario_catalog()) {
-    results.push_back(bench_scenario(scenario.name, config));
-  }
-  print_json(config, results);
-  return 0;
+  return acbm::bench::bench_main(
+      argc, argv, kSuite, [](const BenchConfig& config) {
+        std::vector<BenchResult> results;
+        for (const acbm::trace::Scenario& scenario :
+             acbm::trace::scenario_catalog()) {
+          results.push_back(bench_scenario(scenario.name, config));
+        }
+        return results;
+      });
 }

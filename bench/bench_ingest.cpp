@@ -2,27 +2,15 @@
 // durable append+validate throughput (snapshots/sec, fsync included), log
 // reopen/recovery scans, and the per-family drift-check replay — and emits
 // a machine-readable JSON report on stdout (scripts/bench.sh captures it
-// into results/BENCH_ingest.json).
-//
-// Output contract matches bench_kernels: stdout carries exactly one JSON
-// document, progress goes to stderr, each benchmark runs `repeat` times
-// after one warmup, and the report records per-run wall times plus the
-// median. `--tiny` shrinks every workload to smoke-test size for the
-// `ingest`-labeled sanitizer sweep.
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <ctime>
+// into results/BENCH_ingest.json; bench_util.h has the output contract).
+// `--tiny` doubles as the `ingest`-labeled sanitizer sweep.
 #include <filesystem>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/ingest.h"
-#include "core/parallel.h"
 #include "net/ipv4.h"
 #include "trace/dataset.h"
 
@@ -31,68 +19,13 @@ namespace {
 namespace fs = std::filesystem;
 namespace ingest = acbm::core::ingest;
 
-struct BenchConfig {
-  std::size_t repeat = 5;
-  bool tiny = false;
-  std::string sha = "unknown";
-  std::string cpu = "unknown";
-};
+using acbm::bench::BenchConfig;
+using acbm::bench::BenchResult;
+using acbm::bench::run_bench;
+using acbm::bench::TempDir;
 
-struct BenchResult {
-  std::string name;
-  std::vector<double> runs_ms;
-  double checksum = 0.0;  // Defeats dead-code elimination; sanity-checked.
-  double ops = 0.0;       // Snapshots appended / family-checks per run.
-};
-
-double median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  if (n == 0) return 0.0;
-  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
-BenchResult run_bench(const std::string& name, const BenchConfig& config,
-                      const std::function<double()>& fn) {
-  BenchResult result;
-  result.name = name;
-  std::fprintf(stderr, "[bench_ingest] %s: warmup...\n", name.c_str());
-  result.checksum = fn();
-  for (std::size_t r = 0; r < config.repeat; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const double check = fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    result.runs_ms.push_back(ms);
-    std::fprintf(stderr, "[bench_ingest] %s: run %zu/%zu %.3f ms\n",
-                 name.c_str(), r + 1, config.repeat, ms);
-    if (check != result.checksum) {
-      std::fprintf(stderr,
-                   "[bench_ingest] %s: WARNING nondeterministic checksum "
-                   "(%.17g vs %.17g)\n",
-                   name.c_str(), check, result.checksum);
-    }
-  }
-  return result;
-}
-
-/// A scratch directory per use; removed eagerly so repeated runs never
-/// accumulate log files.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    static std::atomic<int> counter{0};
-    path = fs::temp_directory_path() /
-           ("acbm_bench_ingest_" + std::to_string(counter.fetch_add(1)));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+constexpr const char* kSuite = "ingest";
+constexpr const char* kTmpPrefix = "acbm_bench_ingest";
 
 constexpr acbm::trace::EpochSeconds kWs = 1'000'000'000;
 
@@ -136,8 +69,8 @@ BenchResult bench_append(const BenchConfig& config) {
         snapshot_csv(families, h, per_family, 1'000 * (h + 1)));
   }
   BenchResult result =
-      run_bench("snapshot_append_validate", config, [&]() {
-        TempDir tmp;
+      run_bench(kSuite, "snapshot_append_validate", config, [&]() {
+        TempDir tmp(kTmpPrefix);
         ingest::SnapshotLog log(tmp.path / "stream");
         double acc = 0.0;
         for (std::size_t h = 0; h < hours; ++h) {
@@ -155,7 +88,7 @@ BenchResult bench_append(const BenchConfig& config) {
 BenchResult bench_reopen(const BenchConfig& config) {
   const std::size_t families = config.tiny ? 2 : 8;
   const std::size_t hours = config.tiny ? 6 : 96;
-  TempDir tmp;
+  TempDir tmp(kTmpPrefix);
   const fs::path dir = tmp.path / "stream";
   {
     ingest::SnapshotLog log(dir);
@@ -164,7 +97,7 @@ BenchResult bench_reopen(const BenchConfig& config) {
                                  1'000 * (h + 1)));
     }
   }
-  BenchResult result = run_bench("log_reopen_recover", config, [&]() {
+  BenchResult result = run_bench(kSuite, "log_reopen_recover", config, [&]() {
     ingest::SnapshotLog log(dir);
     return static_cast<double>(log.segments().size() +
                                log.cumulative().size());
@@ -182,7 +115,7 @@ BenchResult bench_drift_check(const BenchConfig& config) {
   const std::size_t hours = config.tiny ? 12 : 720;
   const std::size_t per_family = 2;
   const acbm::trace::Dataset cumulative = [&]() {
-    TempDir tmp;
+    TempDir tmp(kTmpPrefix);
     ingest::SnapshotLog log(tmp.path / "stream");
     for (std::size_t h = 0; h < hours; ++h) {
       log.append(h, snapshot_csv(families, h, per_family, 1'000 * (h + 1)));
@@ -201,7 +134,7 @@ BenchResult bench_drift_check(const BenchConfig& config) {
     baselines[f].interval_residual_std = 600.0;
   }
   const ingest::DriftPolicy policy;
-  BenchResult result = run_bench("drift_check_replay", config, [&]() {
+  BenchResult result = run_bench(kSuite, "drift_check_replay", config, [&]() {
     const std::vector<ingest::DriftTrip> trips = ingest::detect_drift(
         cumulative, baselines, /*served_hour=*/0, hours - 1, policy);
     return static_cast<double>(trips.size());
@@ -210,67 +143,14 @@ BenchResult bench_drift_check(const BenchConfig& config) {
   return result;
 }
 
-void print_json(const BenchConfig& config,
-                const std::vector<BenchResult>& results) {
-  std::printf("{\n");
-  std::printf("  \"schema\": \"acbm-bench-ingest-v1\",\n");
-  std::printf("  \"git_sha\": \"%s\",\n", config.sha.c_str());
-  std::printf("  \"cpu\": \"%s\",\n", config.cpu.c_str());
-  std::printf("  \"threads\": %zu,\n", acbm::core::num_threads());
-  std::printf("  \"repeat\": %zu,\n", config.repeat);
-  std::printf("  \"tiny\": %s,\n", config.tiny ? "true" : "false");
-  std::printf("  \"unix_time\": %lld,\n",
-              static_cast<long long>(std::time(nullptr)));
-  std::printf("  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BenchResult& r = results[i];
-    const double med = median(r.runs_ms);
-    std::printf("    {\"name\": \"%s\", \"median_ms\": %.3f, "
-                "\"min_ms\": %.3f, \"checksum\": %.17g, ",
-                r.name.c_str(), med,
-                *std::min_element(r.runs_ms.begin(), r.runs_ms.end()),
-                r.checksum);
-    if (r.ops > 0.0 && med > 0.0) {
-      std::printf("\"ops_per_run\": %.0f, \"ops_per_sec\": %.0f, ", r.ops,
-                  r.ops / (med / 1000.0));
-    }
-    std::printf("\"runs_ms\": [");
-    for (std::size_t j = 0; j < r.runs_ms.size(); ++j) {
-      std::printf("%s%.3f", j == 0 ? "" : ", ", r.runs_ms[j]);
-    }
-    std::printf("]}%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchConfig config;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tiny") {
-      config.tiny = true;
-    } else if (arg == "--repeat" && i + 1 < argc) {
-      config.repeat =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--sha" && i + 1 < argc) {
-      config.sha = argv[++i];
-    } else if (arg == "--cpu" && i + 1 < argc) {
-      config.cpu = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_ingest [--tiny] [--repeat N] [--sha SHA] "
-                   "[--cpu NAME]\n");
-      return 2;
-    }
-  }
-  if (config.repeat == 0) config.repeat = 1;
-
-  std::vector<BenchResult> results;
-  results.push_back(bench_append(config));
-  results.push_back(bench_reopen(config));
-  results.push_back(bench_drift_check(config));
-  print_json(config, results);
-  return 0;
+  return acbm::bench::bench_main(argc, argv, kSuite,
+                                 [](const BenchConfig& config) {
+                                   return std::vector<BenchResult>{
+                                       bench_append(config),
+                                       bench_reopen(config),
+                                       bench_drift_check(config)};
+                                 });
 }

@@ -1,27 +1,13 @@
 // Kernel-level perf harness: times the serial hot paths under the parallel
 // fan-out (NAR/MLP training, OLS normal equations, GEMM, end-to-end
-// spatiotemporal fit) and emits a machine-readable JSON report on stdout.
-//
-// Output contract (scripts/bench.sh): stdout carries exactly one JSON
-// document; all progress goes to stderr, mirroring the `--fit-report -`
-// convention. Each benchmark runs `repeat` times after one warmup and the
-// report records per-run wall times plus the median, so successive PRs can
-// compare BENCH_kernels.json files point-for-point.
-//
-// `--tiny` shrinks every workload to smoke-test size; it is wired into
-// `ctest -L perf-smoke` (correctness + no-crash under sanitizers, not
-// timing).
-#include <algorithm>
-#include <chrono>
+// spatiotemporal fit) and emits a machine-readable JSON report on stdout
+// (scripts/bench.sh captures it into results/BENCH_kernels.json;
+// bench_util.h has the output contract).
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <ctime>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "core/parallel.h"
+#include "bench_util.h"
 #include "core/spatiotemporal_model.h"
 #include "nn/grid_search.h"
 #include "nn/nar.h"
@@ -34,54 +20,11 @@
 
 namespace {
 
-struct BenchConfig {
-  std::size_t repeat = 5;
-  bool tiny = false;
-  std::string sha = "unknown";
-  std::string cpu = "unknown";
-};
+using acbm::bench::BenchConfig;
+using acbm::bench::BenchResult;
+using acbm::bench::run_bench;
 
-struct BenchResult {
-  std::string name;
-  std::vector<double> runs_ms;
-  double checksum = 0.0;  // Defeats dead-code elimination; sanity-checked.
-  double ops = 0.0;       // Operations per run (forecasts, kernel calls);
-                          // 0 = not a throughput benchmark.
-};
-
-double median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  if (n == 0) return 0.0;
-  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
-/// Runs `fn` (which returns a checksum) repeat+1 times, discarding the
-/// warmup run, and reports wall times in milliseconds.
-BenchResult run_bench(const std::string& name, const BenchConfig& config,
-                      const std::function<double()>& fn) {
-  BenchResult result;
-  result.name = name;
-  std::fprintf(stderr, "[bench_kernels] %s: warmup...\n", name.c_str());
-  result.checksum = fn();
-  for (std::size_t r = 0; r < config.repeat; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const double check = fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    result.runs_ms.push_back(ms);
-    std::fprintf(stderr, "[bench_kernels] %s: run %zu/%zu %.3f ms\n",
-                 name.c_str(), r + 1, config.repeat, ms);
-    if (check != result.checksum) {
-      std::fprintf(stderr,
-                   "[bench_kernels] %s: WARNING nondeterministic checksum "
-                   "(%.17g vs %.17g)\n",
-                   name.c_str(), check, result.checksum);
-    }
-  }
-  return result;
-}
+constexpr const char* kSuite = "kernels";
 
 /// Deterministic noisy-seasonal series, the shape the NAR/ARIMA models see.
 std::vector<double> synthetic_series(std::size_t n, std::uint64_t seed) {
@@ -110,7 +53,7 @@ BenchResult bench_nar_grid(const BenchConfig& config) {
     opts.mlp.max_epochs = 60;
     opts.mlp.patience = 12;
   }
-  return run_bench("nar_grid_fit", config, [&]() {
+  return run_bench(kSuite, "nar_grid_fit", config, [&]() {
     const auto best = acbm::nn::nar_grid_search(series, opts);
     if (!best) return -1.0;
     return best->validation_rmse +
@@ -136,7 +79,7 @@ BenchResult bench_mlp_fit(const BenchConfig& config) {
   opts.hidden_units = 8;
   opts.max_epochs = config.tiny ? 6 : 120;
   opts.patience = 15;
-  return run_bench("mlp_fit", config, [&]() {
+  return run_bench(kSuite, "mlp_fit", config, [&]() {
     acbm::nn::Mlp net(opts);
     net.fit(x, y);
     return net.best_validation_loss();
@@ -160,7 +103,7 @@ BenchResult bench_ols(const BenchConfig& config) {
   }
   // `refits` mirrors a degradation ladder / auto-order selection loop that
   // re-solves the same design repeatedly.
-  return run_bench("ols_normal_equations", config, [&]() {
+  return run_bench(kSuite, "ols_normal_equations", config, [&]() {
     double acc = 0.0;
     for (std::size_t r = 0; r < refits; ++r) {
       const std::vector<double> beta =
@@ -182,7 +125,7 @@ BenchResult bench_gemm(const BenchConfig& config) {
       b(i, j) = rng.normal(0.0, 1.0);
     }
   }
-  return run_bench("gemm_blocked", config, [&]() {
+  return run_bench(kSuite, "gemm_blocked", config, [&]() {
     const acbm::stats::Matrix c = a * b;
     return c(0, 0) + c(n - 1, n - 1) + c.frobenius_norm();
   });
@@ -200,7 +143,7 @@ BenchResult bench_tanh(const BenchConfig& config, const std::string& variant) {
   std::vector<double> out(n);
   const acbm::stats::SimdIsa saved = acbm::stats::active_isa();
   acbm::stats::set_active_isa(acbm::stats::detected_isa());
-  BenchResult result = run_bench("tanh_" + variant, config, [&]() {
+  BenchResult result = run_bench(kSuite, "tanh_" + variant, config, [&]() {
     double acc = 0.0;
     for (std::size_t p = 0; p < passes; ++p) {
       if (variant == "std") {
@@ -236,7 +179,7 @@ BenchResult bench_gemm_isa(const BenchConfig& config,
       std::string("gemm_") + acbm::stats::isa_name(isa);
   const acbm::stats::SimdIsa saved = acbm::stats::active_isa();
   acbm::stats::set_active_isa(isa);
-  BenchResult result = run_bench(name, config, [&]() {
+  BenchResult result = run_bench(kSuite, name, config, [&]() {
     const acbm::stats::Matrix c = a * b;
     return c(0, 0) + c(n - 1, n - 1) + c.frobenius_norm();
   });
@@ -254,7 +197,7 @@ BenchResult bench_predict_arima(const BenchConfig& config) {
   acbm::ts::ArimaModel model({2, 1, 1});
   model.fit(series);
   const std::size_t forecasts = (n - start) * reps;
-  BenchResult result = run_bench("predict_arima_f64", config, [&]() {
+  BenchResult result = run_bench(kSuite, "predict_arima_f64", config, [&]() {
     double acc = 0.0;
     for (std::size_t r = 0; r < reps; ++r) {
       for (std::size_t t = start; t < n; ++t) {
@@ -280,7 +223,7 @@ BenchResult bench_predict_nar(const BenchConfig& config) {
   acbm::nn::NarModel model(opts);
   model.fit(series);
   const std::size_t forecasts = (n - start) * reps;
-  BenchResult result = run_bench("predict_nar_f64", config, [&]() {
+  BenchResult result = run_bench(kSuite, "predict_nar_f64", config, [&]() {
     double acc = 0.0;
     for (std::size_t r = 0; r < reps; ++r) {
       for (std::size_t t = start; t < n; ++t) {
@@ -314,7 +257,7 @@ BenchResult bench_predict_tree(const BenchConfig& config) {
   acbm::tree::ModelTree model(opts);
   model.fit(x, y);
   const std::size_t predicts = n * reps;
-  BenchResult result = run_bench("predict_tree_f64", config, [&]() {
+  BenchResult result = run_bench(kSuite, "predict_tree_f64", config, [&]() {
     double acc = 0.0;
     for (std::size_t r = 0; r < reps; ++r) {
       for (std::size_t i = 0; i < n; ++i) acc += model.predict(x.row(i));
@@ -343,75 +286,14 @@ BenchResult bench_st_fit(const BenchConfig& config) {
   acbm::core::SpatiotemporalOptions opts;
   opts.spatial.grid_search = false;
   opts.spatial.fixed.mlp.max_epochs = config.tiny ? 4 : 40;
-  return run_bench("spatiotemporal_fit", config, [&]() {
+  return run_bench(kSuite, "spatiotemporal_fit", config, [&]() {
     acbm::core::SpatiotemporalModel model(opts);
     model.fit(world.dataset, world.ip_map);
     return static_cast<double>(model.fit_report().records().size());
   });
 }
 
-void print_json(const BenchConfig& config,
-                const std::vector<BenchResult>& results) {
-  std::printf("{\n");
-  std::printf("  \"schema\": \"acbm-bench-kernels-v2\",\n");
-  std::printf("  \"git_sha\": \"%s\",\n", config.sha.c_str());
-  std::printf("  \"isa\": \"%s\",\n",
-              acbm::stats::isa_name(acbm::stats::detected_isa()));
-  std::printf("  \"cpu\": \"%s\",\n", config.cpu.c_str());
-  std::printf("  \"threads\": %zu, \n", acbm::core::num_threads());
-  std::printf("  \"repeat\": %zu,\n", config.repeat);
-  std::printf("  \"tiny\": %s,\n", config.tiny ? "true" : "false");
-  std::printf("  \"unix_time\": %lld,\n",
-              static_cast<long long>(std::time(nullptr)));
-  std::printf("  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BenchResult& r = results[i];
-    const double med = median(r.runs_ms);
-    std::printf("    {\"name\": \"%s\", \"median_ms\": %.3f, "
-                "\"min_ms\": %.3f, \"checksum\": %.17g, ",
-                r.name.c_str(), med,
-                *std::min_element(r.runs_ms.begin(), r.runs_ms.end()),
-                r.checksum);
-    if (r.ops > 0.0 && med > 0.0) {
-      std::printf("\"ops_per_run\": %.0f, \"ops_per_sec\": %.0f, ", r.ops,
-                  r.ops / (med / 1000.0));
-    }
-    std::printf("\"runs_ms\": [");
-    for (std::size_t j = 0; j < r.runs_ms.size(); ++j) {
-      std::printf("%s%.3f", j == 0 ? "" : ", ", r.runs_ms[j]);
-    }
-    std::printf("]}%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  BenchConfig config;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tiny") {
-      config.tiny = true;
-    } else if (arg == "--repeat" && i + 1 < argc) {
-      config.repeat = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--sha" && i + 1 < argc) {
-      config.sha = argv[++i];
-    } else if (arg == "--cpu" && i + 1 < argc) {
-      config.cpu = argv[++i];
-    } else if (arg == "--print-isa") {
-      // scripts/bench.sh uses this to refuse cross-ISA comparisons.
-      std::printf("%s\n", acbm::stats::isa_name(acbm::stats::detected_isa()));
-      return 0;
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_kernels [--tiny] [--repeat N] [--sha SHA] "
-                   "[--cpu NAME] [--print-isa]\n");
-      return 2;
-    }
-  }
-  if (config.repeat == 0) config.repeat = 1;
-
+std::vector<BenchResult> run_suite(const BenchConfig& config) {
   std::vector<BenchResult> results;
   results.push_back(bench_gemm(config));
   results.push_back(bench_gemm_isa(config, acbm::stats::SimdIsa::kScalar));
@@ -431,6 +313,11 @@ int main(int argc, char** argv) {
   results.push_back(bench_predict_nar(config));
   results.push_back(bench_predict_tree(config));
   results.push_back(bench_st_fit(config));
-  print_json(config, results);
-  return 0;
+  return results;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return acbm::bench::bench_main(argc, argv, kSuite, run_suite);
 }

@@ -3,34 +3,26 @@
 // throughput at f64 and f32, and daemon round-trip throughput/latency
 // (qps, p50/p99) at 1/4/16 concurrent connections, batched and unbatched —
 // emitted as a machine-readable JSON report on stdout (scripts/bench.sh
-// captures it into results/BENCH_serve.json).
-//
-// Output contract matches bench_kernels/bench_ingest: stdout carries
-// exactly one JSON document, progress goes to stderr, each benchmark runs
-// `repeat` times after one warmup, and the report records per-run wall
-// times plus the median. `--tiny` shrinks every workload to smoke-test
-// size for the `serve`-labeled sanitizer sweep. The query mix is the same
-// seeded LCG scripts/loadgen.sh replays from the shell.
-#include <algorithm>
+// captures it into results/BENCH_serve.json; bench_util.h has the output
+// contract). `--tiny` doubles as the `serve`-labeled sanitizer sweep. The
+// query mix is the same seeded LCG scripts/loadgen.sh replays from the
+// shell.
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
-#include <functional>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/artifact_map.h"
 #include "core/durable.h"
-#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/server.h"
 #include "core/serving.h"
-#include "stats/kernels.h"
 #include "trace/world.h"
 
 namespace {
@@ -46,82 +38,18 @@ using acbm::core::serve::ServerOptions;
 using acbm::core::serve::Status;
 using Clock = std::chrono::steady_clock;
 
-struct BenchConfig {
-  std::size_t repeat = 5;
-  bool tiny = false;
-  std::string sha = "unknown";
-  std::string cpu = "unknown";
-};
+using acbm::bench::BenchConfig;
+using acbm::bench::BenchResult;
+using acbm::bench::run_bench;
+using acbm::bench::TempDir;
 
-struct BenchResult {
-  std::string name;
-  std::vector<double> runs_ms;
-  double checksum = 0.0;  // Defeats dead-code elimination; sanity-checked.
-  double ops = 0.0;       // Loads / requests per run.
-  double p50_us = 0.0;    // Per-request latency percentiles (daemon
-  double p99_us = 0.0;    // benchmarks only; 0 when not measured).
-};
-
-double median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  if (n == 0) return 0.0;
-  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
-double percentile(std::vector<double>& xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const std::size_t at = std::min(
-      xs.size() - 1, static_cast<std::size_t>(p * static_cast<double>(
-                                                      xs.size() - 1)));
-  return xs[at];
-}
-
-BenchResult run_bench(const std::string& name, const BenchConfig& config,
-                      const std::function<double()>& fn) {
-  BenchResult result;
-  result.name = name;
-  std::fprintf(stderr, "[bench_serve] %s: warmup...\n", name.c_str());
-  result.checksum = fn();
-  for (std::size_t r = 0; r < config.repeat; ++r) {
-    const auto t0 = Clock::now();
-    const double check = fn();
-    const auto t1 = Clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    result.runs_ms.push_back(ms);
-    std::fprintf(stderr, "[bench_serve] %s: run %zu/%zu %.3f ms\n",
-                 name.c_str(), r + 1, config.repeat, ms);
-    if (check != result.checksum) {
-      std::fprintf(stderr,
-                   "[bench_serve] %s: WARNING nondeterministic checksum "
-                   "(%.17g vs %.17g)\n",
-                   name.c_str(), check, result.checksum);
-    }
-  }
-  return result;
-}
-
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    static std::atomic<int> counter{0};
-    path = fs::temp_directory_path() /
-           ("acbm_bench_serve_" + std::to_string(counter.fetch_add(1)));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+constexpr const char* kSuite = "serve";
+constexpr const char* kTmpPrefix = "acbm_bench_serve";
 
 /// The fitted model saved in both artifact formats, shared by every
 /// benchmark (fitting dominates setup, not measurement).
 struct Workload {
-  TempDir dir;
+  TempDir dir{kTmpPrefix};
   fs::path armm_path;
   fs::path art_path;
   std::vector<acbm::net::Asn> targets;
@@ -148,7 +76,7 @@ struct Workload {
 /// Cold start, mmap path: map + validate + first forecast. ops = loads.
 BenchResult bench_cold_mmap(const Workload& w, const BenchConfig& config) {
   const std::size_t loads = config.tiny ? 8 : 64;
-  BenchResult result = run_bench("cold_start_mmap_armm", config, [&]() {
+  BenchResult result = run_bench(kSuite, "cold_start_mmap_armm", config, [&]() {
     double acc = 0.0;
     for (std::size_t i = 0; i < loads; ++i) {
       const ServingModel model = ServingModel::map_file(w.armm_path);
@@ -164,14 +92,15 @@ BenchResult bench_cold_mmap(const Workload& w, const BenchConfig& config) {
 /// forecast — what serving a model.art costs. ops = loads.
 BenchResult bench_cold_framed(const Workload& w, const BenchConfig& config) {
   const std::size_t loads = config.tiny ? 1 : 3;
-  BenchResult result = run_bench("cold_start_framed_art", config, [&]() {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < loads; ++i) {
-      const ServingModel model = ServingModel::load_any(w.art_path);
-      acc += model.predict(w.targets.front())->magnitude;
-    }
-    return acc;
-  });
+  BenchResult result =
+      run_bench(kSuite, "cold_start_framed_art", config, [&]() {
+        double acc = 0.0;
+        for (std::size_t i = 0; i < loads; ++i) {
+          const ServingModel model = ServingModel::load_any(w.art_path);
+          acc += model.predict(w.targets.front())->magnitude;
+        }
+        return acc;
+      });
   result.ops = static_cast<double>(loads);
   return result;
 }
@@ -185,6 +114,7 @@ BenchResult bench_serving_predict(const Workload& w, const BenchConfig& config,
   const ServingModel model = ServingModel::map_file(w.armm_path);
   const std::size_t reps = config.tiny ? 2 : 50;
   BenchResult result = run_bench(
+      kSuite,
       "serving_predict_" +
           std::string(acbm::core::precision_name(precision)),
       config, [&]() {
@@ -206,7 +136,7 @@ BenchResult bench_serving_predict(const Workload& w, const BenchConfig& config,
 /// for the percentile fields; ops = total requests per run.
 BenchResult bench_daemon(const Workload& w, const BenchConfig& config,
                          std::size_t connections, bool batching) {
-  TempDir dir;
+  TempDir dir(kTmpPrefix);
   ServerOptions opts;
   opts.socket_path = dir.path / "bench.sock";
   opts.models.emplace_back("m", w.armm_path);
@@ -222,7 +152,7 @@ BenchResult bench_daemon(const Workload& w, const BenchConfig& config,
   std::mutex lat_mu;
   const std::string name = "daemon_qps_c" + std::to_string(connections) +
                            (batching ? "" : "_unbatched");
-  BenchResult result = run_bench(name, config, [&]() {
+  BenchResult result = run_bench(kSuite, name, config, [&]() {
     std::atomic<std::uint64_t> checksum{0};
     std::vector<std::thread> threads;
     threads.reserve(connections);
@@ -256,91 +186,31 @@ BenchResult bench_daemon(const Workload& w, const BenchConfig& config,
   });
   server.stop();
   result.ops = static_cast<double>(connections * per_conn);
-  result.p50_us = percentile(latencies_us, 0.50);
-  result.p99_us = percentile(latencies_us, 0.99);
+  result.p50_us = acbm::bench::quantile(latencies_us, 0.50);
+  result.p99_us = acbm::bench::quantile(latencies_us, 0.99);
   return result;
 }
 
-void print_json(const BenchConfig& config,
-                const std::vector<BenchResult>& results) {
-  std::printf("{\n");
-  std::printf("  \"schema\": \"acbm-bench-serve-v1\",\n");
-  std::printf("  \"git_sha\": \"%s\",\n", config.sha.c_str());
-  std::printf("  \"cpu\": \"%s\",\n", config.cpu.c_str());
-  std::printf("  \"isa\": \"%s\",\n",
-              acbm::stats::isa_name(acbm::stats::active_isa()));
-  std::printf("  \"threads\": %zu,\n", acbm::core::num_threads());
-  std::printf("  \"repeat\": %zu,\n", config.repeat);
-  std::printf("  \"tiny\": %s,\n", config.tiny ? "true" : "false");
-  std::printf("  \"unix_time\": %lld,\n",
-              static_cast<long long>(std::time(nullptr)));
-  // Headline ratio: per-load framed cost over per-load mmap cost.
+/// Headline ratio: per-load framed cost over per-load mmap cost.
+std::optional<acbm::bench::SummaryField> cold_start_speedup(
+    const std::vector<BenchResult>& results) {
   double mmap_per_load = 0.0, framed_per_load = 0.0;
   for (const BenchResult& r : results) {
     if (r.name == "cold_start_mmap_armm" && r.ops > 0.0) {
-      mmap_per_load = median(r.runs_ms) / r.ops;
+      mmap_per_load = acbm::bench::median(r.runs_ms) / r.ops;
     }
     if (r.name == "cold_start_framed_art" && r.ops > 0.0) {
-      framed_per_load = median(r.runs_ms) / r.ops;
+      framed_per_load = acbm::bench::median(r.runs_ms) / r.ops;
     }
   }
-  if (mmap_per_load > 0.0) {
-    std::printf("  \"cold_start_speedup\": %.1f,\n",
-                framed_per_load / mmap_per_load);
-  }
-  std::printf("  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BenchResult& r = results[i];
-    const double med = median(r.runs_ms);
-    std::printf("    {\"name\": \"%s\", \"median_ms\": %.3f, "
-                "\"min_ms\": %.3f, \"checksum\": %.17g, ",
-                r.name.c_str(), med,
-                *std::min_element(r.runs_ms.begin(), r.runs_ms.end()),
-                r.checksum);
-    if (r.ops > 0.0 && med > 0.0) {
-      std::printf("\"ops_per_run\": %.0f, \"ops_per_sec\": %.0f, ", r.ops,
-                  r.ops / (med / 1000.0));
-    }
-    if (r.p99_us > 0.0) {
-      std::printf("\"p50_us\": %.1f, \"p99_us\": %.1f, ", r.p50_us,
-                  r.p99_us);
-    }
-    std::printf("\"runs_ms\": [");
-    for (std::size_t j = 0; j < r.runs_ms.size(); ++j) {
-      std::printf("%s%.3f", j == 0 ? "" : ", ", r.runs_ms[j]);
-    }
-    std::printf("]}%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  if (mmap_per_load <= 0.0) return std::nullopt;
+  return acbm::bench::SummaryField{"cold_start_speedup",
+                                   framed_per_load / mmap_per_load};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  BenchConfig config;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tiny") {
-      config.tiny = true;
-    } else if (arg == "--repeat" && i + 1 < argc) {
-      config.repeat =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--sha" && i + 1 < argc) {
-      config.sha = argv[++i];
-    } else if (arg == "--cpu" && i + 1 < argc) {
-      config.cpu = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_serve [--tiny] [--repeat N] [--sha SHA] "
-                   "[--cpu NAME]\n");
-      return 2;
-    }
-  }
-  if (config.repeat == 0) config.repeat = 1;
-
+std::vector<BenchResult> run_suite(const BenchConfig& config) {
   std::fprintf(stderr, "[bench_serve] fitting workload model...\n");
   const Workload workload(config);
-
   std::vector<BenchResult> results;
   results.push_back(bench_cold_mmap(workload, config));
   results.push_back(bench_cold_framed(workload, config));
@@ -350,8 +220,13 @@ int main(int argc, char** argv) {
     results.push_back(
         bench_daemon(workload, config, connections, /*batching=*/true));
   }
-  results.push_back(
-      bench_daemon(workload, config, 4, /*batching=*/false));
-  print_json(config, results);
-  return 0;
+  results.push_back(bench_daemon(workload, config, 4, /*batching=*/false));
+  return results;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return acbm::bench::bench_main(argc, argv, kSuite, run_suite,
+                                 cold_start_speedup);
 }

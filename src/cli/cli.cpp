@@ -41,24 +41,31 @@ namespace {
 namespace durable = acbm::core::durable;
 namespace observe = acbm::core::observe;
 
-/// Minimal --key value parser; flags must all be known. Options named in
-/// `flags` are boolean switches and take no value.
+/// One command's arguments; `[0]` is the command name.
+using Args = std::span<const std::string>;
+
+/// Minimal --key value parser over one command's Args. `options` take a
+/// value, `flags` are boolean switches; any other --name is an unknown
+/// option wherever it stands.
 class ArgMap {
  public:
-  ArgMap(std::span<const std::string> args, std::size_t first,
-         std::initializer_list<const char*> flags = {}) {
-    for (std::size_t i = first; i < args.size(); ++i) {
+  ArgMap(Args args, std::initializer_list<std::string_view> options,
+         std::initializer_list<std::string_view> flags = {}) {
+    const auto listed = [](std::initializer_list<std::string_view> list,
+                           std::string_view key) {
+      return std::find(list.begin(), list.end(), key) != list.end();
+    };
+    for (std::size_t i = 1; i < args.size(); ++i) {
       if (args[i].rfind("--", 0) != 0) {
         throw std::invalid_argument("expected --option, got '" + args[i] + "'");
       }
       const std::string key = args[i].substr(2);
-      const bool is_flag =
-          std::find_if(flags.begin(), flags.end(), [&](const char* f) {
-            return key == f;
-          }) != flags.end();
-      if (is_flag) {
+      if (listed(flags, key)) {
         values_.insert_or_assign(key, std::string("1"));
         continue;
+      }
+      if (!listed(options, key)) {
+        throw std::invalid_argument("unknown option --" + key);
       }
       if (i + 1 >= args.size()) {
         throw std::invalid_argument("option --" + key + " needs a value");
@@ -102,16 +109,6 @@ class ArgMap {
       return std::stod(*value);
     } else {
       return static_cast<T>(std::stoull(*value));
-    }
-  }
-
-  void reject_unknown(std::initializer_list<const char*> known) const {
-    for (const auto& [key, value] : values_) {
-      if (std::find_if(known.begin(), known.end(), [&](const char* k) {
-            return key == k;
-          }) == known.end()) {
-        throw std::invalid_argument("unknown option --" + key);
-      }
     }
   }
 
@@ -311,9 +308,11 @@ std::optional<core::CheckpointDir> open_checkpoint(
                                          .resume = args.has("resume")});
 }
 
-int cmd_generate(const ArgMap& args, std::ostream& out, std::ostream&) {
-  args.reject_unknown({"seed", "days", "scale", "dataset", "ipmap", "scenario",
-                       "scenario-param", "list-scenarios"});
+int cmd_generate(Args argv, std::ostream& out, std::ostream&) {
+  const ArgMap args(argv,
+                    {"seed", "days", "scale", "dataset", "ipmap", "scenario",
+                     "scenario-param"},
+                    {"list-scenarios"});
   if (args.has("list-scenarios")) {
     out << trace::list_scenarios_text();
     return 0;
@@ -347,8 +346,8 @@ int cmd_generate(const ArgMap& args, std::ostream& out, std::ostream&) {
   return 0;
 }
 
-int cmd_stats(const ArgMap& args, std::ostream& out, std::ostream&) {
-  args.reject_unknown({"dataset"});
+int cmd_stats(Args argv, std::ostream& out, std::ostream&) {
+  const ArgMap args(argv, {"dataset"});
   const std::string dataset_path = args.require("dataset");
   const trace::Dataset dataset =
       parse_dataset(read_input(dataset_path, "dataset"), dataset_path, out);
@@ -387,10 +386,12 @@ std::string worker_executable() {
   return self.string();
 }
 
-int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
-  args.reject_unknown({"dataset", "ipmap", "model", "fit-report",
-                       "checkpoint-dir", "resume", "degraded-floor", "workers",
-                       "worker-timeout", "lease-ttl-ms"});
+int cmd_fit(Args argv, std::ostream& out, std::ostream& err) {
+  const ArgMap args(argv,
+                    {"dataset", "ipmap", "model", "fit-report",
+                     "checkpoint-dir", "degraded-floor", "workers",
+                     "worker-timeout", "lease-ttl-ms"},
+                    {"resume"});
   const std::string report_dest = args.get("fit-report").value_or("");
   // `--fit-report -` owns stdout: progress/info lines move to stderr so the
   // report is machine-readable without interleaving.
@@ -507,9 +508,11 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_worker(const ArgMap& args, std::ostream&, std::ostream& err) {
-  args.reject_unknown({"dataset", "ipmap", "checkpoint-dir", "worker-id",
-                       "lease-ttl-ms", "ship-metrics"});
+int cmd_worker(Args argv, std::ostream&, std::ostream& err) {
+  const ArgMap args(argv,
+                    {"dataset", "ipmap", "checkpoint-dir", "worker-id",
+                     "lease-ttl-ms"},
+                    {"ship-metrics"});
   const std::string dataset_path = args.require("dataset");
   const std::string ipmap_path = args.require("ipmap");
   const std::string checkpoint_dir = args.require("checkpoint-dir");
@@ -577,11 +580,12 @@ int report_refit(const ingest::RefitResult& result, std::ostream& out,
   return 0;
 }
 
-int cmd_ingest(const ArgMap& args, std::ostream& out, std::ostream& err) {
-  args.reject_unknown({"dir", "init", "dataset", "ipmap", "snapshot", "hour",
-                       "no-refit", "refit", "status", "export-dataset",
-                       "drift-z", "drift-hours", "ema-alpha", "refit-retries",
-                       "refit-backoff-ms"});
+int cmd_ingest(Args argv, std::ostream& out, std::ostream& err) {
+  const ArgMap args(argv,
+                    {"dir", "dataset", "ipmap", "snapshot", "hour",
+                     "export-dataset", "drift-z", "drift-hours", "ema-alpha",
+                     "refit-retries", "refit-backoff-ms"},
+                    {"init", "no-refit", "refit", "status"});
   ingest::IngestorOptions opts;
   opts.dir = args.require("dir");
   opts.drift.z_threshold = args.get_or<double>("drift-z", 3.0);
@@ -701,9 +705,10 @@ void print_prediction_row(std::ostream& table, net::Asn asn,
   table << "\n";
 }
 
-int cmd_predict(const ArgMap& args, std::ostream& out, std::ostream& err) {
-  args.reject_unknown({"dataset", "ipmap", "model", "target", "top",
-                       "fit-report", "precision"});
+int cmd_predict(Args argv, std::ostream& out, std::ostream& err) {
+  const ArgMap args(argv,
+                    {"dataset", "ipmap", "model", "target", "top", "fit-report",
+                     "precision"});
   const core::Precision precision =
       core::parse_precision(args.get("precision").value_or("f64"));
   const std::string report_dest = args.get("fit-report").value_or("");
@@ -761,8 +766,8 @@ int cmd_predict(const ArgMap& args, std::ostream& out, std::ostream& err) {
 
 // --- serving: pack / serve / query ------------------------------------------
 
-int cmd_pack(const ArgMap& args, std::ostream& out, std::ostream&) {
-  args.reject_unknown({"model", "out"});
+int cmd_pack(Args argv, std::ostream& out, std::ostream&) {
+  const ArgMap args(argv, {"model", "out"});
   const std::string model_path = args.require("model");
   const std::string out_path = args.require("out");
   // load_any maps + validates the framed artifact in place (no payload
@@ -778,10 +783,12 @@ int cmd_pack(const ArgMap& args, std::ostream& out, std::ostream&) {
 std::atomic<bool> g_serve_stop{false};
 void serve_signal_handler(int) { g_serve_stop.store(true); }
 
-int cmd_serve(const ArgMap& args, std::ostream& out, std::ostream&) {
-  args.reject_unknown({"socket", "port", "model", "threads", "max-resident",
-                       "no-batching", "max-batch", "watch-interval",
-                       "io-timeout", "idle-timeout", "preload"});
+int cmd_serve(Args argv, std::ostream& out, std::ostream&) {
+  const ArgMap args(argv,
+                    {"socket", "port", "model", "threads", "max-resident",
+                     "max-batch", "watch-interval", "io-timeout",
+                     "idle-timeout"},
+                    {"no-batching", "preload"});
   core::serve::ServerOptions opts;
   if (const auto socket = args.get("socket")) opts.socket_path = *socket;
   opts.tcp_port = static_cast<int>(args.get_or<long>("port", 0));
@@ -830,9 +837,10 @@ int cmd_serve(const ArgMap& args, std::ostream& out, std::ostream&) {
   return 0;
 }
 
-int cmd_query(const ArgMap& args, std::ostream& out, std::ostream&) {
-  args.reject_unknown(
-      {"socket", "port", "model", "target", "count", "seed", "precision"});
+int cmd_query(Args argv, std::ostream& out, std::ostream&) {
+  const ArgMap args(argv,
+                    {"socket", "port", "model", "target", "count", "seed",
+                     "precision"});
   const core::Precision precision =
       core::parse_precision(args.get("precision").value_or("f64"));
   const std::string model = args.require("model");
@@ -1015,10 +1023,12 @@ int cmd_evaluate_scenario(const ArgMap& args, const std::string& name,
   return 0;
 }
 
-int cmd_evaluate(const ArgMap& args, std::ostream& out, std::ostream& err) {
-  args.reject_unknown({"dataset", "ipmap", "train-fraction", "horizons", "out",
-                       "checkpoint-dir", "resume", "precision", "scenario",
-                       "scenario-param", "seed"});
+int cmd_evaluate(Args argv, std::ostream& out, std::ostream& err) {
+  const ArgMap args(argv,
+                    {"dataset", "ipmap", "train-fraction", "horizons", "out",
+                     "checkpoint-dir", "precision", "scenario",
+                     "scenario-param", "seed"},
+                    {"resume"});
   const core::Precision precision =
       core::parse_precision(args.get("precision").value_or("f64"));
   if (const auto scenario_name = args.get("scenario")) {
@@ -1090,8 +1100,8 @@ int cmd_evaluate(const ArgMap& args, std::ostream& out, std::ostream& err) {
 }
 
 /// Observability switches, shared by every command. They are stripped from
-/// the argument list before the per-command ArgMap parses it, so each
-/// command's reject_unknown list stays untouched.
+/// the argument list before the per-command ArgMap parses it, so no
+/// command lists them.
 struct ObserveOptions {
   std::string trace_path;    ///< --trace FILE / ACBM_TRACE; empty = off.
   std::string metrics_dest;  ///< --metrics FILE|- / ACBM_METRICS; empty = off.
@@ -1191,6 +1201,25 @@ class ObserveSession {
   ObserveOptions opts_;
 };
 
+struct Command {
+  const char* name;
+  const char* span;  ///< The command's root span.
+  int (*run)(Args, std::ostream&, std::ostream&);
+};
+
+constexpr std::array<Command, 10> kCommands{{
+    {"generate", "cli.generate", cmd_generate},
+    {"fit", "cli.fit", cmd_fit},
+    {"worker", "cli.worker", cmd_worker},
+    {"stats", "cli.stats", cmd_stats},
+    {"predict", "cli.predict", cmd_predict},
+    {"evaluate", "cli.evaluate", cmd_evaluate},
+    {"ingest", "cli.ingest", cmd_ingest},
+    {"pack", "cli.pack", cmd_pack},
+    {"serve", "cli.serve", cmd_serve},
+    {"query", "cli.query", cmd_query},
+}};
+
 }  // namespace
 
 int run(std::span<const std::string> args_in, std::ostream& out,
@@ -1210,60 +1239,19 @@ int run(std::span<const std::string> args_in, std::ostream& out,
       throw std::invalid_argument(fault_error);
     }
     ObserveSession session(extract_observe_options(args));
-    const ArgMap options(args, 1, {"resume", "ship-metrics", "init",
-                                   "no-refit", "refit", "status",
-                                   "no-batching", "preload",
-                                   "list-scenarios"});
-    // Dispatch inside a lambda so each command's root span closes before
-    // session.finish() drains the tracer.
-    const auto dispatch = [&]() -> int {
-      if (args[0] == "generate") {
-        ACBM_SPAN("cli.generate");
-        return cmd_generate(options, out, err);
-      }
-      if (args[0] == "fit") {
-        ACBM_SPAN("cli.fit");
-        return cmd_fit(options, out, err);
-      }
-      if (args[0] == "worker") {
-        ACBM_SPAN("cli.worker");
-        return cmd_worker(options, out, err);
-      }
-      if (args[0] == "stats") {
-        ACBM_SPAN("cli.stats");
-        return cmd_stats(options, out, err);
-      }
-      if (args[0] == "predict") {
-        ACBM_SPAN("cli.predict");
-        return cmd_predict(options, out, err);
-      }
-      if (args[0] == "evaluate") {
-        ACBM_SPAN("cli.evaluate");
-        return cmd_evaluate(options, out, err);
-      }
-      if (args[0] == "ingest") {
-        ACBM_SPAN("cli.ingest");
-        return cmd_ingest(options, out, err);
-      }
-      if (args[0] == "pack") {
-        ACBM_SPAN("cli.pack");
-        return cmd_pack(options, out, err);
-      }
-      if (args[0] == "serve") {
-        ACBM_SPAN("cli.serve");
-        return cmd_serve(options, out, err);
-      }
-      if (args[0] == "query") {
-        ACBM_SPAN("cli.query");
-        return cmd_query(options, out, err);
-      }
-      return -1;
-    };
-    const int code = dispatch();
-    if (code == -1) {
+    const auto command =
+        std::find_if(kCommands.begin(), kCommands.end(),
+                     [&](const Command& c) { return args[0] == c.name; });
+    if (command == kCommands.end()) {
       err << "unknown command '" << args[0] << "'\n";
       print_usage(err);
       return 2;
+    }
+    int code = 0;
+    {
+      // The root span closes before session.finish() drains the tracer.
+      ACBM_SPAN(command->span);
+      code = command->run(args, out, err);
     }
     session.finish(out, err);
     return code;

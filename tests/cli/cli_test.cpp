@@ -62,14 +62,20 @@ TEST(Cli, UnknownCommandFails) {
 }
 
 TEST(Cli, UnknownOptionFails) {
-  for (const char* option : {"--bogus", "--fast-math"}) {
+  const auto expect_unknown = [](std::initializer_list<std::string> args,
+                                 const std::string& option) {
     std::string out;
     std::string err;
-    EXPECT_EQ(run_cli({"stats", option, "1"}, &out, &err), 2) << option;
-    EXPECT_NE(err.find("unknown option " + std::string(option)),
-              std::string::npos)
+    EXPECT_EQ(run_cli(args, &out, &err), 2) << option;
+    EXPECT_NE(err.find("unknown option " + option), std::string::npos)
         << err;
-  }
+  };
+  expect_unknown({"stats", "--bogus", "1"}, "--bogus");
+  expect_unknown({"stats", "--fast-math", "1"}, "--fast-math");
+  // Unknown wherever it stands: last without a value, or before a known
+  // option it would otherwise take as its value.
+  expect_unknown({"stats", "--dataset", "t.csv", "--bogus"}, "--bogus");
+  expect_unknown({"stats", "--bogus", "--dataset", "t.csv"}, "--bogus");
 }
 
 TEST(Cli, MissingRequiredOptionFails) {

@@ -210,6 +210,38 @@ BENCHMARK(BM_DatasetSaveCsv)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// The binary codec of the model artifact's dataset block on the same
+// trace, in bytes per second of the block: what every model save writes
+// (Dataset::binary_parts) and every model load reads (load_binary) in place
+// of the CSV above. Serial, so no thread-count arg.
+void BM_DatasetEncodeBinary(benchmark::State& state) {
+  const trace::Dataset& dataset = shared_world().dataset;
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::vector<std::string> parts = dataset.binary_parts();
+    bytes = 0;
+    for (const std::string& part : parts) bytes += part.size();
+    benchmark::DoNotOptimize(parts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_DatasetEncodeBinary)->Unit(benchmark::kMillisecond);
+
+void BM_DatasetDecodeBinary(benchmark::State& state) {
+  std::string block;
+  for (const std::string& part : shared_world().dataset.binary_parts()) {
+    block += part;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trace::Dataset::load_binary(block));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(block.size()));
+}
+BENCHMARK(BM_DatasetDecodeBinary)->Unit(benchmark::kMillisecond);
+
 void BM_ValleyFreeDistanceCold(benchmark::State& state) {
   const trace::World& world = shared_world();
   const auto& ases = world.topology.graph.ases();

@@ -486,7 +486,8 @@ int cmd_fit(Args argv, std::ostream& out, std::ostream& err) {
   core::release_free_heap();
   {
     ACBM_SPAN("fit.save");
-    durable::save_artifact(model_path, "adversary_model", 4,
+    durable::save_artifact(model_path, "adversary_model",
+                           core::AdversaryModel::kFormatVersion,
                            model.body_parts());
   }
   info << "fitted on " << model.dataset().size() << " attacks; model saved to "

@@ -14,6 +14,7 @@
 #include <system_error>
 
 #include "core/durable_dispatch.h"
+#include "core/observe.h"
 #include "core/robust.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -379,6 +380,7 @@ void atomic_write_file(const std::filesystem::path& path,
   std::size_t size = 0;
   for (std::string_view part : parts) size += part.size();
   std::size_t write_len = crash_write ? size / 2 : size;
+  ACBM_SPAN_KV("durable.save", "bytes=" + std::to_string(size));
 
 #ifdef ACBM_POSIX_IO
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);

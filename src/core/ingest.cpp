@@ -641,9 +641,9 @@ std::map<std::string, std::uint64_t> Ingestor::stage_input_hashes(
 
   // spatial and tree both consume the whole dataset (spatial fits every
   // target from all attacks; the trees combine everything), so any change
-  // to the cumulative CSV invalidates both.
+  // to it invalidates both. Its binary block holds every field of it.
   std::uint64_t full_hash = durable::fnv1a64("");  // The offset basis.
-  for (const std::string& part : cumulative.csv_parts()) {
+  for (const std::string& part : cumulative.binary_parts()) {
     full_hash = durable::fnv1a64(part, full_hash);
   }
   hashes["spatial"] = full_hash;
@@ -784,11 +784,13 @@ void Ingestor::publish(const AdversaryModel& model,
   ACBM_SPAN("ingest.publish");
   const std::vector<std::string> body = model.body_parts();
 
-  // Generation rotation with a COPY (not a rename) of the live model, so
-  // model.art stays loadable at every instant of publication:
+  // Generation rotation with a hard link (not a rename) of the live model,
+  // so model.art stays loadable at every instant of publication:
   //   g1 -> g2 (rename)        model.art still the old generation
-  //   model.art -> g1 (copy)   model.art still the old generation
+  //   model.art -> g1 (link)   model.art still the old generation
   //   save_artifact(model.art) atomic swap old -> new
+  // save_artifact replaces model.art by rename, never in place, so the link
+  // keeps the old bytes at g1. A filesystem without hard links gets a copy.
   const fs::path live = model_path();
   if (fs::exists(live)) {
     const fs::path g1 = live.string() + ".g1";
@@ -797,9 +799,11 @@ void Ingestor::publish(const AdversaryModel& model,
     if (fs::exists(g1)) {
       fs::rename(g1, g2, ec);  // Overwrites g2; failure only loses a spare.
     }
-    fs::copy_file(live, g1, fs::copy_options::overwrite_existing, ec);
+    fs::create_hard_link(live, g1, ec);
+    if (ec) fs::copy_file(live, g1, fs::copy_options::overwrite_existing, ec);
   }
-  durable::save_artifact(live, "adversary_model", 4, body);
+  durable::save_artifact(live, "adversary_model",
+                         AdversaryModel::kFormatVersion, body);
 
   // inputs.state last: a crash between the model publish and this write
   // leaves stale hashes, which at worst re-invalidate already-fresh stages

@@ -256,11 +256,11 @@ struct RefitResult {
 ///   ipmap.art              the IP->ASN map, fixed at init
 ///   checkpoint/            stage checkpoints (CheckpointDir): one framed
 ///                          artifact and one `.done` marker per stage
-///   model.art              the live model ("adversary_model" framed v4 —
-///                          byte-identical to `acbm fit` on the cumulative
-///                          dataset)
-///   model.art.g1/.g2       previous generations (copied, not renamed, so
-///                          model.art is loadable at every instant)
+///   model.art              the live model ("adversary_model" framed
+///                          AdversaryModel::kFormatVersion — byte-identical
+///                          to `acbm fit` on the cumulative dataset)
+///   model.art.g1/.g2       previous generations (hard-linked, not renamed,
+///                          so model.art is loadable at every instant)
 ///   inputs.state           per-stage input hashes + last refit hour
 class Ingestor {
  public:

@@ -113,7 +113,7 @@ void AdversaryModel::compute_drift_baselines() {
 std::vector<std::string> AdversaryModel::body_parts() const {
   namespace io = acbm::stats::io;
   std::ostringstream head;
-  io::write_header(head, "adversary_model", 2);
+  io::write_header(head, "adversary_model", kBodyVersion);
   io::write_scalar(head, "fitted", fitted_ ? 1 : 0);
   io::write_scalar(head, "magnitude_window", opts_.magnitude_window);
   io::write_scalar(head, "drift_families", drift_baselines_.size());
@@ -124,13 +124,14 @@ std::vector<std::string> AdversaryModel::body_parts() const {
          << base.interval_mean << ' ' << base.interval_residual_std << '\n';
   }
   st_.save(head);
-  // Embed the dataset CSV and IP map with explicit line counts so the
-  // loader knows exactly where each block ends. The CSV's count, its three
-  // header lines plus one per attack, is known before it is formatted.
-  io::write_scalar(head, "dataset_lines", 3 + dataset_.size());
+  // The dataset block is binary and the IP map text; each goes behind its
+  // size (bytes, lines) so the loader knows exactly where it ends.
+  std::vector<std::string> dataset = dataset_.binary_parts();
+  std::size_t dataset_bytes = 0;
+  for (const std::string& part : dataset) dataset_bytes += part.size();
+  io::write_scalar(head, "dataset_bytes", dataset_bytes);
   std::vector<std::string> parts = {std::move(head).str()};
-  std::vector<std::string> csv = dataset_.csv_parts();
-  std::move(csv.begin(), csv.end(), std::back_inserter(parts));
+  std::move(dataset.begin(), dataset.end(), std::back_inserter(parts));
 
   std::ostringstream ipmap_text;
   ip_map_.save(ipmap_text);
@@ -158,13 +159,15 @@ struct BodyHead {
   std::vector<FamilyDriftBaseline> drift_baselines;
 };
 
-BodyHead read_body_head(std::istream& is) {
+/// Reads the body head of body version `version`; the head itself is the
+/// same in every version this reads.
+BodyHead read_body_head(std::istream& is, int version) {
   namespace io = acbm::stats::io;
   std::string header;
   if (!std::getline(is, header)) {
     throw std::invalid_argument("AdversaryModel::load: missing header");
   }
-  if (header != "acbm:adversary_model:v2") {
+  if (header != "acbm:adversary_model:v" + std::to_string(version)) {
     throw std::invalid_argument("AdversaryModel::load: unexpected header '" +
                                 header + "'");
   }
@@ -186,14 +189,35 @@ BodyHead read_body_head(std::istream& is) {
   return head;
 }
 
+/// Splits the `<tag> <count>` line off the front of `rest` and returns
+/// the count.
+std::size_t take_count(std::string_view& rest, std::string_view tag) {
+  durable::SpanBuf buf(rest);
+  std::istream is(&buf);
+  const auto count = acbm::stats::io::read_scalar<std::size_t>(is, tag);
+  rest.remove_prefix(buf.consumed());
+  return count;
+}
+
+/// Splits the `dataset_bytes <n>` line and then that many bytes off the
+/// front of `rest`; the block is a view into it, not a copy.
+std::string_view take_bytes(std::string_view& rest) {
+  const std::size_t bytes = take_count(rest, "dataset_bytes");
+  if (bytes > rest.size()) {
+    throw std::invalid_argument(
+        "AdversaryModel::load: dataset block of " + std::to_string(bytes) +
+        " bytes, " + std::to_string(rest.size()) + " left");
+  }
+  const std::string_view block = rest.substr(0, bytes);
+  rest.remove_prefix(bytes);
+  return block;
+}
+
 /// Splits the `<tag> <lines>` line and then the block of that many
 /// '\n'-terminated lines off the front of `rest`; the block is a view into
 /// it, not a copy.
 std::string_view take_block(std::string_view& rest, std::string_view tag) {
-  durable::SpanBuf buf(rest);
-  std::istream is(&buf);
-  const auto lines = acbm::stats::io::read_scalar<std::size_t>(is, tag);
-  rest.remove_prefix(buf.consumed());
+  const std::size_t lines = take_count(rest, tag);
   std::size_t end = 0;
   for (std::size_t i = 0; i < lines; ++i) {
     const std::size_t eol = rest.find('\n', end);
@@ -215,7 +239,7 @@ AdversaryModel AdversaryModel::load_body(std::string_view body) {
   // stream parsers; the dataset and IP-map blocks are parsed in place.
   durable::SpanBuf buf(body);
   std::istream is(&buf);
-  BodyHead head = read_body_head(is);
+  BodyHead head = read_body_head(is, kBodyVersion);
   AdversaryModel model;
   model.fitted_ = head.fitted;
   model.opts_.magnitude_window = head.magnitude_window;
@@ -223,8 +247,7 @@ AdversaryModel AdversaryModel::load_body(std::string_view body) {
   model.st_ = SpatiotemporalModel::load(is);
 
   std::string_view rest = body.substr(buf.consumed());
-  model.dataset_ =
-      trace::Dataset::load_csv(take_block(rest, "dataset_lines"));
+  model.dataset_ = trace::Dataset::load_binary(take_bytes(rest));
   durable::SpanBuf ipmap_buf(take_block(rest, "ipmap_lines"));
   std::istream ipmap_text(&ipmap_buf);
   model.ip_map_ = net::IpToAsnMap::load(ipmap_text);
@@ -238,24 +261,28 @@ AdversaryModel AdversaryModel::load(std::istream& is) {
 void AdversaryModel::save_framed(std::ostream& os) const {
   const std::vector<std::string> parts = body_parts();
   const std::vector<std::string_view> views(parts.begin(), parts.end());
-  os << durable::frame_header("adversary_model", 4, views);
+  os << durable::frame_header("adversary_model", kFormatVersion, views);
   for (std::string_view part : views) {
     os.write(part.data(), static_cast<std::streamsize>(part.size()));
   }
 }
 
 AdversaryModel AdversaryModel::load_framed(std::istream& is) {
-  return durable::load_framed_text(is, "adversary_model", 4, 4, load_body);
+  return durable::load_framed_text(is, "adversary_model", kFormatVersion,
+                                   kFormatVersion, load_body);
 }
 
 std::vector<FamilyDriftBaseline> AdversaryModel::load_drift_baselines(
     const std::filesystem::path& path) {
-  const durable::FramedView framed =
-      durable::load_framed_view(path, "adversary_model", 4, 4);
+  // Frame v4 (body v2, the dataset as CSV) has the same head, so a
+  // directory published before v5 keeps its drift checks until it refits.
+  const durable::FramedView framed = durable::load_framed_view(
+      path, "adversary_model", kFormatVersion - 1, kFormatVersion);
   return durable::parse_payload(path.string(), [&framed] {
     durable::SpanBuf buf(framed.payload);
     std::istream body(&buf);
-    return read_body_head(body).drift_baselines;
+    return read_body_head(body, framed.version - kFormatVersion + kBodyVersion)
+        .drift_baselines;
   });
 }
 

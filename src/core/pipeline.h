@@ -71,6 +71,10 @@ struct FamilyDriftBaseline {
 /// The full adversary-centric behavior model.
 class AdversaryModel {
  public:
+  /// The framed model artifact's version (durable.h envelope): 5 wraps
+  /// body v3, whose dataset block is binary (Dataset::binary_parts).
+  static constexpr int kFormatVersion = 5;
+
   AdversaryModel() = default;
   explicit AdversaryModel(SpatiotemporalOptions opts) : opts_(std::move(opts)) {}
 
@@ -122,29 +126,31 @@ class AdversaryModel {
 
   /// Full-model serialization: fitted sub-models, the training dataset, the
   /// IP->ASN map, and the per-family drift baselines, so a loaded model
-  /// predicts (and drift-monitors) standalone. body_parts() builds body v2
-  /// as ordered parts: the head and sub-models, the dataset CSV's parts
-  /// (Dataset::csv_parts, formatted in chunks concurrently), then the IP
-  /// map; a writer hands them to durable::save_artifact without joining
-  /// them; save writes them to a stream. load_body is the one body parser:
-  /// it parses the dataset and IP-map blocks in place in `body`, and
-  /// throws on a malformed body. load reads the stream to its end, then
-  /// parses it.
+  /// predicts (and drift-monitors) standalone. body_parts() builds body v3
+  /// as ordered parts: the head and sub-models as text ending in
+  /// `dataset_bytes <n>`, the n-byte binary dataset block's parts
+  /// (Dataset::binary_parts), then `ipmap_lines <m>` and the IP map text; a
+  /// writer hands them to durable::save_artifact without joining them;
+  /// save writes them to a stream. load_body is the one body parser: it
+  /// slices exactly n bytes for the dataset block and parses it and the
+  /// IP-map block in place in `body`, and throws on a malformed body. load
+  /// reads the stream to its end, then parses it.
   [[nodiscard]] std::vector<std::string> body_parts() const;
   void save(std::ostream& os) const;
   [[nodiscard]] static AdversaryModel load_body(std::string_view body);
   [[nodiscard]] static AdversaryModel load(std::istream& is);
 
-  /// Framed (v4) serialization: the v2 body wrapped in durable.h's
+  /// Framed (kFormatVersion) serialization: the body wrapped in durable.h's
   /// magic/version/CRC32C envelope, written part by part after
-  /// durable::frame_header. load_framed takes framed v4 only; corruption
-  /// throws a typed durable::LoadFailure.
+  /// durable::frame_header. load_framed takes kFormatVersion only;
+  /// corruption throws a typed durable::LoadFailure.
   void save_framed(std::ostream& os) const;
   [[nodiscard]] static AdversaryModel load_framed(std::istream& is);
 
   /// drift_baselines() of the framed artifact at `path` without loading
   /// the model: the CRC is checked over the whole mapped payload, then only
-  /// the body head up to the drift block is parsed. Throws
+  /// the body head up to the drift block is parsed. Also reads the previous
+  /// frame version (4), whose head is the same. Throws
   /// durable::LoadFailure, like load_framed.
   [[nodiscard]] static std::vector<FamilyDriftBaseline> load_drift_baselines(
       const std::filesystem::path& path);
@@ -153,6 +159,9 @@ class AdversaryModel {
   void set_checkpoint(CheckpointDir* store) { opts_.checkpoint = store; }
 
  private:
+  /// The body version kFormatVersion wraps.
+  static constexpr int kBodyVersion = 3;
+
   void compute_drift_baselines();
 
   SpatiotemporalOptions opts_;

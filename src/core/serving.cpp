@@ -477,7 +477,9 @@ ServingModel ServingModel::load_any(const std::filesystem::path& path) {
   const AdversaryModel model = [&path] {
     ACBM_SPAN("pack.load");
     const durable::FramedView framed =
-        durable::load_framed_view(path, "adversary_model", 4, 4);
+        durable::load_framed_view(path, "adversary_model",
+                                  AdversaryModel::kFormatVersion,
+                                  AdversaryModel::kFormatVersion);
     return durable::parse_payload(path.string(), [&framed] {
       return AdversaryModel::load_body(framed.payload);
     });

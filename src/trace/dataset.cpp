@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <istream>
 #include <iterator>
 #include <optional>
@@ -11,6 +13,7 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_set>
 
 #include "core/observe.h"
@@ -528,6 +531,198 @@ Dataset Dataset::load_csv(std::istream& is) {
   std::ostringstream text;
   text << is.rdbuf();
   return load_csv(text.view());
+}
+
+namespace {
+
+/// The binary block's byte-order probe, as the .armm header carries it.
+constexpr std::uint32_t kBinaryEndianCheck = 0x01020304;
+/// One attack record: id, family, target ip, target asn, start, duration
+/// bits, bot count.
+constexpr std::size_t kAttackRecordBytes = 8 + 4 + 4 + 4 + 8 + 8 + 8;
+static_assert(sizeof(net::Ipv4) == 4 &&
+              std::is_trivially_copyable_v<net::Ipv4>);
+
+template <typename T>
+char* put(char* out, T value) {
+  std::memcpy(out, &value, sizeof(T));
+  return out + sizeof(T);
+}
+
+[[noreturn]] void binary_error(const std::string& what) {
+  throw std::invalid_argument("Dataset::load_binary: " + what);
+}
+
+/// Reads fixed-width fields off the front of a binary block; every read
+/// checks the bytes left first.
+class BinaryReader {
+ public:
+  explicit BinaryReader(std::string_view bytes) : rest_(bytes) {}
+
+  [[nodiscard]] std::size_t left() const noexcept { return rest_.size(); }
+
+  /// Throws unless `count` items of `width` bytes fit in the bytes left.
+  void need(std::uint64_t count, std::size_t width, const char* what) const {
+    if (count > rest_.size() / width) {
+      binary_error(std::string(what) + " count " + std::to_string(count) +
+                   " exceeds the " + std::to_string(rest_.size()) +
+                   " bytes left");
+    }
+  }
+
+  template <typename T>
+  T get(const char* what) {
+    need(1, sizeof(T), what);
+    T value;
+    std::memcpy(&value, rest_.data(), sizeof(T));
+    rest_.remove_prefix(sizeof(T));
+    return value;
+  }
+
+  std::string_view take(std::size_t n) {
+    const std::string_view out = rest_.substr(0, n);
+    rest_.remove_prefix(n);
+    return out;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+/// Cuts `attacks`, holding `total` bots, into consecutive chunks of about
+/// equal bot count: one chunk when the bots' bytes stay under
+/// kCsvParallelFloor, else up to core::num_threads(). Returns the chunk
+/// boundaries, 0 first and attacks.size() last.
+std::vector<std::size_t> bot_cuts(std::span<const Attack> attacks,
+                                  std::size_t total) {
+  const std::size_t chunks = total * sizeof(net::Ipv4) < kCsvParallelFloor
+                                 ? 1
+                                 : core::num_threads();
+  std::vector<std::size_t> cuts = {0};
+  std::size_t acc = 0;
+  for (std::size_t i = 0; i < attacks.size() && cuts.size() < chunks; ++i) {
+    acc += attacks[i].bots.size();
+    if (acc >= total / chunks * cuts.size()) cuts.push_back(i + 1);
+  }
+  cuts.push_back(attacks.size());
+  return cuts;
+}
+
+}  // namespace
+
+std::vector<std::string> Dataset::binary_parts() const {
+  std::size_t head_bytes =
+      4 + 8 + 8 + 8 + 8 + attacks_.size() * kAttackRecordBytes;
+  for (const std::string& name : family_names_) head_bytes += 8 + name.size();
+  std::size_t bots = 0;
+  for (const Attack& attack : attacks_) bots += attack.bots.size();
+  const std::vector<std::size_t> cuts = bot_cuts(attacks_, bots);
+  ACBM_SPAN_KV("trace.binary.encode",
+               "chunks=" + std::to_string(cuts.size() - 1));
+
+  std::string head(head_bytes, '\0');
+  char* p = put(head.data(), kBinaryEndianCheck);
+  p = put<std::uint64_t>(p, family_names_.size());
+  for (const std::string& name : family_names_) {
+    p = put<std::uint64_t>(p, name.size());
+    p = std::copy(name.begin(), name.end(), p);
+  }
+  p = put<std::int64_t>(p, window_start_);
+  p = put<std::uint64_t>(p, attacks_.size());
+  p = put<std::uint64_t>(p, bots);
+  for (const Attack& attack : attacks_) {
+    p = put<std::uint64_t>(p, attack.id);
+    p = put<std::uint32_t>(p, attack.family);
+    p = put<std::uint32_t>(p, attack.target_ip.value);
+    p = put<std::uint32_t>(p, attack.target_asn);
+    p = put<std::int64_t>(p, attack.start);
+    p = put(p, std::bit_cast<std::uint64_t>(attack.duration_s));
+    p = put<std::uint64_t>(p, attack.bots.size());
+  }
+  // The bots, one part per chunk, each filled on its own pool thread: the
+  // parts in order are the same bytes at any thread count.
+  std::vector<std::string> parts(cuts.size());
+  parts[0] = std::move(head);
+  core::parallel_for(1, cuts.size(), [&](std::size_t c) {
+    const std::span<const Attack> chunk =
+        std::span(attacks_).subspan(cuts[c - 1], cuts[c] - cuts[c - 1]);
+    std::size_t n = 0;
+    for (const Attack& attack : chunk) n += attack.bots.size();
+    std::string part(n * sizeof(net::Ipv4), '\0');
+    char* b = part.data();
+    for (const Attack& attack : chunk) {
+      if (attack.bots.empty()) continue;
+      const std::size_t bytes = attack.bots.size() * sizeof(net::Ipv4);
+      std::memcpy(b, attack.bots.data(), bytes);
+      b += bytes;
+    }
+    parts[c] = std::move(part);
+  });
+  return parts;
+}
+
+Dataset Dataset::load_binary(std::string_view bytes) {
+  ACBM_SPAN_KV("trace.binary.decode", "bytes=" + std::to_string(bytes.size()));
+  BinaryReader in(bytes);
+  if (in.get<std::uint32_t>("probe") != kBinaryEndianCheck) {
+    binary_error("byte-order probe mismatch (written on another "
+                 "architecture, or not a dataset block)");
+  }
+  const auto family_count = in.get<std::uint64_t>("family");
+  in.need(family_count, 8, "family");
+  std::vector<std::string> families;
+  families.reserve(family_count);
+  for (std::uint64_t f = 0; f < family_count; ++f) {
+    const auto length = in.get<std::uint64_t>("family name");
+    in.need(length, 1, "family name byte");
+    families.emplace_back(in.take(length));
+  }
+  const auto window_start = in.get<std::int64_t>("window_start");
+  const auto attack_count = in.get<std::uint64_t>("attack");
+  const auto bot_count = in.get<std::uint64_t>("bot");
+  in.need(attack_count, kAttackRecordBytes, "attack");
+  BinaryReader records(in.take(attack_count * kAttackRecordBytes));
+  in.need(bot_count, sizeof(net::Ipv4), "bot");
+  if (in.left() != bot_count * sizeof(net::Ipv4)) {
+    binary_error(std::to_string(in.left() - bot_count * sizeof(net::Ipv4)) +
+                 " bytes after the last bot");
+  }
+  std::string_view bot_bytes = in.take(in.left());
+
+  // One pass over the records: each attack's family index and bot count
+  // are checked before its bots are allocated and copied.
+  std::vector<Attack> attacks(attack_count);
+  for (Attack& attack : attacks) {
+    attack.id = records.get<std::uint64_t>("id");
+    attack.family = records.get<std::uint32_t>("family");
+    attack.target_ip = net::Ipv4(records.get<std::uint32_t>("target_ip"));
+    attack.target_asn = records.get<std::uint32_t>("target_asn");
+    attack.start = records.get<std::int64_t>("start");
+    attack.duration_s =
+        std::bit_cast<double>(records.get<std::uint64_t>("duration_s"));
+    const auto bots = records.get<std::uint64_t>("bots");
+    if (attack.family >= families.size()) {
+      binary_error("attack " + std::to_string(attack.id) + " has family " +
+                   std::to_string(attack.family) + " of " +
+                   std::to_string(families.size()));
+    }
+    if (bots > bot_bytes.size() / sizeof(net::Ipv4)) {
+      binary_error("bot counts exceed the total of " +
+                   std::to_string(bot_count));
+    }
+    if (bots == 0) continue;
+    attack.bots.resize(bots);
+    std::memcpy(attack.bots.data(), bot_bytes.data(),
+                bots * sizeof(net::Ipv4));
+    bot_bytes.remove_prefix(bots * sizeof(net::Ipv4));
+  }
+  if (!bot_bytes.empty()) {
+    binary_error("bot counts sum to " +
+                 std::to_string(bot_count -
+                                bot_bytes.size() / sizeof(net::Ipv4)) +
+                 ", not the total of " + std::to_string(bot_count));
+  }
+  return Dataset(std::move(families), std::move(attacks), {}, window_start);
 }
 
 }  // namespace acbm::trace

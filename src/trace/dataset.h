@@ -72,9 +72,11 @@ struct ValidationReport {
 };
 
 /// Dataset CSV texts of at least this many bytes are parsed (load_csv) and
-/// formatted (csv_parts, append_csv) in about core::num_threads() chunks on
-/// the thread pool; smaller ones, such as hourly snapshot segments, stay on
-/// the calling thread. The bytes are the same either way.
+/// formatted (csv_parts, append_csv), and the bots of a binary block of at
+/// least this many bytes are copied (binary_parts), in about
+/// core::num_threads() chunks on the thread pool; smaller ones, such as
+/// hourly snapshot segments, stay on the calling thread. The bytes are the
+/// same either way.
 inline constexpr std::size_t kCsvParallelFloor = std::size_t{1} << 20;
 
 /// Splits `text` into at most `parts` consecutive non-empty pieces: piece i
@@ -167,6 +169,26 @@ class Dataset {
       std::span<const std::string_view> texts);
   /// Parses only the header lines (no row), with load_csv's checks.
   [[nodiscard]] static CsvHeader load_csv_header(std::string_view csv);
+
+  /// Binary serialization, the dataset block of a model artifact
+  /// (core/pipeline.h); CSV stays the interchange format. The block holds,
+  /// in host byte order behind a u32 probe (0x01020304): the family count
+  /// and each name as a u64 length plus its bytes, window_start, the attack
+  /// count and the total bot count; then one fixed-width record per attack
+  /// (u64 id, u32 family, u32 target ip, u32 target asn, i64 start, the
+  /// duration's IEEE bits as u64, u64 bot count); then every bot as a u32.
+  /// binary_parts returns the block as ordered parts: the header and
+  /// records, then the bots, in about core::num_threads() parts filled
+  /// concurrently when they reach kCsvParallelFloor bytes, else in one; the
+  /// concatenation is the same bytes at any thread count. load_binary,
+  /// one serial pass, reads every field through memcpy (no
+  /// alignment assumed) and throws std::invalid_argument before it
+  /// allocates or copies anything when a count exceeds the bytes left, the
+  /// probe or a family index is wrong, the bot counts do not sum to the
+  /// total, or bytes are left over; it then constructs the dataset, so the
+  /// round trip is exact, durations bit for bit.
+  [[nodiscard]] std::vector<std::string> binary_parts() const;
+  [[nodiscard]] static Dataset load_binary(std::string_view bytes);
 
  private:
   void reindex();

@@ -17,6 +17,7 @@
 
 #include "core/durable.h"
 #include "core/parallel.h"
+#include "core/pipeline.h"
 #include "core/robust.h"
 
 namespace acbm::cli {
@@ -332,7 +333,7 @@ TEST(CheckpointCli, ModelArtifactIsFramedWithChecksum) {
   ASSERT_TRUE(durable::looks_framed(bytes));
   const durable::Frame frame = durable::parse_frame(bytes);
   EXPECT_EQ(frame.kind, "adversary_model");
-  EXPECT_EQ(frame.version, 4);
+  EXPECT_EQ(frame.version, core::AdversaryModel::kFormatVersion);
 }
 
 }  // namespace

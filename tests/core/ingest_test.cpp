@@ -882,16 +882,18 @@ TEST(Ingestor, CorruptDatasetBlockFailsTheDriftCheckAfterADurableAppend) {
   Ingestor ingestor(options_for(tmp.path));
   ingestor.init(ingest_world().world.dataset, ingest_world().world.ip_map);
 
-  // Flip one digit inside the dataset block near the end of model.art. The
-  // drift check parses only the body head, so only the CRC over the whole
+  // Flip one bit in the middle of the binary dataset block. The drift
+  // check parses only the body head, so only the CRC over the whole
   // payload can notice.
   std::string model = durable::read_file(ingestor.model_path());
-  const std::size_t block = model.find("\ndataset_lines ");
-  const std::size_t block_end = model.find("\nipmap_lines ");
-  ASSERT_NE(block, std::string::npos);
-  ASSERT_NE(block_end, std::string::npos);
-  std::size_t pos = model.find_first_of("0123456789", (block + block_end) / 2);
-  ASSERT_LT(pos, block_end);
+  const std::size_t count = model.find("\ndataset_bytes ");
+  ASSERT_NE(count, std::string::npos);
+  const std::size_t block = model.find('\n', count + 1) + 1;
+  const std::size_t block_bytes =
+      std::stoull(model.substr(count + 15, block - 1 - (count + 15)));
+  ASSERT_GT(block_bytes, 0u);
+  ASSERT_EQ(model.compare(block + block_bytes, 12, "ipmap_lines "), 0);
+  const std::size_t pos = block + block_bytes / 2;
   model[pos] = static_cast<char>(model[pos] ^ 0x01);
   std::ofstream(ingestor.model_path(), std::ios::binary | std::ios::trunc)
       << model;
@@ -909,6 +911,47 @@ TEST(Ingestor, CorruptDatasetBlockFailsTheDriftCheckAfterADurableAppend) {
   // The append before the failed check is durable: a fresh reader sees it.
   const SnapshotLog reopened(tmp.path);
   EXPECT_EQ(reopened.last_hour(), hour);
+}
+
+TEST(Ingestor, PreviousFormatModelKeepsDriftAndRefitsToV5) {
+  // A directory published before the dataset block went binary holds a
+  // framed v4 model.art whose body head is the current one under the v2
+  // header line. The hourly drift check still reads it; the next refit
+  // publishes the current format.
+  TempDir tmp;
+  Ingestor ingestor(options_for(tmp.path));
+  ingestor.init(ingest_world().world.dataset, ingest_world().world.ip_map);
+  const durable::Frame current =
+      durable::parse_frame(durable::read_file(ingestor.model_path()));
+  ASSERT_EQ(current.version, AdversaryModel::kFormatVersion);
+  const std::string& body = current.payload;
+  const std::size_t header_end = body.find('\n');
+  const std::size_t head_end = body.find("\ndataset_bytes ") + 1;
+  ASSERT_EQ(body.substr(0, header_end), "acbm:adversary_model:v3");
+  durable::atomic_write_file(
+      ingestor.model_path(),
+      durable::frame_payload(
+          "adversary_model", 4,
+          "acbm:adversary_model:v2" +
+              body.substr(header_end, head_end - header_end)));
+  const std::string v4_file = durable::read_file(ingestor.model_path());
+
+  const RefitResult check = ingestor.check_and_refit(/*force=*/false);
+  EXPECT_FALSE(check.attempted);
+  EXPECT_TRUE(durable::read_file(ingestor.model_path()) == v4_file);
+
+  const std::size_t hour = 8 * 24 + 1;
+  ASSERT_EQ(ingestor.append(hour, world_spike_csv(8 * 24, hour, 2, 930000))
+                .status,
+            AppendStatus::kAccepted);
+  const RefitResult refit = ingestor.check_and_refit(/*force=*/true);
+  ASSERT_TRUE(refit.published) << refit.error;
+  const std::string published = durable::read_file(ingestor.model_path());
+  EXPECT_EQ(durable::parse_frame(published).version,
+            AdversaryModel::kFormatVersion);
+  EXPECT_TRUE(published == cold_fit_bytes(ingestor.log().cumulative(),
+                                          ingest_world().world.ip_map));
+  EXPECT_TRUE(durable::read_file(tmp.path / "model.art.g1") == v4_file);
 }
 
 TEST(Ingestor, CorruptInputsStateForcesAFullButConvergentRefit) {

@@ -303,7 +303,8 @@ std::string join(const std::vector<std::string>& parts) {
 
 TEST(ParallelDeterminism, DatasetCsvCodecBitIdentical) {
   // The trace codec formats and parses a text at or above kCsvParallelFloor
-  // in chunks on the pool; the bytes and the attacks must not depend on the
+  // in chunks on the pool, and the binary codec copies the bots of such a
+  // block in chunks; the bytes and the attacks must not depend on the
   // thread count.
   ThreadCountGuard guard;
   const trace::World world = trace::build_world(trace::small_world_options(23));
@@ -319,6 +320,8 @@ TEST(ParallelDeterminism, DatasetCsvCodecBitIdentical) {
   AdversaryModel model(opts);
   model.fit(world.dataset, world.ip_map);
   const std::string serial_body = join(model.body_parts());
+  const std::string serial_binary = join(world.dataset.binary_parts());
+  ASSERT_GE(serial_binary.size(), 2 * trace::kCsvParallelFloor);
 
   for (std::size_t threads : {1u, 3u, 8u}) {
     set_num_threads(threads);
@@ -331,13 +334,21 @@ TEST(ParallelDeterminism, DatasetCsvCodecBitIdentical) {
     EXPECT_EQ(appended, "prefix" + serial) << threads << " threads";
     expect_same_attacks(world.dataset, trace::Dataset::load_csv(serial));
 
+    // The binary block: its records, then one part of bots per chunk.
+    const std::vector<std::string> binary = world.dataset.binary_parts();
+    EXPECT_EQ(binary.size(), threads + 1) << threads << " threads";
+    EXPECT_TRUE(join(binary) == serial_binary) << threads << " threads";
+    // The body: its head, the binary block's parts, the IP map.
     const std::vector<std::string> body_parts = model.body_parts();
-    EXPECT_GT(body_parts.size(), parts.size());
-    EXPECT_EQ(join(body_parts), serial_body) << threads << " threads";
+    EXPECT_EQ(body_parts.size(), binary.size() + 2);
+    EXPECT_TRUE(join(body_parts) == serial_body) << threads << " threads";
     std::ostringstream framed;
     model.save_framed(framed);
-    EXPECT_EQ(framed.str(),
-              durable::frame_payload("adversary_model", 4, serial_body));
+    EXPECT_TRUE(framed.str() ==
+                durable::frame_payload("adversary_model",
+                                       AdversaryModel::kFormatVersion,
+                                       serial_body))
+        << threads << " threads";
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -33,7 +34,7 @@ struct Fixture {
   Fixture() { model.fit(world.dataset, world.ip_map); }
 };
 
-/// The model's body (what framed v4 wraps), as save() writes it.
+/// The model's body (what the framed artifact wraps), as save() writes it.
 std::string body_of(const AdversaryModel& model) {
   std::ostringstream os;
   model.save(os);
@@ -94,7 +95,7 @@ TEST(AdversaryModel, DriftBaselinesOfAV1BodyAreEmpty) {
   std::string v1;
   std::string line;
   while (std::getline(v2, line)) {
-    if (line == "acbm:adversary_model:v2") line = "acbm:adversary_model:v1";
+    if (line == "acbm:adversary_model:v3") line = "acbm:adversary_model:v1";
     if (line.rfind("drift", 0) == 0) continue;
     v1 += line + "\n";
   }
@@ -146,8 +147,20 @@ TEST(AdversaryModel, BodyRoundTripsByteForByte) {
   const std::string body = body_of(fx.model);
   std::string joined;
   for (const std::string& part : fx.model.body_parts()) joined += part;
-  EXPECT_EQ(joined, body);
-  EXPECT_EQ(body_of(AdversaryModel::load_body(body)), body);
+  // Compared with ==: the body holds binary bytes, no diff to print.
+  EXPECT_TRUE(joined == body);
+  const AdversaryModel back = AdversaryModel::load_body(body);
+  EXPECT_TRUE(body_of(back) == body);
+  // The dataset travels as its binary block, not as CSV.
+  EXPECT_EQ(body.rfind("acbm:adversary_model:v3\n", 0), 0u);
+  EXPECT_NE(body.find("\ndataset_bytes "), std::string::npos);
+  EXPECT_EQ(body.find("#window_start="), std::string::npos);
+  ASSERT_EQ(back.dataset().size(), fx.model.dataset().size());
+  EXPECT_EQ(back.dataset().family_names(), fx.model.dataset().family_names());
+  for (std::size_t i = 0; i < back.dataset().size(); ++i) {
+    EXPECT_EQ(back.dataset().attacks()[i].bots,
+              fx.model.dataset().attacks()[i].bots);
+  }
 }
 
 /// Frames `body` with a valid CRC, then checks that the framed loader and
@@ -156,7 +169,8 @@ void expect_body_parse_failure(const std::string& body,
                                const std::string& name) {
   TempFile file(name + ".art");
   std::ofstream(file.path, std::ios::binary)
-      << durable::frame_payload("adversary_model", 4, body);
+      << durable::frame_payload("adversary_model",
+                                AdversaryModel::kFormatVersion, body);
   std::ifstream in(file.path, std::ios::binary);
   try {
     (void)AdversaryModel::load_framed(in);
@@ -177,24 +191,75 @@ void expect_body_parse_failure(const std::string& body,
 TEST(AdversaryModel, MalformedBodyBlocksAreTypedParseErrors) {
   Fixture fx;
   const std::string body = body_of(fx.model);
-  const std::size_t count_at = body.find("\ndataset_lines ") + 1;
+  const std::size_t count_at = body.find("\ndataset_bytes ") + 1;
   const std::size_t block_at = body.find('\n', count_at) + 1;
-  const std::size_t ipmap_at = body.find("\nipmap_lines ") + 1;
   ASSERT_LT(count_at, block_at);
-  ASSERT_LT(block_at, ipmap_at);
+  const std::size_t block_bytes = std::stoull(
+      body.substr(count_at + 14, block_at - 1 - (count_at + 14)));
+  const std::size_t ipmap_at = block_at + block_bytes;
+  ASSERT_EQ(body.compare(ipmap_at, 12, "ipmap_lines "), 0);
 
   // The payload ends halfway through the dataset block.
-  expect_body_parse_failure(
-      body.substr(0, block_at + (ipmap_at - block_at) / 2), "cut_dataset");
-  // dataset_lines counts more lines than the whole payload holds.
-  expect_body_parse_failure(body.substr(0, count_at) +
-                                "dataset_lines 1000000000" +
+  expect_body_parse_failure(body.substr(0, block_at + block_bytes / 2),
+                            "cut_dataset");
+  // dataset_bytes counts more bytes than the whole payload holds, or
+  // wraps around from a negative count.
+  for (const char* count : {"1000000000000", "-1"}) {
+    expect_body_parse_failure(body.substr(0, count_at) + "dataset_bytes " +
+                                  count + body.substr(block_at - 1),
+                              "long_dataset");
+  }
+  // dataset_bytes one short: the block ends inside its last bot.
+  expect_body_parse_failure(body.substr(0, count_at) + "dataset_bytes " +
+                                std::to_string(block_bytes - 1) +
                                 body.substr(block_at - 1),
-                            "long_dataset");
+                            "short_dataset");
+  // Intact counts around a malformed block: an attack count of 2^60, and
+  // a family index past the family list (the CRC is valid, so only the
+  // block's own checks can notice).
+  const trace::Dataset& ds = fx.model.dataset();
+  std::size_t counts_at = block_at + 4 + 8 + 8;  // window_start follows.
+  for (const std::string& name : ds.family_names()) counts_at += 8 + name.size();
+  const auto patched = [&](std::size_t at, auto value) {
+    std::string out = body;
+    std::memcpy(out.data() + at, &value, sizeof(value));
+    return out;
+  };
+  std::uint64_t attacks = 0;
+  std::memcpy(&attacks, body.data() + counts_at, sizeof(attacks));
+  ASSERT_EQ(attacks, ds.size());
+  expect_body_parse_failure(patched(counts_at, std::uint64_t{1} << 60),
+                            "attack_count");
+  expect_body_parse_failure(
+      patched(counts_at + 16 + 8,
+              static_cast<std::uint32_t>(ds.family_names().size())),
+      "family_index");
   // The ipmap_lines line is gone; its block follows the dataset directly.
   const std::size_t ipmap_block_at = body.find('\n', ipmap_at) + 1;
   expect_body_parse_failure(
       body.substr(0, ipmap_at) + body.substr(ipmap_block_at), "no_ipmap_lines");
+}
+
+TEST(AdversaryModel, DriftBaselinesReadThePreviousFormat) {
+  // Framed v4 (body v2, the dataset as CSV) has the same head as v5: the
+  // drift baselines still load from it, the model itself no longer does.
+  Fixture fx;
+  std::string head = body_of(fx.model);
+  head = "acbm:adversary_model:v2" +
+         head.substr(head.find('\n'), head.find("\ndataset_bytes ") -
+                                          head.find('\n') + 1);
+  TempFile file("v4.art");
+  std::ofstream(file.path, std::ios::binary)
+      << durable::frame_payload("adversary_model", 4, head);
+  expect_same_baselines(AdversaryModel::load_drift_baselines(file.path),
+                        fx.model.drift_baselines());
+  std::ifstream in(file.path, std::ios::binary);
+  try {
+    (void)AdversaryModel::load_framed(in);
+    ADD_FAILURE() << "a framed v4 model loaded";
+  } catch (const durable::LoadFailure& e) {
+    EXPECT_EQ(e.code(), durable::LoadError::kVersionUnsupported);
+  }
 }
 
 TEST(AdversaryModel, UnfittedUseThrows) {

@@ -6,6 +6,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <iomanip>
 #include <limits>
 #include <random>
@@ -461,6 +462,138 @@ TEST(DatasetCsvWriter, MatchesTheStreamReferenceByteForByte) {
   std::string again;
   back.append_csv(again);
   EXPECT_EQ(again, expected);
+}
+
+std::string join(const std::vector<std::string>& parts) {
+  std::string out;
+  for (const std::string& part : parts) out += part;
+  return out;
+}
+
+void expect_same_dataset(const Dataset& a, const Dataset& b) {
+  EXPECT_EQ(a.family_names(), b.family_names());
+  EXPECT_EQ(a.window_start(), b.window_start());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const Attack& x = a.attacks()[i];
+    const Attack& y = b.attacks()[i];
+    EXPECT_EQ(x.id, y.id) << i;
+    EXPECT_EQ(x.family, y.family) << i;
+    EXPECT_EQ(x.target_ip, y.target_ip) << i;
+    EXPECT_EQ(x.target_asn, y.target_asn) << i;
+    EXPECT_EQ(x.start, y.start) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.duration_s),
+              std::bit_cast<std::uint64_t>(y.duration_s))
+        << i;
+    EXPECT_EQ(x.bots, y.bots) << i;
+  }
+}
+
+/// Binary round trip: the loaded dataset equals `ds` field by field, and
+/// encoding it again gives the same bytes.
+void expect_binary_round_trip(const Dataset& ds) {
+  const std::string bytes = join(ds.binary_parts());
+  const Dataset back = Dataset::load_binary(bytes);
+  expect_same_dataset(ds, back);
+  EXPECT_TRUE(join(back.binary_parts()) == bytes);
+}
+
+TEST(Dataset, BinaryCodecRoundTrips) {
+  std::mt19937_64 rng(20170606);
+  std::vector<double> durations = {
+      0.0, -0.0, 5e-324, 1e-300, std::numeric_limits<double>::max(),
+      1.0 / 3.0, 600.0};
+  while (durations.size() < 300) {
+    const double d = std::bit_cast<double>(rng());
+    if (std::isfinite(d)) durations.push_back(std::fabs(d));
+  }
+  std::vector<Attack> attacks;
+  for (std::size_t i = 0; i < durations.size(); ++i) {
+    Attack a;
+    a.id = i % 7 == 0 ? rng() : i;
+    a.family = static_cast<std::uint32_t>(rng() % 4);
+    a.target_ip = net::Ipv4(static_cast<std::uint32_t>(rng()));
+    a.target_asn = static_cast<net::Asn>(rng());
+    a.start = -kStart + static_cast<EpochSeconds>(i) * 2 * kStart /
+                            static_cast<EpochSeconds>(durations.size());
+    a.duration_s = durations[i];
+    const std::size_t bots = i % 5 == 0 ? 0 : rng() % 40;
+    for (std::size_t b = 0; b < bots; ++b) {
+      a.bots.emplace_back(static_cast<std::uint32_t>(rng()));
+    }
+    attacks.push_back(std::move(a));
+  }
+  // Names CSV could not carry: separators and an empty name.
+  const Dataset ds({"Fam;A", "Fam,B", "", "Dirt Jumper"}, std::move(attacks),
+                   {}, kStart);
+  ASSERT_TRUE(ds.validation().clean());
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(ds.attacks()[1].duration_s),
+            std::bit_cast<std::uint64_t>(-0.0));
+  expect_binary_round_trip(ds);
+  expect_binary_round_trip(make_dataset());
+  // Every attack without bots, and datasets without attacks or families.
+  std::vector<Attack> botless = make_dataset().attacks();
+  for (Attack& a : botless) a.bots.clear();
+  expect_binary_round_trip(Dataset({"FamA", "FamB"}, std::move(botless), {},
+                                   kStart));
+  expect_binary_round_trip(Dataset({"FamA"}, {}, {}, kStart));
+  expect_binary_round_trip(Dataset());
+}
+
+/// Offsets into the binary block of make_dataset(): the attack count (the
+/// bot count follows it) and the first attack record.
+constexpr std::size_t kAttackCountAt = 4 + 8 + (8 + 4) * 2 + 8;
+constexpr std::size_t kRecordsAt = kAttackCountAt + 16;
+constexpr std::size_t kRecordBytes = 44;
+
+template <typename T>
+std::string with(std::string bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
+  return bytes;
+}
+
+template <typename T>
+T read_at(const std::string& bytes, std::size_t at) {
+  T value;
+  std::memcpy(&value, bytes.data() + at, sizeof(T));
+  return value;
+}
+
+TEST(Dataset, MalformedBinaryIsTyped) {
+  const Dataset ds = make_dataset();
+  const std::string bytes = join(ds.binary_parts());
+  ASSERT_EQ(read_at<std::uint64_t>(bytes, kAttackCountAt), ds.size());
+  ASSERT_EQ(read_at<std::uint64_t>(bytes, kAttackCountAt + 8), 8u);
+  ASSERT_EQ(bytes.size(), kRecordsAt + 4 * kRecordBytes + 8 * 4);
+  const auto expect_rejected = [](const std::string& block,
+                                  const std::string& what) {
+    EXPECT_THROW((void)Dataset::load_binary(block), std::invalid_argument)
+        << what;
+  };
+  // Every cut short of the whole block, and one byte too many.
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    expect_rejected(bytes.substr(0, n), "cut at " + std::to_string(n));
+  }
+  expect_rejected(bytes + '\0', "trailing byte");
+  // Counts far past the bytes: rejected before anything is allocated.
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 60;
+  expect_rejected(with(bytes, 4, kHuge), "family count 2^60");
+  expect_rejected(with(bytes, 12, kHuge), "family name length 2^60");
+  expect_rejected(with(bytes, kAttackCountAt, kHuge), "attack count 2^60");
+  expect_rejected(with(bytes, kAttackCountAt + 8, kHuge), "bot count 2^60");
+  expect_rejected(with(bytes, kAttackCountAt, ~std::uint64_t{0}),
+                  "attack count 2^64 - 1");
+  expect_rejected(with(bytes, kRecordsAt + 36, kHuge), "attack bots 2^60");
+  // Byte order, family index and the bot total.
+  expect_rejected(with(bytes, 0, std::uint32_t{0x04030201}), "byte order");
+  expect_rejected(with(bytes, kRecordsAt + 8, std::uint32_t{2}),
+                  "family index 2 of 2");
+  expect_rejected(with(bytes, kRecordsAt + 36, std::uint64_t{3}),
+                  "bot counts sum past the total");
+  expect_rejected(with(bytes, kRecordsAt + 36, std::uint64_t{1}),
+                  "bot counts sum short of the total");
+  // The intact block still loads.
+  EXPECT_NO_THROW((void)Dataset::load_binary(bytes));
 }
 
 TEST(Attack, EndAndMagnitude) {

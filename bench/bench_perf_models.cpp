@@ -5,7 +5,9 @@
 // parsing).
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/features.h"
@@ -134,12 +136,15 @@ BENCHMARK(BM_LpmLookup)->Arg(0)->Arg(1);
 
 // The dataset CSV reader on the shared world's trace (about 16 MB, above
 // trace::kCsvParallelFloor, so it parses in chunks), in bytes per second:
-// what `acbm fit`, the model loader and `ingest` cumulative() parse with.
-// The arg pins the thread count; Arg(1) is the one-chunk baseline.
+// what every CSV input of the CLI (`acbm fit --dataset`, `ingest --init`
+// and `--snapshot`) parses with. The arg pins the thread count; Arg(1) is
+// the one-chunk baseline.
 void BM_DatasetLoadCsv(benchmark::State& state) {
   core::set_num_threads(static_cast<std::size_t>(state.range(0)));
   std::string csv;
-  shared_world().dataset.append_csv(csv);
+  for (const std::string& part : shared_world().dataset.csv_parts()) {
+    csv += part;
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(trace::Dataset::load_csv(csv));
   }
@@ -210,10 +215,11 @@ BENCHMARK(BM_DatasetSaveCsv)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The binary codec of the model artifact's dataset block on the same
-// trace, in bytes per second of the block: what every model save writes
-// (Dataset::binary_parts) and every model load reads (load_binary) in place
-// of the CSV above. Serial, so no thread-count arg.
+// The binary codec of the stored dataset block on the same trace, in bytes
+// per second of the block: what every model save and ingest append writes
+// (Dataset::binary_parts) and every model load and ingest cumulative()
+// reads (load_binary) in place of the CSV above. Serial, so no
+// thread-count arg.
 void BM_DatasetEncodeBinary(benchmark::State& state) {
   const trace::Dataset& dataset = shared_world().dataset;
   std::size_t bytes = 0;
@@ -234,8 +240,9 @@ void BM_DatasetDecodeBinary(benchmark::State& state) {
   for (const std::string& part : shared_world().dataset.binary_parts()) {
     block += part;
   }
+  const std::string_view view = block;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(trace::Dataset::load_binary(block));
+    benchmark::DoNotOptimize(trace::Dataset::load_binary(std::span(&view, 1)));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(block.size()));

@@ -2,10 +2,10 @@
 # Doc lint (wired as the `doc_check` ctest): keeps the user-facing docs and
 # the CLI from drifting apart.
 #
-#   1. Every `--flag` token in README.md / SCENARIOS.md names a real acbm
-#      flag (present in `acbm help`). Flags of foreign tools that the docs
-#      quote in command examples (cmake/ctest/bench harnesses) live in the
-#      allowlist below.
+#   1. Every `--flag` token in README.md / SCENARIOS.md / DESIGN.md /
+#      OBSERVABILITY.md names a real acbm flag (present in `acbm help`).
+#      Flags of foreign tools that the docs quote in command examples
+#      (cmake/ctest/bench harnesses) live in the allowlist below.
 #   2. Every scenario listed by `acbm generate --list-scenarios` has a
 #      section in SCENARIOS.md, and every --scenario-param key it prints is
 #      documented there too.
@@ -28,7 +28,7 @@ help_text="$("$acbm" help)"
 listing="$("$acbm" generate --list-scenarios)"
 failures=0
 
-for doc in README.md SCENARIOS.md; do
+for doc in README.md SCENARIOS.md DESIGN.md OBSERVABILITY.md; do
   path="$repo_root/$doc"
   if [[ ! -f "$path" ]]; then
     echo "doc_check: MISSING $doc" >&2
@@ -67,4 +67,5 @@ if [[ "$failures" -gt 0 ]]; then
   echo "doc_check: $failures problem(s)" >&2
   exit 1
 fi
-echo "doc_check: README.md and SCENARIOS.md agree with the CLI"
+echo "doc_check: README.md, SCENARIOS.md, DESIGN.md and OBSERVABILITY.md" \
+     "agree with the CLI"

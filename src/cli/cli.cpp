@@ -153,9 +153,7 @@ void print_usage(std::ostream& out) {
          "             --dir DIR --init --dataset FILE --ipmap FILE\n"
          "             --dir DIR --snapshot FILE --hour H [--no-refit]\n"
          "             --dir DIR --refit | --status | --export-dataset FILE\n"
-         "             [--drift-z Z (3.0)] [--drift-hours K (3)]\n"
-         "             [--ema-alpha A (0.2)] [--refit-retries N (3)]\n"
-         "             [--refit-backoff-ms MS (5)]\n"
+         "             [--refit-retries N (3)] [--refit-backoff-ms MS (5)]\n"
          "  pack       convert a framed model.art into a zero-copy mmap\n"
          "             .armm serving artifact (O(µs) startup; DESIGN.md §8)\n"
          "             --model FILE --out FILE\n"
@@ -584,15 +582,10 @@ int report_refit(const ingest::RefitResult& result, std::ostream& out,
 int cmd_ingest(Args argv, std::ostream& out, std::ostream& err) {
   const ArgMap args(argv,
                     {"dir", "dataset", "ipmap", "snapshot", "hour",
-                     "export-dataset", "drift-z", "drift-hours", "ema-alpha",
-                     "refit-retries", "refit-backoff-ms"},
+                     "export-dataset", "refit-retries", "refit-backoff-ms"},
                     {"init", "no-refit", "refit", "status"});
   ingest::IngestorOptions opts;
   opts.dir = args.require("dir");
-  opts.drift.z_threshold = args.get_or<double>("drift-z", 3.0);
-  opts.drift.consecutive_hours =
-      static_cast<int>(args.get_or<std::size_t>("drift-hours", 3));
-  opts.drift.alpha = args.get_or<double>("ema-alpha", 0.2);
   opts.refit_max_retries =
       static_cast<int>(args.get_or<std::size_t>("refit-retries", 3));
   opts.refit_backoff_ms =

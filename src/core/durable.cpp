@@ -1,5 +1,11 @@
 #include "core/durable.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <cerrno>
@@ -16,15 +22,6 @@
 #include "core/durable_dispatch.h"
 #include "core/observe.h"
 #include "core/robust.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <sys/uio.h>
-#include <unistd.h>
-#define ACBM_POSIX_IO 1
-#endif
 
 #if defined(ACBM_HAVE_CRC_ARMV8_TU) && defined(__linux__)
 #include <sys/auxv.h>
@@ -252,7 +249,6 @@ FrameView unwrap_view(std::string_view data, std::string_view kind,
 }
 
 MappedFile::MappedFile(const std::filesystem::path& path) {
-#if defined(ACBM_POSIX_IO)
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     throw LoadFailure(LoadError::kIo, "durable: cannot open " + path.string() +
@@ -281,11 +277,6 @@ MappedFile::MappedFile(const std::filesystem::path& path) {
   }
   addr_ = addr;
   mapped_ = true;
-#else
-  throw LoadFailure(LoadError::kIo,
-                    "durable: memory mapping unsupported on this platform (" +
-                        path.string() + ")");
-#endif
 }
 
 MappedFile::MappedFile(MappedFile&& other) noexcept
@@ -309,9 +300,7 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
 }
 
 MappedFile::~MappedFile() {
-#if defined(ACBM_POSIX_IO)
   if (addr_ != nullptr) ::munmap(addr_, size_);
-#endif
   addr_ = nullptr;
   size_ = 0;
   mapped_ = false;
@@ -382,7 +371,6 @@ void atomic_write_file(const std::filesystem::path& path,
   std::size_t write_len = crash_write ? size / 2 : size;
   ACBM_SPAN_KV("durable.save", "bytes=" + std::to_string(size));
 
-#ifdef ACBM_POSIX_IO
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     throw WriteFailure("durable: cannot create " + tmp.string() + ": " +
@@ -432,23 +420,6 @@ void atomic_write_file(const std::filesystem::path& path,
                        std::strerror(saved));
   }
   ::close(fd);
-#else
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw WriteFailure("durable: cannot create " + tmp.string());
-    for (std::string_view part : parts) {
-      const std::size_t n = std::min(part.size(), write_len);
-      out.write(part.data(), static_cast<std::streamsize>(n));
-      write_len -= n;
-    }
-    out.flush();
-    if (!out) throw WriteFailure("durable: write failed on " + tmp.string());
-  }
-  if (crash_write) throw WriteFailure("injected fault: io.write " + key);
-  if (injector.enabled() && injector.fires("io.fsync", key)) {
-    throw WriteFailure("injected fault: io.fsync " + key);
-  }
-#endif
 
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
@@ -466,7 +437,6 @@ void atomic_write_file(const std::filesystem::path& path,
     throw WriteFailure("injected fault: io.dirsync " + key);
   }
 
-#ifdef ACBM_POSIX_IO
   // Durability of the rename itself: fsync the containing directory. Without
   // this a power loss after the rename can lose the just-published artifact
   // (the rename lives only in the directory's in-memory metadata).
@@ -490,7 +460,6 @@ void atomic_write_file(const std::filesystem::path& path,
   } else {
     ::close(dirfd);
   }
-#endif
 }
 
 void save_artifact(const std::filesystem::path& path, std::string_view kind,

@@ -1,14 +1,16 @@
 #include "core/ingest.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <charconv>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -19,12 +21,6 @@
 #include "core/parallel.h"
 #include "core/robust.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define ACBM_INGEST_POSIX_IO 1
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 namespace acbm::core::ingest {
 
 namespace fs = std::filesystem;
@@ -32,16 +28,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::string_view kSegmentKind = "ingest_segment";
-constexpr int kSegmentVersion = 1;
-
-/// The header of a stored segment's CSV; nullopt when it does not parse.
-std::optional<trace::CsvHeader> segment_header(std::string_view csv) {
-  try {
-    return trace::Dataset::load_csv_header(csv);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
+constexpr int kSegmentVersion = 2;
 
 /// `families_a` is a prefix of (or equal to) `families_b` or vice versa.
 /// Family indices in stored attack rows point into the list, so the lists
@@ -54,16 +41,9 @@ bool families_consistent(const std::vector<std::string>& a,
                     b.begin());
 }
 
-/// The "hour=<h>\n" stamp in front of a segment's snapshot.
+/// The "hour=<h>\n" stamp in front of a segment's block.
 std::string hour_stamp(std::size_t hour) {
   return "hour=" + std::to_string(hour) + "\n";
-}
-
-/// One framed log record: envelope + the "hour=<h>\n" stamp + the snapshot.
-std::string encode_segment(std::size_t hour, std::string_view csv) {
-  std::string payload = hour_stamp(hour);
-  payload.append(csv);
-  return durable::frame_payload(kSegmentKind, kSegmentVersion, payload);
 }
 
 /// Appends `record` to `path` and makes it durable before returning. The
@@ -72,7 +52,6 @@ std::string encode_segment(std::size_t hour, std::string_view csv) {
 void durable_append(const fs::path& path, std::string_view record,
                     bool torn_tail) {
   const std::size_t n = torn_tail ? record.size() / 2 : record.size();
-#ifdef ACBM_INGEST_POSIX_IO
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
   if (fd < 0) {
     throw durable::WriteFailure("ingest: cannot open " + path.string() +
@@ -101,21 +80,6 @@ void durable_append(const fs::path& path, std::string_view record,
                                 " failed: " + std::strerror(saved));
   }
   ::close(fd);
-#else
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::app);
-    os.write(record.data(), static_cast<std::streamsize>(n));
-    os.flush();
-    if (!os) {
-      throw durable::WriteFailure("ingest: append to " + path.string() +
-                                  " failed");
-    }
-  }
-  if (torn_tail) {
-    throw durable::WriteFailure("injected fault: ingest.torn_tail " +
-                                path.string());
-  }
-#endif
 }
 
 /// First free `<base>.corrupt-<n>` path (mirrors durable::quarantine naming,
@@ -136,31 +100,45 @@ bool parse_whole(std::string_view field, T& value, int base = 10) {
   return ec == std::errc{} && ptr == end && !field.empty();
 }
 
+/// How every segment's header line begins, up to its version number.
+const std::string& segment_lead() {
+  static const std::string lead = std::string(durable::kFrameMagic) + " " +
+                                  std::string(kSegmentKind) + " v";
+  return lead;
+}
+
 struct ParsedSegment {
+  int version = 0;
   std::size_t hour = 0;
-  std::string_view csv;  ///< Aliases the scanned bytes.
-  std::size_t end = 0;   ///< Offset one past the segment's last byte.
+  std::string_view block;  ///< Aliases the scanned bytes.
+  std::size_t end = 0;     ///< Offset one past the segment's last byte.
 };
 
 /// Parses the log record starting at `pos`; nullopt when the bytes there
-/// are not one intact, CRC-verified segment. The header must read exactly
-/// as durable::frame_header writes it.
+/// are not one intact, CRC-verified segment of some version. The header
+/// must read exactly as durable::frame_header writes it.
 std::optional<ParsedSegment> parse_segment(std::string_view bytes,
                                            std::size_t pos) {
-  static const std::string lead =
-      std::string(durable::kFrameMagic) + " " + std::string(kSegmentKind) +
-      " v" + std::to_string(kSegmentVersion) + " len=";
+  constexpr std::string_view kLenTag = " len=";
   constexpr std::string_view kCrcTag = " crc32c=";
   constexpr std::string_view kHourTag = "hour=";
   const auto header_end = bytes.find('\n', pos);
   if (header_end == std::string_view::npos) return std::nullopt;
   const std::string_view header = bytes.substr(pos, header_end - pos);
+  if (!header.starts_with(segment_lead())) return std::nullopt;
+  const std::size_t len_at = header.find(kLenTag);
+  const std::size_t crc_at = header.find(kCrcTag);
+  ParsedSegment out;
   std::size_t len = 0;
   std::uint32_t crc = 0;
-  if (!header.starts_with(lead)) return std::nullopt;
-  const std::size_t crc_at = header.find(kCrcTag);
-  if (crc_at == std::string_view::npos ||
-      !parse_whole(header.substr(lead.size(), crc_at - lead.size()), len) ||
+  if (len_at == std::string_view::npos || crc_at == std::string_view::npos ||
+      crc_at < len_at ||
+      !parse_whole(header.substr(segment_lead().size(),
+                                 len_at - segment_lead().size()),
+                   out.version) ||
+      !parse_whole(header.substr(len_at + kLenTag.size(),
+                                 crc_at - len_at - kLenTag.size()),
+                   len) ||
       !parse_whole(header.substr(crc_at + kCrcTag.size()), crc, 16)) {
     return std::nullopt;
   }
@@ -169,14 +147,13 @@ std::optional<ParsedSegment> parse_segment(std::string_view bytes,
   const std::string_view payload = bytes.substr(payload_begin, len);
   if (durable::crc32c(payload) != crc) return std::nullopt;
   const auto stamp_end = payload.find('\n');
-  ParsedSegment out;
   if (stamp_end == std::string_view::npos || !payload.starts_with(kHourTag) ||
       !parse_whole(payload.substr(kHourTag.size(),
                                   stamp_end - kHourTag.size()),
                    out.hour)) {
     return std::nullopt;
   }
-  out.csv = payload.substr(stamp_end + 1);
+  out.block = payload.substr(stamp_end + 1);
   out.end = payload_begin + len;
   return out;
 }
@@ -188,14 +165,31 @@ struct LogScan {
   std::size_t good_tail = 0;  ///< End of the last intact segment.
 };
 
-/// Collects the intact, in-order segments of `bytes` into `segments`, as
-/// views into `bytes`, and the byte ranges that are not.
-LogScan scan_log(std::string_view bytes, std::vector<Segment>& segments) {
+/// Collects the intact, in-order segments of `bytes`, the log at `path`,
+/// into `segments`, as views into `bytes`, and the byte ranges that are
+/// not. Throws LoadFailure(kVersionUnsupported) at an intact segment of
+/// another version, before anything is repaired.
+LogScan scan_log(std::string_view bytes, const fs::path& path,
+                 std::vector<Segment>& segments) {
   LogScan scan;
   segments.clear();
   std::size_t pos = 0;
   while (pos < bytes.size()) {
     auto segment = parse_segment(bytes, pos);
+    if (segment && segment->version != kSegmentVersion) {
+      // No loader for old segments: the directory is re-created from its
+      // exported dataset, so the log is left exactly as it is.
+      throw durable::LoadFailure(
+          durable::LoadError::kVersionUnsupported,
+          "ingest: " + path.string() + " holds an " +
+              std::string(kSegmentKind) + " v" +
+              std::to_string(segment->version) + " at byte " +
+              std::to_string(pos) + "; this build reads v" +
+              std::to_string(kSegmentVersion) +
+              " only. Export the dataset with the build that wrote the log "
+              "(acbm ingest --dir DIR --export-dataset FILE), then --init a "
+              "fresh directory from that file");
+    }
     // An intact segment whose hour does not advance violates the append
     // invariant (hours strictly increase) and is treated like corruption so
     // the invariant holds for every reader.
@@ -204,20 +198,25 @@ LogScan scan_log(std::string_view bytes, std::vector<Segment>& segments) {
       segment.reset();
     }
     if (segment) {
-      segments.push_back({segment->hour, segment->csv});
+      segments.push_back({segment->hour, segment->block});
       pos = segment->end;
       scan.good_tail = pos;
       continue;
     }
-    // Resync at the next segment boundary; no boundary means the bad bytes
-    // run to EOF — a torn tail from a crash mid-append.
-    const auto next = bytes.find("\nACBMF1 ", pos);
+    // Resync at the next frame lead that heads an intact segment. A binary
+    // block may hold the lead's bytes anywhere, so a lead is only a
+    // candidate and the CRC decides. No intact segment later means the bad
+    // bytes run to EOF — a torn tail from a crash mid-append.
+    std::size_t next = pos;
+    do {
+      next = bytes.find(segment_lead(), next + 1);
+    } while (next != std::string_view::npos && !parse_segment(bytes, next));
     if (next == std::string_view::npos) {
       scan.torn_tail = bytes.size() - pos;
       break;
     }
-    scan.corrupt.push_back(bytes.substr(pos, next + 1 - pos));
-    pos = next + 1;
+    scan.corrupt.push_back(bytes.substr(pos, next - pos));
+    pos = next;
   }
   return scan;
 }
@@ -252,7 +251,7 @@ void SnapshotLog::recover() {
   recovery_ = LogRecovery{};
   if (!fs::exists(log_path_)) return;
   mapped_ = durable::MappedFile(log_path_);
-  const LogScan scan = scan_log(mapped_.view(), segments_);
+  const LogScan scan = scan_log(mapped_.view(), log_path_, segments_);
   recovery_.torn_tail_bytes = scan.torn_tail;
   recovery_.quarantined_ranges = scan.corrupt.size();
   if (scan.torn_tail > 0) ACBM_COUNT("ingest.recovered.torn_tail", 1);
@@ -282,17 +281,17 @@ void SnapshotLog::recover() {
   // so no view outlives the bytes it was taken from or points past EOF.
   // The repaired log holds exactly the segments just found.
   mapped_ = durable::MappedFile(log_path_);
-  (void)scan_log(mapped_.view(), segments_);
+  (void)scan_log(mapped_.view(), log_path_, segments_);
 }
 
 void SnapshotLog::compact() {
-  // Each segment goes out as its frame header, its hour stamp and its CSV
+  // Each segment goes out as its frame header, its hour stamp and its block
   // view, in one gathered write; the record bytes are never joined.
   std::vector<std::string> heads;  // Header and stamp per segment.
   heads.reserve(2 * segments_.size());
   for (const Segment& s : segments_) {
     std::string stamp = hour_stamp(s.hour);
-    const std::array<std::string_view, 2> payload = {stamp, s.csv};
+    const std::array<std::string_view, 2> payload = {stamp, s.block};
     heads.push_back(
         durable::frame_header(kSegmentKind, kSegmentVersion, payload));
     heads.push_back(std::move(stamp));
@@ -302,13 +301,24 @@ void SnapshotLog::compact() {
   for (std::size_t i = 0; i < segments_.size(); ++i) {
     parts.push_back(heads[2 * i]);
     parts.push_back(heads[2 * i + 1]);
-    parts.push_back(segments_[i].csv);
+    parts.push_back(segments_[i].block);
   }
   durable::atomic_write_file(log_path_, parts);
 }
 
 AppendOutcome SnapshotLog::append(std::size_t hour,
                                   std::string_view snapshot_csv) {
+  return append_snapshot(hour, nullptr, snapshot_csv);
+}
+
+AppendOutcome SnapshotLog::append(std::size_t hour,
+                                  const trace::Dataset& snapshot) {
+  return append_snapshot(hour, &snapshot, {});
+}
+
+AppendOutcome SnapshotLog::append_snapshot(std::size_t hour,
+                                           const trace::Dataset* snapshot,
+                                           std::string_view snapshot_csv) {
   ACBM_SPAN_KV("ingest.append", "hour=" + std::to_string(hour));
   AppendOutcome outcome;
 
@@ -323,48 +333,68 @@ AppendOutcome SnapshotLog::append(std::size_t hour,
     return outcome;
   }
 
+  // Only bytes that came from outside are quarantined; a Dataset is still
+  // the caller's.
+  const bool quarantine = snapshot == nullptr;
   const auto reject = [&](std::string detail) {
     outcome.status = AppendStatus::kRejected;
     outcome.detail = std::move(detail);
-    const fs::path qdir = dir_ / "quarantine";
-    fs::create_directories(qdir);
-    const fs::path slot =
-        quarantine_slot(qdir / ("hour-" + std::to_string(hour) + ".csv"));
-    durable::atomic_write_file(slot, snapshot_csv);
-    outcome.quarantined_to = slot.string();
+    if (quarantine) {
+      const fs::path qdir = dir_ / "quarantine";
+      fs::create_directories(qdir);
+      const fs::path slot =
+          quarantine_slot(qdir / ("hour-" + std::to_string(hour) + ".csv"));
+      durable::atomic_write_file(slot, snapshot_csv);
+      outcome.quarantined_to = slot.string();
+    }
     ACBM_COUNT("ingest.snapshots.rejected", 1);
     return outcome;
   };
 
   // Validation: parse through Dataset so its ValidationReport machinery
   // classifies the snapshot (see the policy in ingest.h).
-  trace::Dataset snapshot;
-  try {
-    snapshot = trace::Dataset::load_csv(snapshot_csv);
-  } catch (const std::exception& e) {
-    return reject(std::string("unparseable snapshot: ") + e.what());
+  trace::Dataset parsed;
+  if (snapshot == nullptr) {
+    try {
+      parsed = trace::Dataset::load_csv(snapshot_csv);
+    } catch (const std::exception& e) {
+      return reject(std::string("unparseable snapshot: ") + e.what());
+    }
+    snapshot = &parsed;
   }
   if (!segments_.empty()) {
-    const auto base = segment_header(segments_.front().csv);
-    if (base && snapshot.window_start() != base->window_start) {
+    const trace::DatasetHeader base =
+        trace::Dataset::load_binary_header(segments_.front().block);
+    if (snapshot->window_start() != base.window_start) {
       return reject("window_start " +
-                    std::to_string(snapshot.window_start()) +
+                    std::to_string(snapshot->window_start()) +
                     " differs from the log's " +
-                    std::to_string(base->window_start));
+                    std::to_string(base.window_start));
     }
-    if (!families_consistent(cumulative_families(), snapshot.family_names())) {
+    if (!families_consistent(cumulative_families(),
+                             snapshot->family_names())) {
       return reject("family list contradicts the log's (indices would remap)");
     }
   }
-  outcome.validation = snapshot.validation();
+  outcome.validation = snapshot->validation();
   outcome.status = outcome.validation.clean() ? AppendStatus::kAccepted
                                               : AppendStatus::kRepaired;
 
-  // Store the canonical (repaired, sorted) form, not the raw bytes, so
-  // cumulative() replay and a cold fit on the exported dataset agree.
-  std::string canonical;
-  snapshot.append_csv(canonical);
-  const std::string record = encode_segment(hour, canonical);
+  // Store the canonical (repaired, sorted) dataset's block, not the raw
+  // bytes, so cumulative() replay and a cold fit on the exported dataset
+  // agree. The record is header, stamp and block in one string, which the
+  // segment then views.
+  const std::vector<std::string> block = snapshot->binary_parts();
+  const std::string stamp = hour_stamp(hour);
+  std::vector<std::string_view> payload = {stamp};
+  payload.insert(payload.end(), block.begin(), block.end());
+  std::string record =
+      durable::frame_header(kSegmentKind, kSegmentVersion, payload);
+  const std::size_t block_at = record.size() + stamp.size();
+  std::size_t bytes = record.size();
+  for (const std::string_view part : payload) bytes += part.size();
+  record.reserve(bytes);
+  for (const std::string_view part : payload) record += part;
 
   FaultInjector& injector = FaultInjector::instance();
   const std::string key = "hour=" + std::to_string(hour);
@@ -375,8 +405,9 @@ AppendOutcome SnapshotLog::append(std::size_t hour,
   const bool torn = injector.enabled() && injector.fires("ingest.torn_tail", key);
   durable_append(log_path_, record, torn);
 
-  appended_.push_back(std::move(canonical));
-  segments_.push_back({hour, appended_.back()});
+  appended_.push_back(std::move(record));
+  segments_.push_back(
+      {hour, std::string_view(appended_.back()).substr(block_at)});
   ACBM_COUNT(outcome.status == AppendStatus::kAccepted
                  ? "ingest.snapshots.accepted"
                  : "ingest.snapshots.repaired",
@@ -387,12 +418,12 @@ AppendOutcome SnapshotLog::append(std::size_t hour,
 std::vector<std::string> SnapshotLog::cumulative_families() const {
   // append accepts a family list that is a prefix of the log's as well as
   // one that extends it, so the last segment's list need not be the
-  // cumulative one: take the longest. Only the header lines are read.
+  // cumulative one: take the longest. Only the blocks' heads are read.
   std::vector<std::string> families;
   for (const Segment& s : segments_) {
-    auto header = segment_header(s.csv);
-    if (header && header->families.size() > families.size()) {
-      families = std::move(header->families);
+    trace::DatasetHeader header = trace::Dataset::load_binary_header(s.block);
+    if (header.families.size() > families.size()) {
+      families = std::move(header.families);
     }
   }
   return families;
@@ -403,14 +434,14 @@ trace::Dataset SnapshotLog::cumulative() const {
   if (segments_.empty()) {
     throw std::logic_error("ingest: cumulative() on an empty snapshot log");
   }
-  // Every segment's rows are parsed straight from its view into the one
+  // Every segment's block is decoded straight from its view into the one
   // dataset; its construction re-sorts, re-validates, and reindexes, so the
   // result is exactly what a cold full fit on the exported dataset
   // consumes.
-  std::vector<std::string_view> texts;
-  texts.reserve(segments_.size());
-  for (const Segment& s : segments_) texts.push_back(s.csv);
-  return trace::Dataset::load_csv_union(texts);
+  std::vector<std::string_view> blocks;
+  blocks.reserve(segments_.size());
+  for (const Segment& s : segments_) blocks.push_back(s.block);
+  return trace::Dataset::load_binary(blocks);
 }
 
 // --- Drift detection --------------------------------------------------------
@@ -540,8 +571,6 @@ void Ingestor::init(const trace::Dataset& base, const net::IpToAsnMap& ip_map) {
                            model_path().string() + " exists)");
   }
   if (log_.empty()) {
-    std::string csv;
-    base.append_csv(csv);
     const std::size_t base_hour =
         base.attacks().empty()
             ? 0
@@ -549,11 +578,7 @@ void Ingestor::init(const trace::Dataset& base, const net::IpToAsnMap& ip_map) {
                   std::max<trace::EpochSeconds>(
                       0, base.attacks().back().start - base.window_start()) /
                   3600);
-    const AppendOutcome out = log_.append(base_hour, csv);
-    if (out.status == AppendStatus::kRejected) {
-      throw std::invalid_argument("ingest: base dataset rejected: " +
-                                  out.detail);
-    }
+    (void)log_.append(base_hour, base);
   }
   std::ostringstream map_os;
   ip_map.save(map_os);
@@ -602,36 +627,23 @@ std::map<std::string, std::uint64_t> Ingestor::stage_input_hashes(
   // temporal/<family>: a family's temporal series is a function of only its
   // own attacks and the window start, so its stage survives appends that
   // touch other families. Each family hashes the text
-  // "temporal <name> ws=<window start>\n" then "id,start,duration,bots\n"
-  // per attack, the duration as %.17g.
+  // "temporal <name> ws=<window start>\n", then per attack its id, start,
+  // duration bits and magnitude as four host-order 8-byte fields.
   const std::vector<std::uint64_t> family_hashes =
       parallel_map(families.size(), [&](std::size_t f) {
-        const std::vector<std::size_t> attacks =
-            cumulative.attacks_of_family(static_cast<std::uint32_t>(f));
-        // FNV-1a runs byte by byte, so hashing line after line equals
-        // hashing the whole text.
         std::uint64_t hash = durable::fnv1a64(
             "temporal " + families[f] + " ws=" +
             std::to_string(cumulative.window_start()) + "\n");
-        // Each field gets room for its widest rendering: 20 characters for
-        // an integer, 24 for a %.17g double.
-        constexpr std::ptrdiff_t kInt = 20;
-        constexpr std::ptrdiff_t kDouble = 24;
-        char line[3 * kInt + kDouble + 4];
-        for (const std::size_t i : attacks) {
+        for (const std::size_t i :
+             cumulative.attacks_of_family(static_cast<std::uint32_t>(f))) {
           const trace::Attack& a = cumulative.attacks()[i];
-          char* p = std::to_chars(line, line + kInt, a.id).ptr;
-          *p++ = ',';
-          p = std::to_chars(p, p + kInt, a.start).ptr;
-          *p++ = ',';
-          p = std::to_chars(p, p + kDouble, a.duration_s,
-                            std::chars_format::general, 17)
-                  .ptr;
-          *p++ = ',';
-          p = std::to_chars(p, p + kInt, a.magnitude()).ptr;
-          *p++ = '\n';
+          const std::array<std::uint64_t, 4> fields = {
+              a.id, static_cast<std::uint64_t>(a.start),
+              std::bit_cast<std::uint64_t>(a.duration_s), a.magnitude()};
           hash = durable::fnv1a64(
-              std::string_view(line, static_cast<std::size_t>(p - line)), hash);
+              std::string_view(reinterpret_cast<const char*>(fields.data()),
+                               sizeof(fields)),
+              hash);
         }
         return hash;
       });

@@ -3,13 +3,22 @@
 //
 //  * SnapshotLog — an append-only, crash-safe log of hourly dataset
 //    snapshots (`<dir>/snapshots.log`). Every segment is one durable.h
-//    frame (`ACBMF1 ingest_segment v1 len=… crc32c=…`) appended and
-//    fsynced in place. The log is memory-mapped on open and its segments
-//    are views into the mapping. Recovery CRC-checks the mapped bytes,
-//    truncates a torn tail (a crash mid-append) and quarantines interior
-//    corruption (bit rot between intact segments) into
+//    frame (`ACBMF1 ingest_segment v2 len=… crc32c=…`) appended and
+//    fsynced in place; its payload is the "hour=<h>\n" stamp followed by
+//    the snapshot's binary dataset block (trace::Dataset::binary_parts),
+//    so CSV is parsed only where a snapshot enters and formatted only where
+//    the dataset is exported. The log is memory-mapped on open and its
+//    segments are views into the mapping. Recovery CRC-checks the mapped
+//    bytes, truncates a torn tail (a crash mid-append) and quarantines
+//    interior corruption (bit rot between intact segments) into
 //    `snapshots.log.corrupt-<n>`, then compacts the log to its surviving
-//    segments; after either repair it maps the log again.
+//    segments; after either repair it maps the log again. After bad bytes
+//    it resyncs at the next `ACBMF1 ingest_segment v` lead whose segment is
+//    intact: a block may hold those bytes too, so the CRC decides. An
+//    intact segment of another version (v1 stored CSV) fails the open with
+//    LoadFailure(kVersionUnsupported) and leaves the log untouched: export
+//    the dataset with the build that wrote it, then --init a fresh
+//    directory.
 //
 //  * Snapshot validation policy (per-append, via trace::Dataset's
 //    ValidationReport machinery):
@@ -21,7 +30,8 @@
 //      rejected  — unparseable CSV, a window_start differing from the
 //                  log's, or a family list that contradicts the log's
 //                  (indices would silently remap). Nothing is appended;
-//                  the raw bytes are quarantined under `<dir>/quarantine/`.
+//                  raw CSV bytes are quarantined under `<dir>/quarantine/`
+//                  (a snapshot passed as a Dataset is not).
 //      duplicate — hour at or before the log's last hour; the append is
 //                  dropped (idempotent crash-retry), nothing changes.
 //
@@ -110,14 +120,14 @@ class CorrectedEma {
 // --- Snapshot log -----------------------------------------------------------
 
 /// One surviving log segment: the hour it covers (strictly increasing along
-/// the log) and its canonical snapshot CSV payload.
+/// the log) and its snapshot's binary dataset block.
 struct Segment {
   std::size_t hour = 0;
-  /// Canonical Dataset::save_csv text of the snapshot: a view into the
-  /// log's mapping, or into storage the log owns for a segment appended
-  /// since it was opened. Valid as long as the SnapshotLog that holds it
-  /// (a log moved into another object keeps its views valid there).
-  std::string_view csv;
+  /// Dataset::binary_parts of the canonical snapshot: a view into the log's
+  /// mapping, or into storage the log owns for a segment appended since it
+  /// was opened. Valid as long as the SnapshotLog that holds it (a log
+  /// moved into another object keeps its views valid there).
+  std::string_view block;
 };
 
 enum class AppendStatus { kAccepted, kRepaired, kRejected, kDuplicate };
@@ -152,8 +162,12 @@ class SnapshotLog {
   /// `hour` stamps the segment and must exceed the last segment's hour
   /// (else kDuplicate). The snapshot must carry the log's window_start and
   /// a family list consistent with the log's (equal on the common prefix;
-  /// appending new families extends the list).
+  /// appending new families extends the list). The CSV overload parses the
+  /// text first; the Dataset overload stores an already built dataset.
+  /// Throws std::invalid_argument when a stored block's head does not
+  /// decode.
   AppendOutcome append(std::size_t hour, std::string_view snapshot_csv);
+  AppendOutcome append(std::size_t hour, const trace::Dataset& snapshot);
 
   /// Surviving segments in log order (base snapshot first).
   [[nodiscard]] const std::vector<Segment>& segments() const noexcept {
@@ -168,11 +182,12 @@ class SnapshotLog {
   }
 
   /// The union dataset of every segment: cumulative family list, all
-  /// attacks, the log's window_start. One pass parses every segment's rows
-  /// from its view into one Dataset (Dataset::load_csv_union), each segment
-  /// with its own checks and messages; the construction re-sorts and
-  /// re-validates, so the result is the canonical cumulative dataset a
-  /// cold full fit would consume. Throws std::logic_error on an empty log.
+  /// attacks, the log's window_start. One pass decodes every segment's
+  /// block from its view into one Dataset (Dataset::load_binary), each
+  /// block with its own checks; the construction re-sorts and re-validates,
+  /// so the result is the canonical cumulative dataset a cold full fit
+  /// would consume. Throws std::logic_error on an empty log and
+  /// load_binary's std::invalid_argument on a block that does not decode.
   [[nodiscard]] trace::Dataset cumulative() const;
 
   /// What open-time recovery did.
@@ -185,11 +200,17 @@ class SnapshotLog {
   }
 
  private:
+  /// Both public appends: `snapshot` when given, else `snapshot_csv`
+  /// parsed.
+  AppendOutcome append_snapshot(std::size_t hour,
+                                const trace::Dataset* snapshot,
+                                std::string_view snapshot_csv);
   void recover();
   /// Rewrites the log as exactly its surviving segments.
   void compact();
   /// The union family list across segments (append keeps lists
-  /// prefix-consistent, so this is the longest list seen).
+  /// prefix-consistent, so this is the longest list seen), read from the
+  /// blocks' heads.
   [[nodiscard]] std::vector<std::string> cumulative_families() const;
 
   std::filesystem::path dir_;

@@ -247,7 +247,8 @@ AdversaryModel AdversaryModel::load_body(std::string_view body) {
   model.st_ = SpatiotemporalModel::load(is);
 
   std::string_view rest = body.substr(buf.consumed());
-  model.dataset_ = trace::Dataset::load_binary(take_bytes(rest));
+  const std::string_view block = take_bytes(rest);
+  model.dataset_ = trace::Dataset::load_binary(std::span(&block, 1));
   durable::SpanBuf ipmap_buf(take_block(rest, "ipmap_lines"));
   std::istream ipmap_text(&ipmap_buf);
   model.ip_map_ = net::IpToAsnMap::load(ipmap_text);

@@ -294,10 +294,10 @@ net::Ipv4 parse_address(std::string_view field, std::size_t line_no) {
 }
 
 /// Consumes the two '#' header lines save_csv writes.
-CsvHeader parse_header(std::string_view& text) {
+DatasetHeader parse_header(std::string_view& text) {
   constexpr std::string_view kWindowTag = "#window_start=";
   constexpr std::string_view kFamiliesTag = "#families=";
-  CsvHeader header;
+  DatasetHeader header;
   if (text.empty() || !text.starts_with(kWindowTag)) {
     throw std::invalid_argument(
         "Dataset::load_csv: missing window_start header");
@@ -362,16 +362,16 @@ Attack parse_row(std::string_view line, std::size_t line_no) {
   return attack;
 }
 
-/// Appends the attacks of `rows`, the rows after the column header whose
-/// first line is line `first_line` of the text, to `attacks`.
-void parse_rows(std::string_view rows, std::size_t first_line,
-                std::vector<Attack>& attacks) {
+/// The attacks of `rows`, the rows after the column header whose first line
+/// is line `first_line` of the text.
+std::vector<Attack> parse_rows(std::string_view rows, std::size_t first_line) {
+  std::vector<Attack> attacks;
   if (rows.size() < kCsvParallelFloor) {
     for (std::size_t line_no = first_line; !rows.empty(); ++line_no) {
       const std::string_view line = next_line(rows);
       if (!line.empty()) attacks.push_back(parse_row(line, line_no));
     }
-    return;
+    return attacks;
   }
   const std::size_t chunks = core::num_threads();
   ACBM_SPAN_KV("trace.csv.parse", "chunks=" + std::to_string(chunks));
@@ -402,7 +402,7 @@ void parse_rows(std::string_view rows, std::size_t first_line,
     parsed[c] = std::move(chunk);
   });
   std::size_t line_no = first_line;
-  std::size_t count = attacks.size();
+  std::size_t count = 0;
   for (const Chunk& chunk : parsed) {
     if (chunk.bad_row) {
       // parse_row is a pure function of the row, so parsing it again at
@@ -417,25 +417,7 @@ void parse_rows(std::string_view rows, std::size_t first_line,
     std::move(chunk.attacks.begin(), chunk.attacks.end(),
               std::back_inserter(attacks));
   }
-}
-
-/// Checks one whole dataset CSV text as load_csv documents, appends its
-/// rows to `attacks` and returns its header.
-CsvHeader parse_text(std::string_view csv, std::vector<Attack>& attacks) {
-  CsvHeader header = parse_header(csv);
-  if (csv.empty()) {
-    throw std::invalid_argument("Dataset::load_csv: missing column header");
-  }
-  // save_csv ends every line in '\n'. Text that does not was cut short,
-  // maybe inside a row's bots, where a cut can still leave valid addresses
-  // ("10.9.0.12" -> "10.9.0.1").
-  if (csv.back() != '\n') {
-    throw std::invalid_argument(
-        "Dataset::load_csv: truncated (last line has no newline)");
-  }
-  (void)next_line(csv);
-  parse_rows(csv, 4, attacks);
-  return header;
+  return attacks;
 }
 
 }  // namespace
@@ -479,52 +461,27 @@ std::vector<std::string> Dataset::csv_parts() const {
   return parts;
 }
 
-std::size_t Dataset::append_csv(std::string& out) const {
-  const std::vector<std::string> parts = csv_parts();
-  std::size_t size = 0;
-  for (const std::string& part : parts) size += part.size();
-  out.reserve(out.size() + size);
-  for (const std::string& part : parts) out += part;
-  return 3 + attacks_.size();
-}
-
 void Dataset::save_csv(std::ostream& os) const {
   for (const std::string& part : csv_parts()) {
     os.write(part.data(), static_cast<std::streamsize>(part.size()));
   }
 }
 
-CsvHeader Dataset::load_csv_header(std::string_view csv) {
-  return parse_header(csv);
-}
-
 Dataset Dataset::load_csv(std::string_view csv) {
-  return load_csv_union(std::span(&csv, 1));
-}
-
-Dataset Dataset::load_csv_union(std::span<const std::string_view> texts) {
-  if (texts.empty()) {
-    throw std::invalid_argument("Dataset::load_csv_union: no text");
+  DatasetHeader header = parse_header(csv);
+  if (csv.empty()) {
+    throw std::invalid_argument("Dataset::load_csv: missing column header");
   }
-  std::vector<std::string> families;
-  std::vector<Attack> attacks;
-  EpochSeconds window_start = 0;
-  for (std::size_t i = 0; i < texts.size(); ++i) {
-    const std::size_t first = attacks.size();
-    CsvHeader header = parse_text(texts[i], attacks);
-    // The check load_csv's construction makes, against this text's list.
-    for (std::size_t a = first; a < attacks.size(); ++a) {
-      if (attacks[a].family >= header.families.size()) {
-        throw std::invalid_argument(
-            "Dataset: attack references unknown family");
-      }
-    }
-    if (i == 0) window_start = header.window_start;
-    if (header.families.size() > families.size()) {
-      families = std::move(header.families);
-    }
+  // save_csv ends every line in '\n'. Text that does not was cut short,
+  // maybe inside a row's bots, where a cut can still leave valid addresses
+  // ("10.9.0.12" -> "10.9.0.1").
+  if (csv.back() != '\n') {
+    throw std::invalid_argument(
+        "Dataset::load_csv: truncated (last line has no newline)");
   }
-  return Dataset(std::move(families), std::move(attacks), {}, window_start);
+  (void)next_line(csv);
+  return Dataset(std::move(header.families), parse_rows(csv, 4), {},
+                 header.window_start);
 }
 
 Dataset Dataset::load_csv(std::istream& is) {
@@ -588,6 +545,77 @@ class BinaryReader {
  private:
   std::string_view rest_;
 };
+
+/// Reads a block's head off the front of `in`: the probe, the family names
+/// and window_start.
+DatasetHeader read_header(BinaryReader& in) {
+  if (in.get<std::uint32_t>("probe") != kBinaryEndianCheck) {
+    binary_error("byte-order probe mismatch (written on another "
+                 "architecture, or not a dataset block)");
+  }
+  DatasetHeader header;
+  const auto family_count = in.get<std::uint64_t>("family");
+  in.need(family_count, 8, "family");
+  header.families.reserve(family_count);
+  for (std::uint64_t f = 0; f < family_count; ++f) {
+    const auto length = in.get<std::uint64_t>("family name");
+    in.need(length, 1, "family name byte");
+    header.families.emplace_back(in.take(length));
+  }
+  header.window_start = in.get<std::int64_t>("window_start");
+  return header;
+}
+
+/// Decodes the rest of one block after its head, its attacks checked
+/// against its own `families`, onto the end of `attacks`.
+void read_attacks(BinaryReader& in, std::size_t families,
+                  std::vector<Attack>& attacks) {
+  const auto attack_count = in.get<std::uint64_t>("attack");
+  const auto bot_count = in.get<std::uint64_t>("bot");
+  in.need(attack_count, kAttackRecordBytes, "attack");
+  BinaryReader records(in.take(attack_count * kAttackRecordBytes));
+  in.need(bot_count, sizeof(net::Ipv4), "bot");
+  if (in.left() != bot_count * sizeof(net::Ipv4)) {
+    binary_error(std::to_string(in.left() - bot_count * sizeof(net::Ipv4)) +
+                 " bytes after the last bot");
+  }
+  std::string_view bot_bytes = in.take(in.left());
+
+  // One pass over the records: each attack's family index and bot count
+  // are checked before its bots are allocated and copied.
+  const std::size_t first = attacks.size();
+  attacks.resize(first + attack_count);
+  for (Attack& attack : std::span(attacks).subspan(first)) {
+    attack.id = records.get<std::uint64_t>("id");
+    attack.family = records.get<std::uint32_t>("family");
+    attack.target_ip = net::Ipv4(records.get<std::uint32_t>("target_ip"));
+    attack.target_asn = records.get<std::uint32_t>("target_asn");
+    attack.start = records.get<std::int64_t>("start");
+    attack.duration_s =
+        std::bit_cast<double>(records.get<std::uint64_t>("duration_s"));
+    const auto bots = records.get<std::uint64_t>("bots");
+    if (attack.family >= families) {
+      binary_error("attack " + std::to_string(attack.id) + " has family " +
+                   std::to_string(attack.family) + " of " +
+                   std::to_string(families));
+    }
+    if (bots > bot_bytes.size() / sizeof(net::Ipv4)) {
+      binary_error("bot counts exceed the total of " +
+                   std::to_string(bot_count));
+    }
+    if (bots == 0) continue;
+    attack.bots.resize(bots);
+    std::memcpy(attack.bots.data(), bot_bytes.data(),
+                bots * sizeof(net::Ipv4));
+    bot_bytes.remove_prefix(bots * sizeof(net::Ipv4));
+  }
+  if (!bot_bytes.empty()) {
+    binary_error("bot counts sum to " +
+                 std::to_string(bot_count -
+                                bot_bytes.size() / sizeof(net::Ipv4)) +
+                 ", not the total of " + std::to_string(bot_count));
+  }
+}
 
 /// Cuts `attacks`, holding `total` bots, into consecutive chunks of about
 /// equal bot count: one chunk when the bots' bytes stay under
@@ -661,68 +689,29 @@ std::vector<std::string> Dataset::binary_parts() const {
   return parts;
 }
 
-Dataset Dataset::load_binary(std::string_view bytes) {
-  ACBM_SPAN_KV("trace.binary.decode", "bytes=" + std::to_string(bytes.size()));
-  BinaryReader in(bytes);
-  if (in.get<std::uint32_t>("probe") != kBinaryEndianCheck) {
-    binary_error("byte-order probe mismatch (written on another "
-                 "architecture, or not a dataset block)");
-  }
-  const auto family_count = in.get<std::uint64_t>("family");
-  in.need(family_count, 8, "family");
+Dataset Dataset::load_binary(std::span<const std::string_view> blocks) {
+  std::size_t bytes = 0;
+  for (const std::string_view block : blocks) bytes += block.size();
+  ACBM_SPAN_KV("trace.binary.decode", "bytes=" + std::to_string(bytes));
+  if (blocks.empty()) binary_error("no block");
   std::vector<std::string> families;
-  families.reserve(family_count);
-  for (std::uint64_t f = 0; f < family_count; ++f) {
-    const auto length = in.get<std::uint64_t>("family name");
-    in.need(length, 1, "family name byte");
-    families.emplace_back(in.take(length));
-  }
-  const auto window_start = in.get<std::int64_t>("window_start");
-  const auto attack_count = in.get<std::uint64_t>("attack");
-  const auto bot_count = in.get<std::uint64_t>("bot");
-  in.need(attack_count, kAttackRecordBytes, "attack");
-  BinaryReader records(in.take(attack_count * kAttackRecordBytes));
-  in.need(bot_count, sizeof(net::Ipv4), "bot");
-  if (in.left() != bot_count * sizeof(net::Ipv4)) {
-    binary_error(std::to_string(in.left() - bot_count * sizeof(net::Ipv4)) +
-                 " bytes after the last bot");
-  }
-  std::string_view bot_bytes = in.take(in.left());
-
-  // One pass over the records: each attack's family index and bot count
-  // are checked before its bots are allocated and copied.
-  std::vector<Attack> attacks(attack_count);
-  for (Attack& attack : attacks) {
-    attack.id = records.get<std::uint64_t>("id");
-    attack.family = records.get<std::uint32_t>("family");
-    attack.target_ip = net::Ipv4(records.get<std::uint32_t>("target_ip"));
-    attack.target_asn = records.get<std::uint32_t>("target_asn");
-    attack.start = records.get<std::int64_t>("start");
-    attack.duration_s =
-        std::bit_cast<double>(records.get<std::uint64_t>("duration_s"));
-    const auto bots = records.get<std::uint64_t>("bots");
-    if (attack.family >= families.size()) {
-      binary_error("attack " + std::to_string(attack.id) + " has family " +
-                   std::to_string(attack.family) + " of " +
-                   std::to_string(families.size()));
+  std::vector<Attack> attacks;
+  EpochSeconds window_start = 0;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    BinaryReader in(blocks[i]);
+    DatasetHeader header = read_header(in);
+    read_attacks(in, header.families.size(), attacks);
+    if (i == 0) window_start = header.window_start;
+    if (header.families.size() > families.size()) {
+      families = std::move(header.families);
     }
-    if (bots > bot_bytes.size() / sizeof(net::Ipv4)) {
-      binary_error("bot counts exceed the total of " +
-                   std::to_string(bot_count));
-    }
-    if (bots == 0) continue;
-    attack.bots.resize(bots);
-    std::memcpy(attack.bots.data(), bot_bytes.data(),
-                bots * sizeof(net::Ipv4));
-    bot_bytes.remove_prefix(bots * sizeof(net::Ipv4));
-  }
-  if (!bot_bytes.empty()) {
-    binary_error("bot counts sum to " +
-                 std::to_string(bot_count -
-                                bot_bytes.size() / sizeof(net::Ipv4)) +
-                 ", not the total of " + std::to_string(bot_count));
   }
   return Dataset(std::move(families), std::move(attacks), {}, window_start);
+}
+
+DatasetHeader Dataset::load_binary_header(std::string_view block) {
+  BinaryReader in(block);
+  return read_header(in);
 }
 
 }  // namespace acbm::trace

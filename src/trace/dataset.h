@@ -72,11 +72,10 @@ struct ValidationReport {
 };
 
 /// Dataset CSV texts of at least this many bytes are parsed (load_csv) and
-/// formatted (csv_parts, append_csv), and the bots of a binary block of at
-/// least this many bytes are copied (binary_parts), in about
-/// core::num_threads() chunks on the thread pool; smaller ones, such as
-/// hourly snapshot segments, stay on the calling thread. The bytes are the
-/// same either way.
+/// formatted (csv_parts), and the bots of a binary block of at least this
+/// many bytes are copied (binary_parts), in about core::num_threads()
+/// chunks on the thread pool; smaller ones stay on the calling thread. The
+/// bytes are the same either way.
 inline constexpr std::size_t kCsvParallelFloor = std::size_t{1} << 20;
 
 /// Splits `text` into at most `parts` consecutive non-empty pieces: piece i
@@ -86,10 +85,10 @@ inline constexpr std::size_t kCsvParallelFloor = std::size_t{1} << 20;
 [[nodiscard]] std::vector<std::string_view> split_lines(std::string_view text,
                                                         std::size_t parts);
 
-/// The two '#' header lines of a dataset CSV.
-struct CsvHeader {
+/// The head of a dataset: its window start and family names.
+struct DatasetHeader {
   EpochSeconds window_start = 0;
-  std::vector<std::string> families;  ///< Empty names dropped.
+  std::vector<std::string> families;
 };
 
 /// The full trace: chronologically sorted attacks plus snapshots.
@@ -136,59 +135,56 @@ class Dataset {
     return validation_;
   }
 
-  /// CSV serialization (attacks only; snapshots are derivable). csv_parts
-  /// returns the text as ordered parts, the three header lines first, with
-  /// the rows of a text at or above kCsvParallelFloor formatted in chunks
-  /// concurrently; their concatenation is the same bytes at any thread
-  /// count. append_csv appends that text to `out` and returns the number of
-  /// lines it wrote (3 + size()); durations are written as %.17g, so they
-  /// round-trip exactly. save_csv writes the same bytes to a stream.
-  /// load_csv scans the text once (in chunks split by split_lines at or
-  /// above the floor) and throws std::invalid_argument on a malformed
-  /// header or row, naming the first bad line as a serial scan would: a row
-  /// with fewer than the six comma-terminated fields before its bots, a
-  /// numeric field with trailing characters, a negative value in an
-  /// unsigned field, a malformed address, or a last line with no '\n' (the
-  /// writer ends every line in one, so such text was cut short). The stream
-  /// overload reads the stream to its end, then parses that text.
+  /// CSV serialization (attacks only; snapshots are derivable), the format
+  /// data enters and leaves the program in. csv_parts returns the text as
+  /// ordered parts, the three header lines first, with the rows of a text
+  /// at or above kCsvParallelFloor formatted in chunks concurrently; their
+  /// concatenation is the same bytes at any thread count. Durations are
+  /// written as %.17g, so they round-trip exactly. save_csv writes the same
+  /// bytes to a stream. load_csv scans the text once (in chunks split by
+  /// split_lines at or above the floor) and throws std::invalid_argument on
+  /// a malformed header or row, naming the first bad line as a serial scan
+  /// would: a row with fewer than the six comma-terminated fields before
+  /// its bots, a numeric field with trailing characters, a negative value
+  /// in an unsigned field, a malformed address, or a last line with no
+  /// '\n' (the writer ends every line in one, so such text was cut short).
+  /// Empty family names in the header are dropped. The stream overload
+  /// reads the stream to its end, then parses that text.
   [[nodiscard]] std::vector<std::string> csv_parts() const;
-  std::size_t append_csv(std::string& out) const;
   void save_csv(std::ostream& os) const;
   [[nodiscard]] static Dataset load_csv(std::string_view csv);
   [[nodiscard]] static Dataset load_csv(std::istream& is);
-  /// One dataset from several CSV texts in one pass: every text's rows in
-  /// text order, the longest family list (the texts' lists must agree
-  /// where they overlap), the first text's window_start, then one
-  /// construction that repairs, sorts and indexes the union. Each text gets
-  /// load_csv's checks and messages, including that its rows' family
-  /// indices fall within its own list; the first failure throws. For texts
-  /// in the form save_csv writes (sorted, unique ids, nothing to repair),
-  /// this equals loading each and constructing the union of their attacks.
-  /// Throws on an empty span.
-  [[nodiscard]] static Dataset load_csv_union(
-      std::span<const std::string_view> texts);
-  /// Parses only the header lines (no row), with load_csv's checks.
-  [[nodiscard]] static CsvHeader load_csv_header(std::string_view csv);
 
-  /// Binary serialization, the dataset block of a model artifact
-  /// (core/pipeline.h); CSV stays the interchange format. The block holds,
-  /// in host byte order behind a u32 probe (0x01020304): the family count
-  /// and each name as a u64 length plus its bytes, window_start, the attack
-  /// count and the total bot count; then one fixed-width record per attack
-  /// (u64 id, u32 family, u32 target ip, u32 target asn, i64 start, the
-  /// duration's IEEE bits as u64, u64 bot count); then every bot as a u32.
-  /// binary_parts returns the block as ordered parts: the header and
-  /// records, then the bots, in about core::num_threads() parts filled
-  /// concurrently when they reach kCsvParallelFloor bytes, else in one; the
-  /// concatenation is the same bytes at any thread count. load_binary,
-  /// one serial pass, reads every field through memcpy (no
+  /// Binary serialization, the one stored form of a dataset: the dataset
+  /// block of a model artifact (core/pipeline.h) and each segment of the
+  /// ingest snapshot log (core/ingest.h). The block holds, in host byte
+  /// order behind a u32 probe (0x01020304): the family count and each name
+  /// as a u64 length plus its bytes, window_start, the attack count and the
+  /// total bot count; then one fixed-width record per attack (u64 id, u32
+  /// family, u32 target ip, u32 target asn, i64 start, the duration's IEEE
+  /// bits as u64, u64 bot count); then every bot as a u32. binary_parts
+  /// returns the block as ordered parts: the header and records, then the
+  /// bots, in about core::num_threads() parts filled concurrently when they
+  /// reach kCsvParallelFloor bytes, else in one; the concatenation is the
+  /// same bytes at any thread count.
+  ///
+  /// load_binary decodes one or more blocks into one dataset in one serial
+  /// pass: every block's attacks in block order, the longest family list
+  /// (the blocks' lists are expected to agree where they overlap), the
+  /// first block's window_start, then one construction that repairs, sorts
+  /// and indexes the union. It reads every field through memcpy (no
   /// alignment assumed) and throws std::invalid_argument before it
-  /// allocates or copies anything when a count exceeds the bytes left, the
-  /// probe or a family index is wrong, the bot counts do not sum to the
-  /// total, or bytes are left over; it then constructs the dataset, so the
-  /// round trip is exact, durations bit for bit.
+  /// allocates or copies anything when a count exceeds the block's bytes
+  /// left, the probe is wrong, a family index falls outside the block's own
+  /// list, the bot counts do not sum to the block's total, or bytes are
+  /// left over, and on an empty span. A single block round-trips exactly,
+  /// durations bit for bit. load_binary_header reads only a block's head
+  /// (probe, families, window_start) through the same reader.
   [[nodiscard]] std::vector<std::string> binary_parts() const;
-  [[nodiscard]] static Dataset load_binary(std::string_view bytes);
+  [[nodiscard]] static Dataset load_binary(
+      std::span<const std::string_view> blocks);
+  [[nodiscard]] static DatasetHeader load_binary_header(
+      std::string_view block);
 
  private:
   void reindex();

@@ -20,11 +20,14 @@
 #include "core/pipeline.h"
 #include "core/robust.h"
 
+#include "../same_bytes.h"
+
 namespace acbm::cli {
 namespace {
 
 namespace fs = std::filesystem;
 namespace durable = acbm::core::durable;
+using acbm::test::same_bytes;
 
 struct FaultGuard {
   FaultGuard() { core::FaultInjector::instance().clear(); }
@@ -124,7 +127,7 @@ TEST(CheckpointCli, CrashResumeIsByteIdenticalAcrossThreadCounts) {
                       nullptr, &err),
               0)
         << "threads=" << threads << ": " << err;
-    EXPECT_EQ(durable::read_file(model), clean_bytes)
+    EXPECT_TRUE(same_bytes(durable::read_file(model), clean_bytes))
         << "threads=" << threads;
   }
 }
@@ -175,7 +178,8 @@ TEST(CheckpointCli, OtherDatasetsCrashedFitIsNotResumedIntoTheFirst) {
                     nullptr, &err),
             0)
       << err;
-  EXPECT_EQ(durable::read_file(model), durable::read_file(clean_model));
+  EXPECT_TRUE(same_bytes(durable::read_file(model),
+                         durable::read_file(clean_model)));
 }
 
 TEST(CheckpointCli, EvaluateCrashResumeReproducesTheCleanArtifact) {
@@ -209,7 +213,8 @@ TEST(CheckpointCli, EvaluateCrashResumeReproducesTheCleanArtifact) {
                     &resumed_stdout, &err),
             0)
       << err;
-  EXPECT_EQ(durable::read_file(crashed_out), durable::read_file(clean_out));
+  EXPECT_TRUE(same_bytes(durable::read_file(crashed_out),
+                         durable::read_file(clean_out)));
   EXPECT_NE(resumed_stdout.find("h=0.7"), std::string::npos);
   EXPECT_NE(resumed_stdout.find("h=0.8"), std::string::npos);
 }

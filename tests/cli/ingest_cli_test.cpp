@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <iterator>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -19,11 +20,14 @@
 #include "core/durable.h"
 #include "core/robust.h"
 
+#include "../same_bytes.h"
+
 namespace acbm::cli {
 namespace {
 
 namespace fs = std::filesystem;
 namespace durable = acbm::core::durable;
+using acbm::test::same_bytes;
 
 struct FaultGuard {
   FaultGuard() { core::FaultInjector::instance().clear(); }
@@ -178,8 +182,9 @@ TEST(IngestCli, LifecycleAppendsRefitsAndMatchesAColdFitByteForByte) {
                     nullptr, &err),
             0)
       << err;
-  EXPECT_EQ(durable::read_file((fs::path(dir) / "model.art").string()),
-            durable::read_file(cold_model));
+  EXPECT_TRUE(
+      same_bytes(durable::read_file((fs::path(dir) / "model.art").string()),
+                 durable::read_file(cold_model)));
 }
 
 TEST(IngestCli, DuplicateHourExitsZeroWithoutAppending) {
@@ -242,8 +247,9 @@ TEST(IngestCli, ExhaustedRefitExitsSixAndKeepsServing) {
             6);
   EXPECT_NE(err.find("previous model generation is still live"),
             std::string::npos);
-  EXPECT_EQ(durable::read_file((fs::path(dir) / "model.art").string()),
-            before);
+  EXPECT_TRUE(
+      same_bytes(durable::read_file((fs::path(dir) / "model.art").string()),
+                 before));
 
   core::FaultInjector::instance().clear();
   EXPECT_EQ(run_cli({"ingest", "--dir", dir, "--refit"}, &out, &err), 0)
@@ -262,10 +268,37 @@ TEST(IngestCli, UsageErrors) {
                     nullptr, &err),
             2);
   EXPECT_NE(err.find("--hour"), std::string::npos);
-  // Unknown option.
+  // Unknown option; the drift policy has no knobs.
   EXPECT_EQ(run_cli({"ingest", "--dir", tmp.file("s"), "--bogus", "1"},
                     nullptr, &err),
             2);
+  EXPECT_EQ(run_cli({"ingest", "--dir", tmp.file("s"), "--status",
+                     "--drift-z", "2"},
+                    nullptr, &err),
+            2);
+}
+
+TEST(IngestCli, PreviousSegmentFormatExitsThreeWithTheRemedy) {
+  // A directory whose log holds a CSV segment (ingest_segment v1) is
+  // refused before anything is read or repaired.
+  TempDir tmp;
+  const fs::path dir = tmp.path / "stream";
+  fs::create_directories(dir);
+  const std::string log = durable::frame_payload(
+      "ingest_segment", 1,
+      "hour=0\n#window_start=0\n#families=A\n"
+      "id,family,target_ip,target_asn,start,duration_s,bots\n");
+  durable::atomic_write_file(dir / "snapshots.log", log);
+  std::string err;
+  EXPECT_EQ(run_cli({"ingest", "--dir", dir.string(), "--status"}, nullptr,
+                    &err),
+            3);
+  EXPECT_NE(err.find("error (version_unsupported)"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("--export-dataset"), std::string::npos) << err;
+  EXPECT_TRUE(same_bytes(durable::read_file(dir / "snapshots.log"), log));
+  EXPECT_EQ(
+      std::distance(fs::directory_iterator(dir), fs::directory_iterator{}), 1);
 }
 
 }  // namespace

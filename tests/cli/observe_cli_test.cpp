@@ -16,11 +16,14 @@
 #include "core/observe.h"
 #include "core/parallel.h"
 
+#include "../same_bytes.h"
+
 namespace acbm::cli {
 namespace {
 
 namespace fs = std::filesystem;
 namespace observe = acbm::core::observe;
+using acbm::test::same_bytes;
 
 struct TempDir {
   fs::path path;
@@ -171,7 +174,7 @@ TEST_F(ObserveCliTest, ObservabilityDoesNotPerturbTheModelArtifact) {
       << err;
   const std::string plain = read_file(dir_.file("plain.bin"));
   ASSERT_FALSE(plain.empty());
-  EXPECT_EQ(plain, read_file(dir_.file("observed.bin")));
+  EXPECT_TRUE(same_bytes(plain, read_file(dir_.file("observed.bin"))));
 }
 
 TEST_F(ObserveCliTest, ModelArtifactIsThreadCountInvariantUnderTracing) {
@@ -183,7 +186,7 @@ TEST_F(ObserveCliTest, ModelArtifactIsThreadCountInvariantUnderTracing) {
   ASSERT_EQ(fit({"--profile"}, &out, &err, "t3.bin"), 0) << err;
   const std::string serial = read_file(dir_.file("t1.bin"));
   ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, read_file(dir_.file("t3.bin")));
+  EXPECT_TRUE(same_bytes(serial, read_file(dir_.file("t3.bin"))));
 }
 
 TEST_F(ObserveCliTest, EnvVariablesMirrorTheFlags) {

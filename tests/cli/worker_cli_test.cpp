@@ -18,11 +18,14 @@
 #include "core/durable.h"
 #include "core/robust.h"
 
+#include "../same_bytes.h"
+
 namespace acbm::cli {
 namespace {
 
 namespace fs = std::filesystem;
 namespace durable = acbm::core::durable;
+using acbm::test::same_bytes;
 
 struct FaultGuard {
   FaultGuard() { core::FaultInjector::instance().clear(); }
@@ -122,7 +125,7 @@ TEST(WorkerCli, MultiProcessFitIsByteIdenticalToSingleProcess) {
               0)
         << err;
     EXPECT_NE(out.find("workers: complete"), std::string::npos);
-    EXPECT_EQ(durable::read_file(model), world().plain_bytes)
+    EXPECT_TRUE(same_bytes(durable::read_file(model), world().plain_bytes))
         << "--workers " << workers;
   }
 }
@@ -146,7 +149,7 @@ TEST(WorkerCli, StandaloneWorkerFitsEveryShardForALaterMerge) {
                     nullptr, &err),
             0)
       << err;
-  EXPECT_EQ(durable::read_file(model), world().plain_bytes);
+  EXPECT_TRUE(same_bytes(durable::read_file(model), world().plain_bytes));
 }
 
 TEST(WorkerCli, SigkilledWorkerIsReplacedAndTheModelIsUnchanged) {
@@ -163,7 +166,7 @@ TEST(WorkerCli, SigkilledWorkerIsReplacedAndTheModelIsUnchanged) {
             0)
       << err;
   EXPECT_NE(out.find("workers:"), std::string::npos);
-  EXPECT_EQ(durable::read_file(model), world().plain_bytes);
+  EXPECT_TRUE(same_bytes(durable::read_file(model), world().plain_bytes));
 }
 
 TEST(WorkerCli, CrashLoopExhaustsTheBudgetAndTheMergeStillCompletes) {
@@ -181,7 +184,7 @@ TEST(WorkerCli, CrashLoopExhaustsTheBudgetAndTheMergeStillCompletes) {
             0)
       << err;
   EXPECT_NE(out.find("workers: workers_exhausted"), std::string::npos);
-  EXPECT_EQ(durable::read_file(model), world().plain_bytes);
+  EXPECT_TRUE(same_bytes(durable::read_file(model), world().plain_bytes));
 }
 
 TEST(WorkerCli, SpawnFaultEatsRespawnBudgetNotCorrectness) {
@@ -195,7 +198,7 @@ TEST(WorkerCli, SpawnFaultEatsRespawnBudgetNotCorrectness) {
                     nullptr, &err),
             0)
       << err;
-  EXPECT_EQ(durable::read_file(model), world().plain_bytes);
+  EXPECT_TRUE(same_bytes(durable::read_file(model), world().plain_bytes));
 }
 
 TEST(WorkerCli, CoordinatorTimeoutKillsWorkersAndExitsFive) {

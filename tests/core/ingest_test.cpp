@@ -11,8 +11,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,10 +26,13 @@
 #include "core/robust.h"
 #include "trace/world.h"
 
+#include "../same_bytes.h"
+
 namespace acbm::core::ingest {
 namespace {
 
 namespace fs = std::filesystem;
+using acbm::test::same_bytes;
 
 struct FaultGuard {
   FaultGuard() { FaultInjector::instance().clear(); }
@@ -190,7 +195,7 @@ TEST(SnapshotLog, RejectsWindowStartMismatchWithQuarantine) {
   EXPECT_NE(out.detail.find("window_start"), std::string::npos);
   EXPECT_FALSE(out.quarantined_to.empty());
   EXPECT_TRUE(fs::exists(out.quarantined_to));
-  EXPECT_EQ(durable::read_file(out.quarantined_to), other_ws);
+  EXPECT_TRUE(same_bytes(durable::read_file(out.quarantined_to), other_ws));
   EXPECT_EQ(log.segments().size(), 1u);
 }
 
@@ -252,7 +257,8 @@ TEST(SnapshotLog, SnapshotTruncatedMidRowIsRejectedAndQuarantined) {
     EXPECT_NE(out.detail.find("unparseable"), std::string::npos);
     EXPECT_FALSE(out.quarantined_to.empty());
     if (!out.quarantined_to.empty()) {
-      EXPECT_EQ(durable::read_file(out.quarantined_to), truncated);
+      EXPECT_TRUE(
+          same_bytes(durable::read_file(out.quarantined_to), truncated));
     }
   }
   EXPECT_EQ(log.segments().size(), 1u);
@@ -269,7 +275,8 @@ TEST(SnapshotLog, DuplicateHourIsIdempotent) {
   EXPECT_EQ(log.append(3, snap).status, AppendStatus::kDuplicate);
   EXPECT_EQ(log.append(2, snap).status, AppendStatus::kDuplicate);
   EXPECT_EQ(log.segments().size(), 1u);
-  EXPECT_EQ(durable::read_file(tmp.path / "snapshots.log"), before);
+  EXPECT_TRUE(
+      same_bytes(durable::read_file(tmp.path / "snapshots.log"), before));
 }
 
 TEST(SnapshotLog, TornTailIsTruncatedOnRecovery) {
@@ -294,7 +301,8 @@ TEST(SnapshotLog, TornTailIsTruncatedOnRecovery) {
   EXPECT_GT(recovered.recovery().torn_tail_bytes, 0u);
   EXPECT_EQ(recovered.recovery().quarantined_ranges, 0u);
   ASSERT_EQ(recovered.segments().size(), 2u);
-  EXPECT_EQ(durable::read_file(tmp.path / "snapshots.log"), intact);
+  EXPECT_TRUE(
+      same_bytes(durable::read_file(tmp.path / "snapshots.log"), intact));
   // The log accepts the hour's retry after recovery.
   EXPECT_EQ(recovered.append(3, snapshot_csv(families, 0, 3, 3, 1, 30)).status,
             AppendStatus::kAccepted);
@@ -346,7 +354,8 @@ TEST(SnapshotLog, AppendFaultLandsNoBytesAndRetryConverges) {
   FaultInjector::instance().configure("ingest.append:hour=2");
   const std::string snap = snapshot_csv(families, 0, 2, 2, 1, 20);
   EXPECT_THROW((void)log.append(2, snap), durable::WriteFailure);
-  EXPECT_EQ(durable::read_file(tmp.path / "snapshots.log"), before);
+  EXPECT_TRUE(
+      same_bytes(durable::read_file(tmp.path / "snapshots.log"), before));
 
   FaultInjector::instance().clear();
   EXPECT_EQ(log.append(2, snap).status, AppendStatus::kAccepted);
@@ -375,31 +384,44 @@ TEST(SnapshotLog, TornTailFaultThenReopenConverges) {
 
 // --- The mapped log -------------------------------------------------------
 
-/// Copies of every segment's hour and CSV bytes, for comparing a log's
-/// segments with what was appended after the views were re-taken.
-std::vector<std::pair<std::size_t, std::string>> segment_bytes(
-    const SnapshotLog& log) {
-  std::vector<std::pair<std::size_t, std::string>> out;
+/// Every segment's hour and block, one "hour=<h> bytes=<n>" line and the
+/// block's bytes each, for comparing a log's segments with what was
+/// appended after the views were re-taken.
+std::string segment_bytes(const SnapshotLog& log) {
+  std::string out;
   for (const Segment& s : log.segments()) {
-    out.emplace_back(s.hour, std::string(s.csv));
+    out += "hour=" + std::to_string(s.hour) +
+           " bytes=" + std::to_string(s.block.size()) + "\n";
+    out += s.block;
   }
   return out;
 }
 
-/// The canonical text append stores for `snapshot`.
-std::string canonical(std::string_view snapshot) {
-  return csv_of(trace::Dataset::load_csv(snapshot));
+/// The binary block of `dataset`, as one string.
+std::string block_of(const trace::Dataset& dataset) {
+  std::string out;
+  for (const std::string& part : dataset.binary_parts()) out += part;
+  return out;
 }
 
-/// The cumulative dataset as it was built before the one-pass parse: each
-/// segment loaded on its own, its attacks gathered into one list, the longest
-/// family list, one construction of the union.
+/// What segment_bytes shows for `snapshot` appended at `hour`: the block of
+/// its canonical dataset.
+std::string canonical(std::size_t hour, std::string_view snapshot) {
+  const std::string block = block_of(trace::Dataset::load_csv(snapshot));
+  return "hour=" + std::to_string(hour) +
+         " bytes=" + std::to_string(block.size()) + "\n" + block;
+}
+
+/// The cumulative dataset as a per-segment merge: each segment decoded on
+/// its own, its attacks gathered into one list, the longest family list,
+/// one construction of the union.
 trace::Dataset per_segment_merge(const SnapshotLog& log) {
   std::vector<std::string> families;
   std::vector<trace::Attack> attacks;
   trace::EpochSeconds window_start = 0;
   for (std::size_t i = 0; i < log.segments().size(); ++i) {
-    trace::Dataset d = trace::Dataset::load_csv(log.segments()[i].csv);
+    const std::string_view block = log.segments()[i].block;
+    trace::Dataset d = trace::Dataset::load_binary(std::span(&block, 1));
     if (i == 0) window_start = d.window_start();
     if (d.family_names().size() > families.size()) families = d.family_names();
     attacks.insert(attacks.end(), d.attacks().begin(), d.attacks().end());
@@ -410,7 +432,7 @@ trace::Dataset per_segment_merge(const SnapshotLog& log) {
 
 void expect_same_dataset(const trace::Dataset& got,
                          const trace::Dataset& want) {
-  EXPECT_EQ(csv_of(got), csv_of(want));
+  EXPECT_TRUE(same_bytes(csv_of(got), csv_of(want)));
   EXPECT_EQ(got.family_names(), want.family_names());
   EXPECT_EQ(got.window_start(), want.window_start());
   EXPECT_EQ(got.validation().nonfinite_durations,
@@ -427,7 +449,7 @@ void expect_same_dataset(const trace::Dataset& got,
 TEST(SnapshotLog, MappedSegmentsSurviveTornTailTruncation) {
   TempDir tmp;
   const std::vector<std::string> families = {"BotA", "BotB"};
-  std::vector<std::pair<std::size_t, std::string>> appended;
+  std::string appended;
   {
     SnapshotLog log(tmp.path);
     for (std::size_t h = 1; h <= 3; ++h) {
@@ -435,9 +457,9 @@ TEST(SnapshotLog, MappedSegmentsSurviveTornTailTruncation) {
           snapshot_csv(families, static_cast<std::uint32_t>(h % 2), h, h, 2,
                        h * 100);
       ASSERT_EQ(log.append(h, snap).status, AppendStatus::kAccepted);
-      appended.emplace_back(h, canonical(snap));
+      appended += canonical(h, snap);
     }
-    EXPECT_EQ(segment_bytes(log), appended);
+    EXPECT_TRUE(same_bytes(segment_bytes(log), appended));
   }
   {
     std::ofstream os(tmp.path / "snapshots.log",
@@ -451,17 +473,17 @@ TEST(SnapshotLog, MappedSegmentsSurviveTornTailTruncation) {
                 .size());
   EXPECT_EQ(recovered.recovery().quarantined_ranges, 0u);
   EXPECT_TRUE(recovered.recovery().quarantine_path.empty());
-  EXPECT_EQ(segment_bytes(recovered), appended);
+  EXPECT_TRUE(same_bytes(segment_bytes(recovered), appended));
   expect_same_dataset(recovered.cumulative(), per_segment_merge(recovered));
 
   // An append after the repair, then a reopen, sees every segment.
   const std::string snap = snapshot_csv(families, 0, 4, 4, 1, 400);
   ASSERT_EQ(recovered.append(4, snap).status, AppendStatus::kAccepted);
-  appended.emplace_back(4, canonical(snap));
-  EXPECT_EQ(segment_bytes(recovered), appended);
+  appended += canonical(4, snap);
+  EXPECT_TRUE(same_bytes(segment_bytes(recovered), appended));
   const SnapshotLog reopened(tmp.path);
   EXPECT_EQ(reopened.recovery().torn_tail_bytes, 0u);
-  EXPECT_EQ(segment_bytes(reopened), appended);
+  EXPECT_TRUE(same_bytes(segment_bytes(reopened), appended));
   EXPECT_EQ(reopened.cumulative().size(), 2u + 2u + 2u + 1u);
 }
 
@@ -469,7 +491,7 @@ TEST(SnapshotLog, MappedSegmentsSurviveCompaction) {
   TempDir tmp;
   TempDir clean;  // The same surviving hours appended to a fresh log.
   const std::vector<std::string> families = {"BotA"};
-  std::vector<std::pair<std::size_t, std::string>> survivors;
+  std::string survivors;
   {
     SnapshotLog log(tmp.path);
     SnapshotLog reference(clean.path);
@@ -478,7 +500,7 @@ TEST(SnapshotLog, MappedSegmentsSurviveCompaction) {
       ASSERT_EQ(log.append(h, snap).status, AppendStatus::kAccepted);
       if (h == 2) continue;
       ASSERT_EQ(reference.append(h, snap).status, AppendStatus::kAccepted);
-      survivors.emplace_back(h, canonical(snap));
+      survivors += canonical(h, snap);
     }
   }
   // Bit rot inside the second segment's payload.
@@ -494,21 +516,22 @@ TEST(SnapshotLog, MappedSegmentsSurviveCompaction) {
   EXPECT_EQ(recovered.recovery().quarantined_ranges, 1u);
   EXPECT_EQ(recovered.recovery().torn_tail_bytes, 0u);
   ASSERT_FALSE(recovered.recovery().quarantine_path.empty());
-  EXPECT_EQ(durable::read_file(recovered.recovery().quarantine_path),
-            bytes.substr(second, third - second));
-  EXPECT_EQ(segment_bytes(recovered), survivors);
+  EXPECT_TRUE(same_bytes(
+      durable::read_file(recovered.recovery().quarantine_path),
+      bytes.substr(second, third - second)));
+  EXPECT_TRUE(same_bytes(segment_bytes(recovered), survivors));
   // The compacted log is byte-equal to one that only ever held the
   // survivors.
-  EXPECT_EQ(durable::read_file(log_path),
-            durable::read_file(clean.path / "snapshots.log"));
+  EXPECT_TRUE(same_bytes(durable::read_file(log_path),
+                         durable::read_file(clean.path / "snapshots.log")));
   expect_same_dataset(recovered.cumulative(), per_segment_merge(recovered));
 
   const std::string snap = snapshot_csv(families, 0, 5, 5, 1, 500);
   ASSERT_EQ(recovered.append(5, snap).status, AppendStatus::kAccepted);
-  survivors.emplace_back(5, canonical(snap));
+  survivors += canonical(5, snap);
   const SnapshotLog reopened(tmp.path);
   EXPECT_EQ(reopened.recovery().quarantined_ranges, 0u);
-  EXPECT_EQ(segment_bytes(reopened), survivors);
+  EXPECT_TRUE(same_bytes(segment_bytes(reopened), survivors));
 }
 
 TEST(SnapshotLog, MovedLogKeepsWorkingViews) {
@@ -527,14 +550,14 @@ TEST(SnapshotLog, MovedLogKeepsWorkingViews) {
   const std::string cumulative = csv_of(log.cumulative());
 
   SnapshotLog moved(std::move(log));
-  EXPECT_EQ(segment_bytes(moved), expected);
-  EXPECT_EQ(csv_of(moved.cumulative()), cumulative);
+  EXPECT_TRUE(same_bytes(segment_bytes(moved), expected));
+  EXPECT_TRUE(same_bytes(csv_of(moved.cumulative()), cumulative));
 
   TempDir other;
   SnapshotLog assigned(other.path);
   assigned = std::move(moved);
-  EXPECT_EQ(segment_bytes(assigned), expected);
-  EXPECT_EQ(csv_of(assigned.cumulative()), cumulative);
+  EXPECT_TRUE(same_bytes(segment_bytes(assigned), expected));
+  EXPECT_TRUE(same_bytes(csv_of(assigned.cumulative()), cumulative));
   EXPECT_EQ(assigned.dir(), tmp.path);
   ASSERT_EQ(assigned.append(3, snapshot_csv(families, 0, 3, 3, 1, 30)).status,
             AppendStatus::kAccepted);
@@ -584,23 +607,31 @@ TEST(SnapshotLog, CumulativeEqualsThePerSegmentMerge) {
   expect_same_dataset(reopened.cumulative(), reference);
 }
 
-TEST(SnapshotLog, HandFramedSegmentWithABadRowThrowsTheLoadCsvMessage) {
+TEST(SnapshotLog, HandFramedMalformedBlockThrowsTheLoadBinaryMessage) {
   const std::vector<std::string> families = {"BotA", "BotB"};
-  const std::string good = snapshot_csv(families, 0, 2, 2, 2, 200);
-  std::string bad_address = good;
-  bad_address.replace(bad_address.rfind("10.1.0.2"), 8, "10.1.0.256");
-  std::string bad_family = good;  // Family 1 is beyond a one-name list.
-  bad_family.replace(bad_family.find("#families=BotA;BotB"), 19,
-                     "#families=BotA");
-  const std::size_t last_row =
-      bad_family.rfind('\n', bad_family.size() - 2) + 1;
-  bad_family.replace(bad_family.find(",0,", last_row), 3, ",1,");
-
-  for (const std::string& bad : {bad_address, bad_family}) {
+  const std::string good = block_of(
+      trace::Dataset::load_csv(snapshot_csv(families, 1, 2, 2, 2, 200)));
+  // Offsets in the block of two four-byte names: the probe, the family
+  // count and names, window_start, the attack and bot counts, then the
+  // first attack record (its family at +8, its bot count at +36).
+  constexpr std::size_t kRecordsAt = 4 + 8 + (8 + 4) * 2 + 8 + 8 + 8;
+  const auto with = [&](std::size_t at, auto value) {
+    std::string bytes = good;
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+    return bytes;
+  };
+  const std::vector<std::string> bad_blocks = {
+      with(kRecordsAt + 8, std::uint32_t{2}),   // Family 2 of a 2-name list.
+      with(kRecordsAt + 36, std::uint64_t{2}),  // Bot counts short of total.
+      good.substr(0, good.size() - 1),          // Cut one byte short.
+      good + '\0',                              // One byte left over.
+  };
+  for (const std::string& bad : bad_blocks) {
     std::string want;
     try {
-      (void)trace::Dataset::load_csv(bad);
-      ADD_FAILURE() << "load_csv accepted the bad text";
+      const std::string_view view = bad;
+      (void)trace::Dataset::load_binary(std::span(&view, 1));
+      ADD_FAILURE() << "load_binary accepted the bad block";
     } catch (const std::invalid_argument& e) {
       want = e.what();
     }
@@ -613,7 +644,7 @@ TEST(SnapshotLog, HandFramedSegmentWithABadRowThrowsTheLoadCsvMessage) {
     {
       std::ofstream os(tmp.path / "snapshots.log",
                        std::ios::binary | std::ios::app);
-      os << durable::frame_payload("ingest_segment", 1, "hour=2\n" + bad);
+      os << durable::frame_payload("ingest_segment", 2, "hour=2\n" + bad);
     }
     const SnapshotLog log(tmp.path);
     ASSERT_EQ(log.segments().size(), 2u);  // The frame itself is intact.
@@ -623,6 +654,52 @@ TEST(SnapshotLog, HandFramedSegmentWithABadRowThrowsTheLoadCsvMessage) {
       ADD_FAILURE() << "cumulative() accepted the bad segment";
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()), want);
+    }
+  }
+}
+
+TEST(SnapshotLog, IntactSegmentOfThePreviousFormatIsRefusedUntouched) {
+  // A log the CSV-segment build wrote: intact v1 frames. The open refuses
+  // it as version_unsupported, naming the remedy, and repairs nothing:
+  // neither a later torn tail nor a corrupt range before a v1 frame.
+  const std::vector<std::string> families = {"BotA"};
+  const std::string v1 =
+      durable::frame_payload("ingest_segment", 1,
+                             "hour=1\n" + snapshot_csv(families, 0, 0, 1, 1,
+                                                       10));
+  std::string v2_log;
+  {
+    TempDir tmp;
+    SnapshotLog log(tmp.path);
+    ASSERT_EQ(log.append(1, snapshot_csv(families, 0, 0, 1, 1, 10)).status,
+              AppendStatus::kAccepted);
+    v2_log = durable::read_file(tmp.path / "snapshots.log");
+  }
+  const std::vector<std::string> logs = {
+      v1,                                                  // A v1 log.
+      v1 + "ACBMF1 ingest_segment v1 len=500 crc32c=0\nhour=2\n",  // Torn.
+      v2_log + "bit rot\n" + v1,  // Resync lands on a v1 frame.
+  };
+  for (const std::string& bytes : logs) {
+    TempDir tmp;
+    const fs::path log_path = tmp.path / "snapshots.log";
+    durable::atomic_write_file(log_path, bytes);
+    try {
+      const SnapshotLog log(tmp.path);
+      ADD_FAILURE() << "a log holding a v1 segment opened";
+    } catch (const durable::LoadFailure& e) {
+      EXPECT_EQ(e.code(), durable::LoadError::kVersionUnsupported);
+      EXPECT_NE(std::string(e.what()).find("ingest_segment v1"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("--export-dataset"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(same_bytes(durable::read_file(log_path), bytes));
+    for (const auto& entry : fs::directory_iterator(tmp.path)) {
+      EXPECT_EQ(entry.path().filename(), "snapshots.log")
+          << "the refused open left " << entry.path();
     }
   }
 }
@@ -780,9 +857,9 @@ TEST(Ingestor, InitPublishesAModelByteIdenticalToAColdFit) {
                              ingest_world().world.ip_map),
                std::logic_error);
 
-  EXPECT_EQ(durable::read_file(ingestor.model_path()),
-            cold_fit_bytes(ingestor.log().cumulative(),
-                           ingest_world().world.ip_map));
+  EXPECT_TRUE(same_bytes(durable::read_file(ingestor.model_path()),
+                         cold_fit_bytes(ingestor.log().cumulative(),
+                                        ingest_world().world.ip_map)));
 }
 
 TEST(Ingestor, IncrementalRefitIsByteIdenticalToColdFitAcrossThreadCounts) {
@@ -810,13 +887,14 @@ TEST(Ingestor, IncrementalRefitIsByteIdenticalToColdFitAcrossThreadCounts) {
     EXPECT_EQ(ingestor.last_refit_hour(), hour);
 
     const std::string published = durable::read_file(ingestor.model_path());
-    EXPECT_EQ(published, cold_fit_bytes(ingestor.log().cumulative(),
-                                        ingest_world().world.ip_map))
+    EXPECT_TRUE(same_bytes(published,
+                           cold_fit_bytes(ingestor.log().cumulative(),
+                                          ingest_world().world.ip_map)))
         << "threads=" << threads;
     if (reference.empty()) {
       reference = published;
     } else {
-      EXPECT_EQ(published, reference) << "threads=" << threads;
+      EXPECT_TRUE(same_bytes(published, reference)) << "threads=" << threads;
     }
   }
 }
@@ -851,7 +929,7 @@ TEST(Ingestor, ExhaustedRetriesKeepThePreviousGenerationLive) {
   EXPECT_EQ(result.retries, 1);
   EXPECT_NE(result.error.find("refit.fail"), std::string::npos);
   // "Never serve nothing": the previous generation is untouched.
-  EXPECT_EQ(durable::read_file(ingestor.model_path()), before);
+  EXPECT_TRUE(same_bytes(durable::read_file(ingestor.model_path()), before));
 
   FaultInjector::instance().clear();
   EXPECT_TRUE(ingestor.check_and_refit(/*force=*/true).published);
@@ -871,7 +949,7 @@ TEST(Ingestor, PublicationKeepsAPreviousGenerationOnDisk) {
 
   const fs::path g1 = tmp.path / "model.art.g1";
   ASSERT_TRUE(fs::exists(g1));
-  EXPECT_EQ(durable::read_file(g1), gen1);
+  EXPECT_TRUE(same_bytes(durable::read_file(g1), gen1));
   // The previous generation still loads as a complete model.
   std::ifstream is(g1, std::ios::binary);
   EXPECT_NO_THROW((void)AdversaryModel::load_framed(is));
@@ -938,7 +1016,7 @@ TEST(Ingestor, PreviousFormatModelKeepsDriftAndRefitsToV5) {
 
   const RefitResult check = ingestor.check_and_refit(/*force=*/false);
   EXPECT_FALSE(check.attempted);
-  EXPECT_TRUE(durable::read_file(ingestor.model_path()) == v4_file);
+  EXPECT_TRUE(same_bytes(durable::read_file(ingestor.model_path()), v4_file));
 
   const std::size_t hour = 8 * 24 + 1;
   ASSERT_EQ(ingestor.append(hour, world_spike_csv(8 * 24, hour, 2, 930000))
@@ -949,9 +1027,11 @@ TEST(Ingestor, PreviousFormatModelKeepsDriftAndRefitsToV5) {
   const std::string published = durable::read_file(ingestor.model_path());
   EXPECT_EQ(durable::parse_frame(published).version,
             AdversaryModel::kFormatVersion);
-  EXPECT_TRUE(published == cold_fit_bytes(ingestor.log().cumulative(),
-                                          ingest_world().world.ip_map));
-  EXPECT_TRUE(durable::read_file(tmp.path / "model.art.g1") == v4_file);
+  EXPECT_TRUE(same_bytes(published,
+                         cold_fit_bytes(ingestor.log().cumulative(),
+                                        ingest_world().world.ip_map)));
+  EXPECT_TRUE(
+      same_bytes(durable::read_file(tmp.path / "model.art.g1"), v4_file));
 }
 
 TEST(Ingestor, CorruptInputsStateForcesAFullButConvergentRefit) {
@@ -969,9 +1049,9 @@ TEST(Ingestor, CorruptInputsStateForcesAFullButConvergentRefit) {
   ASSERT_TRUE(result.published) << result.error;
   // With no trusted hashes every stage counts as changed.
   EXPECT_EQ(result.stages_invalidated, families + 2);
-  EXPECT_EQ(durable::read_file(ingestor.model_path()),
-            cold_fit_bytes(ingestor.log().cumulative(),
-                           ingest_world().world.ip_map));
+  EXPECT_TRUE(same_bytes(durable::read_file(ingestor.model_path()),
+                         cold_fit_bytes(ingestor.log().cumulative(),
+                                        ingest_world().world.ip_map)));
 }
 
 TEST(Ingestor, CheckpointOfAnOlderNumericsVersionIsNotResumed) {
@@ -1008,9 +1088,9 @@ TEST(Ingestor, CheckpointOfAnOlderNumericsVersionIsNotResumed) {
   const RefitResult result = ingestor.check_and_refit(/*force=*/true);
   ASSERT_TRUE(result.published) << result.error;
   EXPECT_EQ(result.stages_invalidated, 0u);
-  EXPECT_EQ(durable::read_file(ingestor.model_path()),
-            cold_fit_bytes(ingestor.log().cumulative(),
-                           ingest_world().world.ip_map));
+  EXPECT_TRUE(same_bytes(durable::read_file(ingestor.model_path()),
+                         cold_fit_bytes(ingestor.log().cumulative(),
+                                        ingest_world().world.ip_map)));
   EXPECT_NE(cold_fit_bytes(other, ingest_world().world.ip_map),
             cold_fit_bytes(ingestor.log().cumulative(),
                            ingest_world().world.ip_map));
@@ -1049,9 +1129,9 @@ TEST(Ingestor, CheckpointOfThePreviousSourceOrderIsNotResumed) {
   const RefitResult result = ingestor.check_and_refit(/*force=*/true);
   ASSERT_TRUE(result.published) << result.error;
   EXPECT_EQ(result.stages_invalidated, 0u);
-  EXPECT_EQ(durable::read_file(ingestor.model_path()),
-            cold_fit_bytes(ingestor.log().cumulative(),
-                           ingest_world().world.ip_map));
+  EXPECT_TRUE(same_bytes(durable::read_file(ingestor.model_path()),
+                         cold_fit_bytes(ingestor.log().cumulative(),
+                                        ingest_world().world.ip_map)));
 }
 
 TEST(Ingestor, CheckpointRecordedOnlyInARunManifestIsNotResumed) {
@@ -1101,9 +1181,9 @@ TEST(Ingestor, CheckpointRecordedOnlyInARunManifestIsNotResumed) {
   const RefitResult result = ingestor.check_and_refit(/*force=*/true);
   ASSERT_TRUE(result.published) << result.error;
   EXPECT_EQ(result.stages_invalidated, 0u);
-  EXPECT_EQ(durable::read_file(ingestor.model_path()),
-            cold_fit_bytes(ingestor.log().cumulative(),
-                           ingest_world().world.ip_map));
+  EXPECT_TRUE(same_bytes(durable::read_file(ingestor.model_path()),
+                         cold_fit_bytes(ingestor.log().cumulative(),
+                                        ingest_world().world.ip_map)));
   for (const std::string& stage : stages) {
     EXPECT_TRUE(fs::exists(dir / (CheckpointDir::slug(stage) + ".done")))
         << stage << " was not refit";

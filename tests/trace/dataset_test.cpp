@@ -10,6 +10,7 @@
 #include <iomanip>
 #include <limits>
 #include <random>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -266,15 +267,6 @@ TEST(Dataset, LoadCsvRejectsEveryPrefixEndingInsideARow) {
   EXPECT_EQ(Dataset::load_csv(csv).size(), 3u);
 }
 
-TEST(Dataset, LoadCsvHeaderReadsOnlyTheHeaderLines) {
-  const CsvHeader header = Dataset::load_csv_header(
-      csv_with_row("this row is not parsed"));
-  EXPECT_EQ(header.window_start, 1343779200);
-  EXPECT_EQ(header.families, (std::vector<std::string>{"FamA", "FamB"}));
-  EXPECT_THROW((void)Dataset::load_csv_header("#families=FamA\n"),
-               std::invalid_argument);
-}
-
 TEST(DatasetValidation, CleanInputReportsClean) {
   std::vector<Attack> attacks{
       make_attack(1, 0, 100, kStart + 100),
@@ -363,9 +355,15 @@ TEST(DatasetValidation, CorruptCsvRoundTripsThroughRepair) {
   EXPECT_DOUBLE_EQ(back.attacks()[0].duration_s, 0.0);
 }
 
+std::string join(const std::vector<std::string>& parts) {
+  std::string out;
+  for (const std::string& part : parts) out += part;
+  return out;
+}
+
 /// The stream writer the to_chars one replaced (durations through an
 /// ostream at setprecision(17), octets through operator<<): the bytes
-/// append_csv and save_csv must reproduce.
+/// csv_parts and save_csv must reproduce.
 std::string reference_csv(const Dataset& ds) {
   const auto put_address = [](std::ostream& os, net::Ipv4 addr) {
     os << ((addr.value >> 24) & 0xFF) << '.' << ((addr.value >> 16) & 0xFF)
@@ -436,12 +434,7 @@ TEST(DatasetCsvWriter, MatchesTheStreamReferenceByteForByte) {
   ASSERT_TRUE(ds.validation().clean());
   const std::string expected = reference_csv(ds);
 
-  std::string text = "prefix";
-  const std::size_t lines = ds.append_csv(text);
-  ASSERT_EQ(text.substr(0, 6), "prefix");
-  EXPECT_EQ(text.substr(6), expected);
-  EXPECT_EQ(lines, static_cast<std::size_t>(
-                       std::count(expected.begin(), expected.end(), '\n')));
+  EXPECT_EQ(join(ds.csv_parts()), expected);
   std::ostringstream os;
   ds.save_csv(os);
   EXPECT_EQ(os.str(), expected);
@@ -459,15 +452,7 @@ TEST(DatasetCsvWriter, MatchesTheStreamReferenceByteForByte) {
               std::bit_cast<std::uint64_t>(b.duration_s));
     EXPECT_EQ(a.bots, b.bots);
   }
-  std::string again;
-  back.append_csv(again);
-  EXPECT_EQ(again, expected);
-}
-
-std::string join(const std::vector<std::string>& parts) {
-  std::string out;
-  for (const std::string& part : parts) out += part;
-  return out;
+  EXPECT_EQ(join(back.csv_parts()), expected);
 }
 
 void expect_same_dataset(const Dataset& a, const Dataset& b) {
@@ -489,11 +474,16 @@ void expect_same_dataset(const Dataset& a, const Dataset& b) {
   }
 }
 
+/// load_binary of one block.
+Dataset load_block(std::string_view block) {
+  return Dataset::load_binary(std::span(&block, 1));
+}
+
 /// Binary round trip: the loaded dataset equals `ds` field by field, and
 /// encoding it again gives the same bytes.
 void expect_binary_round_trip(const Dataset& ds) {
   const std::string bytes = join(ds.binary_parts());
-  const Dataset back = Dataset::load_binary(bytes);
+  const Dataset back = load_block(bytes);
   expect_same_dataset(ds, back);
   EXPECT_TRUE(join(back.binary_parts()) == bytes);
 }
@@ -567,7 +557,7 @@ TEST(Dataset, MalformedBinaryIsTyped) {
   ASSERT_EQ(bytes.size(), kRecordsAt + 4 * kRecordBytes + 8 * 4);
   const auto expect_rejected = [](const std::string& block,
                                   const std::string& what) {
-    EXPECT_THROW((void)Dataset::load_binary(block), std::invalid_argument)
+    EXPECT_THROW((void)load_block(block), std::invalid_argument)
         << what;
   };
   // Every cut short of the whole block, and one byte too many.
@@ -593,7 +583,54 @@ TEST(Dataset, MalformedBinaryIsTyped) {
   expect_rejected(with(bytes, kRecordsAt + 36, std::uint64_t{1}),
                   "bot counts sum short of the total");
   // The intact block still loads.
-  EXPECT_NO_THROW((void)Dataset::load_binary(bytes));
+  EXPECT_NO_THROW((void)load_block(bytes));
+  EXPECT_THROW((void)Dataset::load_binary({}), std::invalid_argument);
+}
+
+TEST(Dataset, LoadBinaryHeaderReadsOnlyTheHead) {
+  const std::string bytes = join(make_dataset().binary_parts());
+  // Everything after window_start is left unread.
+  const std::string head = bytes.substr(0, kAttackCountAt);
+  for (const std::string& block : {bytes, head + "not records"}) {
+    const DatasetHeader header = Dataset::load_binary_header(block);
+    EXPECT_EQ(header.window_start, kStart);
+    EXPECT_EQ(header.families, (std::vector<std::string>{"FamA", "FamB"}));
+  }
+  EXPECT_THROW((void)Dataset::load_binary_header(head.substr(0, 20)),
+               std::invalid_argument);
+  EXPECT_THROW((void)Dataset::load_binary_header(
+                   with(bytes, 0, std::uint32_t{0x04030201})),
+               std::invalid_argument);
+}
+
+TEST(Dataset, LoadBinaryOfSeveralBlocksIsTheirUnion) {
+  // Two snapshots of one log: the second extends the family list, reuses
+  // an id of the first and starts earlier than its last attack.
+  const Dataset first = make_dataset();
+  std::vector<Attack> later{make_attack(3, 2, 400, kStart + 50),
+                            make_attack(9, 0, 100, kStart + 200000)};
+  const Dataset second({"FamA", "FamB", "FamC"}, later, {}, kStart + 999);
+  const std::string a = join(first.binary_parts());
+  const std::string b = join(second.binary_parts());
+  const std::array<std::string_view, 2> blocks = {a, b};
+  const Dataset got = Dataset::load_binary(blocks);
+
+  std::vector<Attack> all = first.attacks();
+  all.insert(all.end(), later.begin(), later.end());
+  const Dataset want({"FamA", "FamB", "FamC"}, std::move(all), {}, kStart);
+  expect_same_dataset(got, want);
+  EXPECT_EQ(got.validation().duplicate_ids, 1u);
+  EXPECT_EQ(got.validation().out_of_order, want.validation().out_of_order);
+
+  // Each block's family indices are checked against its own list: family 2
+  // is in range of the union but not of a two-name block.
+  const std::string out_of_range = with(a, kRecordsAt + 8, std::uint32_t{2});
+  const std::array<std::string_view, 2> mixed = {b, out_of_range};
+  EXPECT_THROW((void)Dataset::load_binary(mixed), std::invalid_argument);
+  // A bad block anywhere fails the whole load.
+  const std::string cut = b.substr(0, b.size() - 1);
+  const std::array<std::string_view, 2> torn = {a, cut};
+  EXPECT_THROW((void)Dataset::load_binary(torn), std::invalid_argument);
 }
 
 TEST(Attack, EndAndMagnitude) {
